@@ -12,8 +12,12 @@ the paper:
 
 The top-t set (TSSS, Definition 2) is produced by iterative deletion: find
 the MSCS, remove its vertices, repeat — exactly the scheme Section 2.1
-suggests.  ``method="naive"`` bypasses the super-graph entirely and runs
-the exhaustive search on the input graph (the paper's baseline).
+suggests.  With discrete labels, a round whose region is a union of whole
+Algorithm-1 blocks leaves the other blocks intact, so the next round
+assembles its super-graph from them instead of re-running Algorithm 1
+(:class:`~repro.core.construct_discrete.BlockPartition`).
+``method="naive"`` bypasses the super-graph entirely and runs the
+exhaustive search on the input graph (the paper's baseline).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.graph.properties import is_dense_enough
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
 from repro.core.construct_continuous import EdgeOrder, build_continuous_supergraph
-from repro.core.construct_discrete import build_discrete_supergraph
+from repro.core.construct_discrete import BlockPartition, build_discrete_supergraph
 from repro.core.local_search import lmcs_local_search
 from repro.core.reduce import reduce_supergraph
 from repro.core.result import (
@@ -301,6 +305,10 @@ def mine(
     # pairs.
     tracer = _TELEMETRY.tracer if _TELEMETRY.enabled else Tracer()
     working = graph.copy()
+    # Algorithm 1's blocks of ``working`` while they are known: a region
+    # that is a union of whole blocks leaves the rest of the partition
+    # intact, so later rounds skip the rebuild (see BlockPartition.without).
+    blocks: BlockPartition | None = None
     found: list[SignificantSubgraph] = []
     aggregator = None if progress is None else ProgressAggregator(progress)
     try:
@@ -321,7 +329,7 @@ def mine(
                 if check_abort is not None and check_abort():
                     raise SearchAbortedError()
                 with tracer.span("solver.round", round=report.rounds):
-                    region = _mine_one(
+                    region, blocks = _mine_one(
                         working,
                         labeling,
                         report,
@@ -340,6 +348,8 @@ def mine(
                         check_abort=check_abort,
                         prefix_cache=prefix_cache,
                         progress=aggregator,
+                        blocks=blocks,
+                        keep_blocks=report.rounds + 1 < top_t,
                     )
                     if region is None:
                         break
@@ -358,6 +368,8 @@ def mine(
                         ctx.regions_filtered += 1
                     report.rounds += 1
                     working.remove_vertices(region.vertices)
+                    if blocks is not None:
+                        blocks = blocks.without(region.vertices)
     finally:
         # The guaranteed final snapshot: cumulative over every search call
         # this mine() issued, emitted on success, abort, and error alike.
@@ -463,8 +475,16 @@ def _mine_one(
     check_abort: Callable[[], bool] | None = None,
     prefix_cache: PrefixCache | None = None,
     progress: ProgressAggregator | None = None,
-) -> SignificantSubgraph | None:
-    """One MSCS round on the current working graph; None when nothing left."""
+    blocks: BlockPartition | None = None,
+    keep_blocks: bool = False,
+) -> tuple[SignificantSubgraph | None, BlockPartition | None]:
+    """One MSCS round on the current working graph.
+
+    Returns the mined region (None when nothing is left) and the
+    Algorithm-1 blocks of ``working``, if known: ``blocks`` as passed in,
+    or, when ``keep_blocks`` says a later round may use them, a snapshot
+    of this round's fresh discrete construction.
+    """
     first_round = report.rounds == 0
     # In round 0 the working graph is an untouched copy of the caller's
     # graph, so cache lookups may use the original object: identity-keyed
@@ -504,8 +524,13 @@ def _mine_one(
                 report.reduced_vertices = supergraph.num_super_vertices
         else:
             with tracer.span("solver.construct", method=method) as span:
-                if isinstance(labeling, DiscreteLabeling):
+                if isinstance(labeling, DiscreteLabeling) and blocks is not None:
+                    supergraph = blocks.supergraph(working, labeling)
+                    span.set(reused=True)
+                elif isinstance(labeling, DiscreteLabeling):
                     supergraph = build_discrete_supergraph(working, labeling)
+                    if keep_blocks:
+                        blocks = BlockPartition.of(supergraph, working)
                 else:
                     supergraph = build_continuous_supergraph(
                         working, labeling, edge_order=edge_order, seed=seed
@@ -572,7 +597,7 @@ def _mine_one(
         # each round actually cost.
         span.set(explored=report.explored_subgraphs - explored_before)
     report.search_seconds += span.wall_seconds
-    return region
+    return region, blocks
 
 
 def _singleton_supergraph(graph: Graph, labeling: Labeling) -> SuperGraph:

@@ -128,32 +128,6 @@ class SuperGraph:
             raise GraphError("self loops between super-vertices are not allowed")
         self.topology.add_edge(u_id, v_id, exist_ok=True)
 
-    @classmethod
-    def from_partition(
-        cls,
-        graph: Graph,
-        blocks: Iterable[Iterable[Hashable]],
-        payload_of: "PayloadFactory",
-    ) -> "SuperGraph":
-        """Build a super-graph from a vertex partition of ``graph``.
-
-        ``payload_of(members)`` must return the merged payload of a block.
-        Super-edges are derived from the original edges, exactly as the
-        paper defines: a super-edge exists iff some original edge crosses
-        between the blocks.
-        """
-        from repro.graph.contraction import validate_partition
-
-        normalised = validate_partition(graph, blocks)
-        sg = cls()
-        for block in normalised:
-            sg.add_super_vertex(block, payload_of(block))
-        for u, v in graph.edges():
-            su, tv = sg._membership[u], sg._membership[v]
-            if su != tv:
-                sg.add_super_edge(su, tv)
-        return sg
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -279,8 +253,3 @@ class SuperGraph:
             f"n={self.total_original_vertices()})"
         )
 
-
-class PayloadFactory(Protocol):
-    """Callable building the merged payload of a group of original vertices."""
-
-    def __call__(self, members: frozenset[Hashable]) -> Payload: ...

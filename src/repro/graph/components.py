@@ -1,15 +1,14 @@
 """Connectivity primitives: BFS, connected components, connectivity tests.
 
-Algorithm 1 of the paper finds super-vertices as the connected components of
-the graph restricted to contracting edges; the TSSS iterative-deletion loop
-needs connectivity checks after vertex removal.  Everything here is iterative
-(no recursion) so million-vertex graphs do not hit Python's stack limit.
+The TSSS iterative-deletion loop and local search need connectivity checks
+on vertex subsets.  Everything here is iterative (no recursion) so
+million-vertex graphs do not hit Python's stack limit.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.graph import Graph
@@ -44,18 +43,8 @@ def connected_component(graph: Graph, source: Hashable) -> frozenset[Hashable]:
     return frozenset(bfs_order(graph, source))
 
 
-def connected_components(
-    graph: Graph,
-    *,
-    edge_filter: Callable[[Hashable, Hashable], bool] | None = None,
-) -> list[frozenset[Hashable]]:
-    """All connected components, in order of first-seen vertex.
-
-    ``edge_filter(u, v)`` restricts traversal to edges for which it returns
-    True — this implements lines 1-3 of the paper's Algorithm 1, where the
-    components of the *contracting-edge* subgraph become super-vertices,
-    without materialising a filtered copy of the graph.
-    """
+def connected_components(graph: Graph) -> list[frozenset[Hashable]]:
+    """All connected components, in order of first-seen vertex."""
     seen: set[Hashable] = set()
     components: list[frozenset[Hashable]] = []
     for start in graph.vertices():
@@ -67,8 +56,6 @@ def connected_components(
             u = queue.popleft()
             for v in graph.neighbors(u):
                 if v in members:
-                    continue
-                if edge_filter is not None and not edge_filter(u, v):
                     continue
                 members.add(v)
                 queue.append(v)

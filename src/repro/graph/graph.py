@@ -12,7 +12,8 @@ Labels are deliberately *not* stored on the graph itself: labelings live in
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Set as AbstractSet
+from types import MappingProxyType
 from typing import TypeVar
 
 from repro.exceptions import (
@@ -274,3 +275,14 @@ class Graph:
     def adjacency(self) -> dict[Hashable, frozenset[Hashable]]:
         """An immutable snapshot of the adjacency structure."""
         return {v: frozenset(nbrs) for v, nbrs in self._adj.items()}
+
+    def adjacency_view(self) -> Mapping[Hashable, AbstractSet[Hashable]]:
+        """A live, read-only view of the adjacency: vertex -> neighbour set.
+
+        Nothing is copied, so bulk algorithms can run C-level set algebra
+        over whole neighbourhoods (``view[u] & others``).  The neighbour
+        sets are the graph's own: never mutate them, and do not hold the
+        view across mutations of the graph.  Iteration follows vertex
+        insertion order, like :meth:`vertices`.
+        """
+        return MappingProxyType(self._adj)

@@ -212,8 +212,18 @@ class CountVector:
                 self.add(label, count)
 
     def copy(self) -> "CountVector":
-        """An independent copy."""
-        return CountVector(self._probs, self._counts)
+        """An independent copy, equal to this vector in every cached value.
+
+        The null model was validated when this vector was made, so the
+        copy skips validation, which makes copying a zero vector the cheap
+        way to start one vector per block.
+        """
+        clone = CountVector.__new__(CountVector)
+        clone._probs = self._probs
+        clone._counts = list(self._counts)
+        clone._size = self._size
+        clone._weighted_square_sum = self._weighted_square_sum
+        return clone
 
     @classmethod
     def from_labels(

@@ -48,15 +48,6 @@ class TestConstruction:
         with pytest.raises(GraphError):
             sg.add_super_edge(u.id, u.id)
 
-    def test_from_partition(self):
-        g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
-        sg = SuperGraph.from_partition(
-            g, [[0, 1], [2], [3]], lambda members: cv([len(members), 0])
-        )
-        assert sg.num_super_vertices == 3
-        assert sg.num_super_edges == 2
-        sg.validate_against(g)
-
 
 class TestQueries:
     def test_super_vertex_lookup_missing(self):
@@ -142,9 +133,11 @@ class TestMerge:
 class TestValidate:
     def test_validate_passes_for_consistent(self):
         g = Graph.from_edges([(0, 1), (1, 2)])
-        sg = SuperGraph.from_partition(
-            g, [[0], [1], [2]], lambda m: cv([1, 0])
-        )
+        sg = SuperGraph()
+        for v in g.vertices():
+            sg.add_super_vertex([v], cv([1, 0]))
+        for u, v in g.edges():
+            sg.add_super_edge(sg.super_of(u).id, sg.super_of(v).id)
         sg.validate_against(g)
 
     def test_validate_catches_missing_coverage(self):

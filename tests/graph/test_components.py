@@ -53,23 +53,6 @@ class TestComponents:
     def test_connected_component_of(self, two_components):
         assert connected_component(two_components, 2) == frozenset({2, 3})
 
-    def test_edge_filter_restricts_traversal(self):
-        # Algorithm 1 usage: filter to same-parity edges only.
-        g = Graph.path(6)  # 0-1-2-3-4-5
-        comps = connected_components(
-            g, edge_filter=lambda u, v: (u % 2) == (v % 2)
-        )
-        # No path edge joins same-parity vertices, so all are singletons.
-        assert len(comps) == 6
-
-    def test_edge_filter_partial(self):
-        g = Graph.from_edges([(0, 2), (2, 4), (4, 5), (5, 7)])
-        comps = connected_components(
-            g, edge_filter=lambda u, v: (u % 2) == (v % 2)
-        )
-        as_sets = sorted(sorted(c) for c in comps)
-        assert as_sets == [[0, 2, 4], [5, 7]]
-
 
 class TestIsConnected:
     def test_connected(self, triangle):
