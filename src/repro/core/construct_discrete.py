@@ -207,18 +207,17 @@ def _assemble(
 ) -> SuperGraph:
     """Block ``i`` as super-vertex ``i``, plus the super-edges."""
     validate_partition(graph, blocks)
-    supergraph = SuperGraph()
     empty = CountVector(labeling.probabilities)
+    payloads = []
     for block, label in zip(blocks, labels):
         payload = empty.copy()
         # All members share one label by construction of the components.
         payload.add(label, len(block))
-        supergraph.add_super_vertex(block, payload)
-    for i, adjacent in enumerate(neighbours):
-        for j in adjacent:
-            if i < j:
-                supergraph.add_super_edge(i, j)
-    return supergraph
+        payloads.append(payload)
+    return SuperGraph.from_blocks(
+        range(len(blocks)), [set(block) for block in blocks], payloads,
+        neighbours,
+    )
 
 
 def _publish(

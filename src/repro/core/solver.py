@@ -95,9 +95,11 @@ class PrefixCache(Protocol):
 
     Algorithms 1/2 followed by Algorithm 5 are a pure function of the
     working graph, the labeling, ``n_theta``, and (for order-dependent
-    continuous construction) ``edge_order``/``seed`` — so their output can
-    be content-addressed and reused across :func:`mine` calls over the same
-    graph.  :class:`repro.service.cache.SuperGraphCache` is the production
+    continuous construction) ``edge_order``/``seed`` and the order the
+    graph iterates its vertices and edges in — so their output can be
+    content-addressed and reused across :func:`mine` calls over the same
+    graph.  For continuous labelings the solver passes the graph Algorithm
+    2 scans.  :class:`repro.service.cache.SuperGraphCache` is the production
     implementation; the solver only relies on this structural interface.
 
     Cached super-graphs are **post-reduction and read-only**: the solver
@@ -367,9 +369,12 @@ def mine(
                     else:
                         ctx.regions_filtered += 1
                     report.rounds += 1
-                    working.remove_vertices(region.vertices)
-                    if blocks is not None:
-                        blocks = blocks.without(region.vertices)
+                    # The working graph and blocks only matter to a round
+                    # that follows; the last round leaves them be.
+                    if report.rounds < top_t:
+                        working.remove_vertices(region.vertices)
+                        if blocks is not None:
+                            blocks = blocks.without(region.vertices)
     finally:
         # The guaranteed final snapshot: cumulative over every search call
         # this mine() issued, emitted on success, abort, and error alike.
@@ -487,11 +492,19 @@ def _mine_one(
     """
     first_round = report.rounds == 0
     # In round 0 the working graph is an untouched copy of the caller's
-    # graph, so cache lookups may use the original object: identity-keyed
-    # optimisations in the cache (key memoisation primed from a registry's
-    # precomputed digests) then apply to the object the caller actually
-    # handed over, not to a copy they have never seen.
-    cache_graph = pristine if (first_round and pristine is not None) else working
+    # graph, so discrete cache lookups may use the original object:
+    # identity-keyed optimisations in the cache (key memoisation primed
+    # from a registry's precomputed digests) then apply to the object the
+    # caller actually handed over, not to a copy they have never seen.
+    # Algorithm 2 depends on the order it scans ``working`` in, which the
+    # copy need not share with the original, so continuous lookups always
+    # key on ``working`` itself.
+    cache_graph = (
+        pristine
+        if first_round and pristine is not None
+        and isinstance(labeling, DiscreteLabeling)
+        else working
+    )
     if method == "naive":
         with tracer.span("solver.construct", method="naive") as span:
             supergraph = _singleton_supergraph(working, labeling)

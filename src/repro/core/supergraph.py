@@ -11,7 +11,7 @@ later stages never have to touch original vertices again.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from typing import Protocol, runtime_checkable
 
 from repro.exceptions import GraphError, VertexNotFoundError
@@ -103,6 +103,46 @@ class SuperGraph:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_blocks(
+        cls,
+        ids: Sequence[int],
+        member_sets: Sequence[set[Hashable]],
+        payloads: Sequence[Payload],
+        neighbours: Sequence[Iterable[int]],
+        *,
+        next_id: int | None = None,
+    ) -> "SuperGraph":
+        """A finished contraction, built in one pass.
+
+        Block ``i`` becomes super-vertex ``ids[i]`` with members
+        ``member_sets[i]`` (taken over, not copied) and statistic
+        ``payloads[i]``; ``neighbours[i]`` holds the ids it has super-edges
+        to.  ``ids`` must be ascending, so the super-vertices iterate in id
+        order as if added one by one.  ``next_id`` (default: one past the
+        largest id) is the id the next :meth:`add_super_vertex` would take.
+        Raises :class:`GraphError` when two blocks share a member.
+        """
+        sg = cls()
+        topology = sg.topology
+        membership = sg._membership
+        vertices = sg._vertices
+        total = 0
+        for vertex_id, members, payload in zip(ids, member_sets, payloads):
+            vertices[vertex_id] = SuperVertex(vertex_id, members, payload)
+            topology.add_vertex(vertex_id)
+            for v in members:
+                membership[v] = vertex_id
+            total += len(members)
+        if len(membership) != total:
+            raise GraphError("super-vertex member sets overlap")
+        for vertex_id, adjacent in zip(ids, neighbours):
+            for other in adjacent:
+                if vertex_id < other:
+                    topology.add_edge(vertex_id, other)
+        sg._next_id = (ids[-1] + 1 if ids else 0) if next_id is None else next_id
+        return sg
+
     def add_super_vertex(
         self, members: Iterable[Hashable], payload: Payload
     ) -> SuperVertex:

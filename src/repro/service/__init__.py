@@ -43,6 +43,7 @@ from repro.service.digest import (
     labeling_digest,
     prefix_digest,
     prefix_digest_from_parts,
+    scan_order_digest,
 )
 from repro.service.diskcache import DiskPrefixCache, TieredPrefixCache
 from repro.service.jobs import Job, JobManager
@@ -73,6 +74,7 @@ __all__ = [
     "prefix_digest",
     "prefix_digest_from_parts",
     "result_to_payload",
+    "scan_order_digest",
     "validate_graph_document",
     "validate_request",
 ]

@@ -4,8 +4,9 @@
 interface: the solver consults it before running Algorithm 1/2 construction
 and Algorithm 5 reduction, and stores the freshly computed stage on a miss.
 Keys are the content digests of :mod:`repro.service.digest`, so any two
-requests over bit-identical inputs share one entry regardless of how their
-graphs were assembled.
+requests over bit-identical inputs share one entry.  Discrete keys ignore
+how the graph was assembled; continuous keys include the order Algorithm 2
+scans the graph in, because its output depends on that order.
 
 Entries hold the **post-reduction** super-graph plus the pre-reduction
 sizes the pipeline report needs.  Cached super-graphs are read-only by
@@ -42,7 +43,12 @@ from repro.exceptions import DigestError, ServiceError
 from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
-from repro.service.digest import prefix_digest
+from repro.service.digest import (
+    labeling_digest,
+    prefix_digest,
+    prefix_digest_from_parts,
+    scan_order_digest,
+)
 from repro.telemetry import TELEMETRY as _TELEMETRY
 from repro.telemetry import names as _metric
 
@@ -117,11 +123,25 @@ class SuperGraphCache:
         edge_order: str = "input",
         seed: int | random.Random | None = None,
     ) -> str | None:
-        """The cache key for these inputs, or None when uncacheable."""
+        """The cache key for these inputs, or None when uncacheable.
+
+        Discrete prefixes are keyed on :func:`~repro.service.digest.
+        prefix_digest`, which ignores insertion order.  Algorithm 2 does
+        not: two graphs with equal content can build different continuous
+        super-graphs, so continuous prefixes are keyed on the
+        :func:`~repro.service.digest.scan_order_digest` of ``graph`` — the
+        graph the construction scans — in place of its content digest.
+        """
         try:
-            return prefix_digest(
-                graph, labeling,
-                n_theta=n_theta, edge_order=edge_order, seed=seed,
+            if isinstance(labeling, DiscreteLabeling):
+                return prefix_digest(
+                    graph, labeling,
+                    n_theta=n_theta, edge_order=edge_order, seed=seed,
+                )
+            return prefix_digest_from_parts(
+                scan_order_digest(graph), labeling_digest(labeling),
+                discrete=False, n_theta=n_theta, edge_order=edge_order,
+                seed=seed,
             )
         except DigestError:
             return None

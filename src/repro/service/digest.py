@@ -15,6 +15,13 @@ one cached super-graph.  The digests here are
   form, so two models digest equal iff they are bit-identical (no
   formatting round-trips).
 
+Continuous construction (Algorithm 2) is the one input that is *not*
+order-free: it scans the graph's vertices and edges in iteration order,
+and that order depends on vertex insertion order and on adjacency-set
+layout.  :func:`scan_order_digest` hashes exactly that sequence, and the
+prefix cache keys continuous prefixes on it instead of on
+:func:`graph_digest` (see :meth:`repro.service.cache.SuperGraphCache.key_of`).
+
 Unsupported vertex types raise :class:`~repro.exceptions.DigestError`, as
 does a ``shuffled`` edge order with a non-reproducible seed — the cache
 treats both as uncacheable and falls through to a fresh computation.
@@ -36,6 +43,7 @@ __all__ = [
     "labeling_digest",
     "prefix_digest",
     "prefix_digest_from_parts",
+    "scan_order_digest",
 ]
 
 
@@ -109,6 +117,24 @@ def graph_digest(graph: Graph) -> str:
         edge_codes.append(f"{cu}--{cv}" if cu <= cv else f"{cv}--{cu}")
     edge_codes.sort()
     return _hash_lines("graph/v2", vertex_codes + ["#edges#"] + edge_codes)
+
+
+def scan_order_digest(graph: Graph) -> str:
+    """Digest of the sequence in which Algorithm 2 scans ``graph``.
+
+    Hashes the vertices in graph order (they fix the super-vertex ids) and
+    then every edge in :meth:`~repro.graph.graph.Graph.edges` order, each
+    with its endpoints as yielded (the first endpoint's side wins merge
+    ties).  Two graphs digest equal iff they have the same content *and*
+    Algorithm 2 would see it in the same order, so every ``edge_order``
+    mode would build the same super-graph from both.
+    """
+    lines = [encode_vertex(v) for v in graph.vertices()]
+    lines.append("#edges#")
+    lines.extend(
+        f"{encode_vertex(u)}--{encode_vertex(v)}" for u, v in graph.edges()
+    )
+    return _hash_lines("graph/scan/v1", lines)
 
 
 def labeling_digest(labeling: DiscreteLabeling | ContinuousLabeling) -> str:
@@ -189,7 +215,9 @@ def prefix_digest_from_parts(
     re-hashing a megabyte instance.  Applies the same normalisation as
     :func:`prefix_digest` (``edge_order``/``seed`` dropped for discrete
     labelings) and raises the same :class:`~repro.exceptions.DigestError`
-    for a non-reproducible shuffled order.
+    for a non-reproducible shuffled order.  ``graph_key`` may also be a
+    :func:`scan_order_digest`, which is how the prefix cache keys
+    continuous prefixes.
     """
     if discrete:
         order_code = "-"

@@ -265,7 +265,10 @@ def _execute_request(
             )
         resolved = registry.resolve(request["graph_digest"])
         graph, labeling = resolved.graph, resolved.labeling
-        if cache is not None and hasattr(cache, "prime"):
+        # Only discrete keys follow from the stored content digests: a
+        # continuous key covers the order Algorithm 2 scans the solver's
+        # working copy in, which the solver digests itself.
+        if resolved.discrete and cache is not None and hasattr(cache, "prime"):
             try:
                 key = prefix_digest_from_parts(
                     resolved.graph_key,

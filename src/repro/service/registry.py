@@ -10,10 +10,12 @@ the 64-hex digest; ``POST /mine`` then names the instance with a
 ``{"graph_digest": ...}`` reference.
 
 Stored documents carry the precomputed ``graph``/``labeling`` component
-digests, so a worker resolving a reference derives the prefix-cache key
-from two 64-character strings via
+digests, so a worker resolving a reference to a discretely labeled
+instance derives the prefix-cache key from two 64-character strings via
 :func:`~repro.service.digest.prefix_digest_from_parts` — the instance
-itself is never hashed again.  Workers memoise materialised instances in
+itself is never hashed again.  (Continuous keys also cover the order
+Algorithm 2 scans the solver's working copy in, so the solver hashes
+that itself.)  Workers memoise materialised instances in
 a small LRU keyed by digest, so back-to-back jobs over the same graph
 (exactly what digest-grouped scheduling produces) reuse one object, which
 also keeps the prefix cache's identity-keyed memo hot.

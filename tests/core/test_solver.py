@@ -10,6 +10,7 @@ from repro.graph.generators import gnp_random_graph
 from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling, uniform_probabilities
+from repro.core.construct_discrete import BlockPartition
 from repro.core.solver import find_mscs, mine
 
 from conftest import random_continuous_instance, random_discrete_instance
@@ -121,6 +122,31 @@ class TestTopT:
         g, lab = random_discrete_instance(seed=24, n=20, p_edge=0.3)
         result = mine(g, lab, top_t=3)
         assert result.report.rounds == len(result)
+
+    def test_last_round_deletes_nothing(self, monkeypatch):
+        removed, shrunk = [], []
+        remove_vertices = Graph.remove_vertices
+        without = BlockPartition.without
+
+        def spy_remove(self, vertices):
+            vertices = list(vertices)
+            removed.append(frozenset(vertices))
+            return remove_vertices(self, vertices)
+
+        def spy_without(self, vertices):
+            shrunk.append(frozenset(vertices))
+            return without(self, vertices)
+
+        monkeypatch.setattr(Graph, "remove_vertices", spy_remove)
+        monkeypatch.setattr(BlockPartition, "without", spy_without)
+        g, lab = random_discrete_instance(seed=24, n=20, p_edge=0.3)
+        mine(g, lab, top_t=1)
+        assert removed == [] and shrunk == []
+        result = mine(g, lab, top_t=3)
+        assert result.report.rounds == 3
+        # Only the two rounds that another round follows delete.
+        assert removed == [s.vertices for s in result.subgraphs[:2]]
+        assert shrunk == removed
 
 
 class TestReport:

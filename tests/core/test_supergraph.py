@@ -48,6 +48,31 @@ class TestConstruction:
         with pytest.raises(GraphError):
             sg.add_super_edge(u.id, u.id)
 
+    def test_from_blocks_equals_one_by_one(self):
+        members = [{"a", "b"}, {"c"}, {"d"}]
+        sg = SuperGraph.from_blocks(
+            [0, 2, 5], members, [cv([2, 0]), cv([0, 1]), cv([1, 0])],
+            [{2, 5}, {0}, {0}],
+            next_id=7,
+        )
+        assert list(sg.super_vertex_ids()) == [0, 2, 5]
+        assert sg.super_vertex(2).members is members[1]
+        assert sg.super_of("b").id == 0
+        assert {frozenset(e) for e in sg.topology.edges()} == {
+            frozenset({0, 2}), frozenset({0, 5}),
+        }
+        assert sg.add_super_vertex(["e"], cv([1, 0])).id == 7
+        default = SuperGraph.from_blocks([0, 3], [{"a"}, {"b"}],
+                                         [cv([1, 0]), cv([0, 1])], [(), ()])
+        assert default.add_super_vertex(["c"], cv([1, 0])).id == 4
+
+    def test_from_blocks_rejects_overlap(self):
+        with pytest.raises(GraphError):
+            SuperGraph.from_blocks(
+                [0, 1], [{"a", "b"}, {"b"}], [cv([2, 0]), cv([1, 0])],
+                [(), ()],
+            )
+
 
 class TestQueries:
     def test_super_vertex_lookup_missing(self):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.solver import mine
 from repro.exceptions import ServiceError
 from repro.graph.generators import gnm_random_graph
 from repro.graph.graph import Graph
+from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling, uniform_probabilities
 from repro.service.cache import SuperGraphCache
+from repro.service.diskcache import DiskPrefixCache, TieredPrefixCache
 from conftest import random_continuous_instance, random_discrete_instance
 
 
@@ -216,3 +220,50 @@ class TestSolverIntegration:
         assert cache.counters() == {
             "hits": 0, "misses": 0, "evictions": 0, "entries": 0,
         }
+
+
+class TestContinuousScanOrderKeys:
+    """Regression: continuous keys used to ignore the scan order.
+
+    Algorithm 2 scans the working graph's vertices and edges in iteration
+    order, so two graphs with equal content but different insertion order
+    can build different super-graphs.  Their content digests are equal,
+    so a cache warmed by one used to hand its prefix to the other.
+    """
+
+    @staticmethod
+    def reordered_pair(seed):
+        a = gnm_random_graph(40, 70, seed=seed)
+        labeling = ContinuousLabeling.random(a, 1, seed=seed + 1000)
+        order = list(a.vertices())
+        random.Random(seed).shuffle(order)
+        b = Graph.from_edges(list(a.edges()), vertices=order)
+        return a, b, labeling
+
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_reordered_graph_never_gets_the_other_prefix(self, tier, tmp_path):
+        memory = SuperGraphCache()
+        disks = []
+
+        def cache():
+            if tier == "memory":
+                return memory
+            # A fresh memory tier each time: only the disk can serve hits.
+            disks.append(DiskPrefixCache(tmp_path))
+            return TieredPrefixCache(SuperGraphCache(), disks[-1])
+
+        differing = 0
+        for seed in range(12):
+            a, b, labeling = self.reordered_pair(seed)
+            warmed = mine(a, labeling, top_t=2, prefix_cache=cache())
+            rerun = mine(a, labeling, top_t=2, prefix_cache=cache())
+            assert rerun.subgraphs == warmed.subgraphs
+            fresh = mine(b, labeling, top_t=2)
+            cached = mine(b, labeling, top_t=2, prefix_cache=cache())
+            assert cached.subgraphs == fresh.subgraphs
+            differing += warmed.subgraphs != fresh.subgraphs
+        # The pairs really do mine differently, so sharing a prefix between
+        # them would have shown; and same-order reruns still hit.
+        assert differing > 0
+        hits = memory.hits if tier == "memory" else sum(d.hits for d in disks)
+        assert hits > 0

@@ -15,7 +15,9 @@ from repro.service.digest import (
     labeling_digest,
     prefix_digest,
     prefix_digest_from_parts,
+    scan_order_digest,
 )
+from repro.service.cache import SuperGraphCache
 
 
 class TestHashLines:
@@ -204,3 +206,40 @@ class TestPrefixDigestFromParts:
                 "a" * 64, "b" * 64,
                 discrete=False, n_theta=10, edge_order="shuffled",
             )
+
+
+class TestScanOrderDigest:
+    """Algorithm 2 scans vertices and edges in iteration order, so the
+    continuous prefix key must tell apart graphs that differ only there."""
+
+    @staticmethod
+    def pair():
+        a = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+        b = Graph.from_edges([(2, 3), (1, 2), (0, 1)])
+        return a, b
+
+    def test_insertion_order_changes_the_scan_digest_only(self):
+        a, b = self.pair()
+        assert graph_digest(a) == graph_digest(b)
+        assert scan_order_digest(a) != scan_order_digest(b)
+        assert scan_order_digest(a) == scan_order_digest(a.copy())
+
+    def test_edge_orientation_is_part_of_the_scan(self):
+        a = Graph([0, 1])
+        a.add_edge(0, 1)
+        b = Graph([1, 0])
+        b.add_edge(0, 1)
+        assert list(a.edges()) == [(0, 1)] and list(b.edges()) == [(1, 0)]
+        assert scan_order_digest(a) != scan_order_digest(b)
+
+    def test_cache_keys_continuous_prefixes_on_the_scan(self):
+        a, b = self.pair()
+        continuous = ContinuousLabeling({v: [float(v)] for v in range(4)})
+        discrete = DiscreteLabeling((0.5, 0.5), {v: v % 2 for v in range(4)})
+        cache = SuperGraphCache()
+        assert cache.key_of(a, continuous, n_theta=10) != cache.key_of(
+            b, continuous, n_theta=10
+        )
+        assert cache.key_of(a, discrete, n_theta=10) == cache.key_of(
+            b, discrete, n_theta=10
+        ) == prefix_digest(a, discrete, n_theta=10)
