@@ -39,8 +39,8 @@ def emit(name: str, title: str, headers, rows) -> None:
 def emit_bench_json(section: str, payload) -> None:
     """Merge one benchmark's machine-readable results into BENCH_search.json.
 
-    Each benchmark module owns a named section (wall times, state counts,
-    shard counts per regime) so partial runs update only their own slice;
+    Each benchmark module owns a named section (wall times and state
+    counts per regime) so partial runs update only their own slice;
     the file accumulates across modules instead of being clobbered.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

@@ -147,7 +147,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                 polish=args.polish,
                 prune=args.prune,
                 backend=args.backend,
-                parallel=args.jobs,
                 correction=args.correct,
                 alpha=args.alpha,
                 progress=progress,
@@ -189,7 +188,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             "report": {
                 "prune": args.prune,
                 "backend": args.backend,
-                "jobs": args.jobs,
                 "num_vertices": report.num_vertices,
                 "num_edges": report.num_edges,
                 "supergraph_vertices": report.supergraph_vertices,
@@ -294,7 +292,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace_dir=args.trace_dir,
         cache_dir=args.cache_dir,
         cache_bytes=args.cache_bytes,
-        core_budget=args.core_budget,
     )
     host, port = service.address
     tier = f", disk cache {args.cache_dir}" if args.cache_dir else ""
@@ -523,11 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=float, default=0.05, metavar="A",
         help="target family-wise error rate for --correct fwer",
     )
-    mine_cmd.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="shard each exhaustive search across N worker processes "
-        "with a shared incumbent bound (identical results; 1 = in-process)",
-    )
     mine_cmd.add_argument("--json", action="store_true", help="JSON output")
     mine_cmd.add_argument(
         "--trace", metavar="FILE",
@@ -619,12 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-bytes", type=int, default=None, metavar="BYTES",
         help="byte budget for the on-disk prefix cache before LRU eviction "
         "(default: 512 MiB; only meaningful with --cache-dir)",
-    )
-    serve.add_argument(
-        "--core-budget", type=int, default=None, metavar="CORES",
-        help="total cores the pool may schedule across search shards: "
-        "each job's params.parallel is clamped to core-budget // workers "
-        "(default: the machine's core count)",
     )
     serve.add_argument(
         "--access-log", action="store_true",

@@ -30,7 +30,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.exceptions import GraphError, LabelingError, SearchAbortedError
 from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
-from repro.enumerate.bitset import BitsetGraph
+from repro.enumerate.bitset import BitsetGraph, iter_bits
 from repro.enumerate.search import SearchTestability, exhaustive_best_mask
 from repro.graph.graph import Graph
 from repro.graph.properties import is_dense_enough
@@ -159,7 +159,6 @@ def mine(
     polish: bool = False,
     prune: str = "none",
     backend: str = "python",
-    parallel: int = 1,
     correction: str = "none",
     alpha: float = 0.05,
     check_abort: Callable[[], bool] | None = None,
@@ -211,14 +210,6 @@ def mine(
         batching overhead dominates, the kernel otherwise).  Graphs
         above the kernel's 64-vertex limit fall back to the python walk
         automatically.
-    parallel:
-        Number of search shards per exhaustive search call.  ``1`` (the
-        default) keeps every search in-process; ``N > 1`` shards each
-        search across a pool of worker processes with a shared incumbent
-        bound (:mod:`repro.enumerate.parallel`), returning bit-identical
-        ``SearchOutcome`` results.  Searches that cannot be sharded
-        (``search_limit`` budgets, tiny graphs) silently run
-        sequentially.
     correction:
         ``"none"`` — report raw per-region p-values (the paper's
         behaviour); ``"fwer"`` — apply the Tarone multiple-testing
@@ -268,8 +259,6 @@ def mine(
         raise GraphError(f"unknown prune mode {prune!r}")
     if backend not in ("python", "numpy", "auto"):
         raise GraphError(f"unknown search backend {backend!r}")
-    if parallel < 1:
-        raise GraphError(f"parallel must be >= 1, got {parallel}")
     if correction not in ("none", "fwer"):
         raise GraphError(f"unknown correction mode {correction!r}")
     labeling.validate_covers(graph)
@@ -345,7 +334,6 @@ def mine(
                         min_size=min_size,
                         prune=prune,
                         backend=backend,
-                        parallel=parallel,
                         correction_ctx=ctx,
                         check_abort=check_abort,
                         prefix_cache=prefix_cache,
@@ -475,7 +463,6 @@ def _mine_one(
     min_size: int,
     prune: str,
     backend: str = "python",
-    parallel: int = 1,
     correction_ctx: _CorrectionContext | None = None,
     check_abort: Callable[[], bool] | None = None,
     prefix_cache: PrefixCache | None = None,
@@ -580,12 +567,10 @@ def _mine_one(
     testability = (
         correction_ctx.testability if correction_ctx is not None else None
     )
-    with tracer.span(
-        "solver.search", prune=prune, backend=backend, parallel=parallel
-    ) as span:
+    with tracer.span("solver.search", prune=prune, backend=backend) as span:
         region = _search_supergraph(
             supergraph, labeling, search_limit=search_limit, min_size=min_size,
-            report=report, prune=prune, backend=backend, parallel=parallel,
+            report=report, prune=prune, backend=backend,
             testability=testability,
             check_abort=check_abort, progress=progress,
         )
@@ -603,7 +588,7 @@ def _mine_one(
             region = _search_supergraph(
                 supergraph, labeling, search_limit=search_limit,
                 min_size=min_size, report=report, prune=prune,
-                backend=backend, parallel=parallel, testability=None,
+                backend=backend, testability=None,
                 check_abort=check_abort, progress=progress,
             )
         # Per-round delta, not the running total, so top-t traces show what
@@ -638,7 +623,6 @@ def _search_supergraph(
     report: PipelineReport,
     prune: str = "none",
     backend: str = "python",
-    parallel: int = 1,
     testability: SearchTestability | None = None,
     check_abort: Callable[[], bool] | None = None,
     progress: ProgressAggregator | None = None,
@@ -660,7 +644,7 @@ def _search_supergraph(
 
     outcome = exhaustive_best_mask(
         bitset.adjacency, accumulator, limit=search_limit, prune=prune,
-        backend=backend, parallel=parallel, testability=testability,
+        backend=backend, testability=testability,
         check_abort=check_abort, progress=progress,
     )
     # Each search call emits per-call cumulative snapshots; banking the
@@ -671,7 +655,7 @@ def _search_supergraph(
     if outcome.mask == 0:
         return None
 
-    winning_ids = [payload_order[i].id for i in _mask_indices(outcome.mask)]
+    winning_ids = [payload_order[i].id for i in iter_bits(outcome.mask)]
     if min_size > 1:
         # Enforce the bound on original-vertex count by re-searching with a
         # super-vertex count floor only when the unconstrained winner is too
@@ -688,7 +672,7 @@ def _search_supergraph(
             outcome = exhaustive_best_mask(
                 bitset.adjacency, accumulator, min_size=floor,
                 limit=search_limit, prune=prune, backend=backend,
-                parallel=parallel, testability=testability,
+                testability=testability,
                 check_abort=check_abort, progress=progress,
             )
             if progress is not None:
@@ -696,19 +680,10 @@ def _search_supergraph(
             report.explored_subgraphs += outcome.explored
             if outcome.mask == 0:
                 return None
-            winning_ids = [payload_order[i].id for i in _mask_indices(outcome.mask)]
+            winning_ids = [payload_order[i].id for i in iter_bits(outcome.mask)]
             total = sum(supergraph.super_vertex(i).size for i in winning_ids)
 
     return _build_region(supergraph, labeling, winning_ids, outcome.chi_square)
-
-
-def _mask_indices(mask: int) -> list[int]:
-    indices = []
-    while mask:
-        low = mask & -mask
-        indices.append(low.bit_length() - 1)
-        mask ^= low
-    return indices
 
 
 def _bfs_component_order(supergraph: SuperGraph, ids: list[int]) -> list[int]:

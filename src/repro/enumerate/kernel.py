@@ -83,7 +83,6 @@ __all__ = [
     "batch_neighbors_mask",
     "kernel_available",
     "kernel_best_mask",
-    "kernel_run_frames",
     "neighborhood_masks",
 ]
 
@@ -484,7 +483,6 @@ class _KernelRun:
         bounded: bool,
         check_abort: Callable[[], bool] | None,
         progress: ProgressCallback | None = None,
-        incumbent=None,
         testability=None,
     ) -> None:
         self.scorer = scorer
@@ -495,9 +493,7 @@ class _KernelRun:
         self.bounded = bounded
         self.check_abort = check_abort
         self.progress = progress
-        self.incumbent = incumbent
         self.testability = testability
-        self.broadcasts = 0
         self.counters = _Counters()
         self.blocks_done = 0
         self.best_value = float("-inf")
@@ -527,13 +523,6 @@ class _KernelRun:
             raise EnumerationLimitError(self.limit)
         if self.check_abort is not None and self.check_abort():
             raise SearchAbortedError()
-        if self.incumbent is not None:
-            # Shared-bound refresh at the same per-chunk cadence as the
-            # abort poll: another shard's solution tightens this run's
-            # pruning threshold (seed_value feeds max() in _prune_level).
-            refreshed = self.incumbent.refresh()
-            if refreshed > self.seed_value:
-                self.seed_value = refreshed
         self.counters.explored += batch
         self.counters.batches += 1
         if self.progress is not None:
@@ -550,8 +539,6 @@ class _KernelRun:
             self.best_value = top
             self.best_mask = top_mask
             self.counters.best_updates += 1
-            if self.incumbent is not None and self.incumbent.publish(top):
-                self.broadcasts += 1
 
     def _visit_level(self, subsets: "object", size: int) -> None:
         """Visit a whole level in ``KERNEL_CHUNK`` batches, then classify.
@@ -658,40 +645,6 @@ class _KernelRun:
         )
 
     # -- one subproblem -------------------------------------------------
-    def descend(
-        self,
-        adj: "object",
-        subsets: "object",
-        ext: "object",
-        forbidden: "object",
-        size: int,
-    ) -> None:
-        """Level-synchronous descent from explicit seed-state arrays.
-
-        The seeds are *unconsidered states* of a common ``size``: each
-        is visited (explored/evaluated/classified) and then expanded
-        level by level exactly like the whole-graph walk — so seed
-        families that partition a walk's state space yield counters that
-        sum to that walk's counters.
-        """
-        while subsets.shape[0]:
-            self._visit_level(subsets, size)
-            if size >= self.size_cap:
-                break
-            live = ext != _np.uint64(0)
-            if (self.bounded or self.testability is not None) and live.any():
-                rows = _np.flatnonzero(live)
-                keep = self._prune_level(
-                    adj, subsets[rows], ext[rows], forbidden[rows], size
-                )
-                live[rows[~keep]] = False
-            if not live.any():
-                break
-            subsets, ext, forbidden = self._expand_level(
-                adj, subsets[live], ext[live], forbidden[live]
-            )
-            size += 1
-
     def run_subproblem(
         self, adjacency: Sequence[int], region: int, root: int | None
     ) -> None:
@@ -717,7 +670,24 @@ class _KernelRun:
             )
             forbidden = _np.array([0], dtype=_np.uint64)
 
-        self.descend(adj, subsets, ext, forbidden, 1)
+        size = 1
+        while subsets.shape[0]:
+            self._visit_level(subsets, size)
+            if size >= self.size_cap:
+                break
+            live = ext != _np.uint64(0)
+            if (self.bounded or self.testability is not None) and live.any():
+                rows = _np.flatnonzero(live)
+                keep = self._prune_level(
+                    adj, subsets[rows], ext[rows], forbidden[rows], size
+                )
+                live[rows[~keep]] = False
+            if not live.any():
+                break
+            subsets, ext, forbidden = self._expand_level(
+                adj, subsets[live], ext[live], forbidden[live]
+            )
+            size += 1
 
     # -- telemetry ------------------------------------------------------
     def flush_metrics(self, blocks: int) -> None:
@@ -775,7 +745,7 @@ def kernel_best_mask(
     missing, the graph exceeds :data:`MAX_KERNEL_VERTICES`, or the
     accumulator type is not batchable.
     """
-    from repro.enumerate.search import PRUNE_MODES, SearchOutcome
+    from repro.enumerate.search import SearchOutcome, _check_search_args
 
     _require_numpy()
     n = len(adjacency)
@@ -784,16 +754,7 @@ def kernel_best_mask(
             f"the numpy kernel handles at most {MAX_KERNEL_VERTICES} "
             f"vertices, got {n}; use backend='python'"
         )
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
-    if max_size is not None and max_size < min_size:
-        raise ValueError(f"max_size ({max_size}) must be >= min_size ({min_size})")
-    if prune not in PRUNE_MODES:
-        raise ValueError(f"prune must be one of {PRUNE_MODES}, got {prune!r}")
-    if testability is not None and testability.min_mass < 1:
-        raise ValueError(
-            f"testability.min_mass must be >= 1, got {testability.min_mass}"
-        )
+    _check_search_args(min_size, max_size, prune, testability)
     scorer = _scorer_for(accumulator)
     if check_abort is not None and check_abort():
         raise SearchAbortedError()
@@ -854,85 +815,3 @@ def kernel_best_mask(
         testability_cuts=c.testability_cuts,
     )
 
-
-def kernel_run_frames(
-    adjacency: Sequence[int],
-    accumulator: ChiSquareAccumulator,
-    frames: Sequence[tuple[int, int, int, int]],
-    *,
-    min_size: int,
-    size_cap: int,
-    prune: str = "none",
-    testability=None,
-    seed_value: float = float("-inf"),
-    check_abort: Callable[[], bool] | None = None,
-    incumbent=None,
-):
-    """Numpy-backend twin of :func:`repro.enumerate.search.run_frames`.
-
-    Runs the level-synchronous batch walk over explicit task frames —
-    unconsidered states ``(subset, size, ext, fb)`` whose ``fb`` encodes
-    any region restriction, so ``adjacency`` is the full graph.  Frames
-    are grouped by size (a level batch must be size-homogeneous) and each
-    group descends independently; counters over a frame family that
-    partitions a sequential walk's state space sum to that walk's
-    counters exactly (``prune="none"``).
-
-    ``seed_value``/``incumbent`` behave as in the python runner: the
-    shared bound is refreshed per chunk and published on every local
-    best improvement.  Returns a
-    :class:`~repro.enumerate.search.FrameRunResult`; no telemetry is
-    flushed and ``limit`` is unsupported (the parallel merge owns both).
-    """
-    from repro.enumerate.search import PRUNE_MODES, FrameRunResult
-
-    _require_numpy()
-    n = len(adjacency)
-    if n > MAX_KERNEL_VERTICES:
-        raise KernelError(
-            f"the numpy kernel handles at most {MAX_KERNEL_VERTICES} "
-            f"vertices, got {n}; use backend='python'"
-        )
-    if prune not in PRUNE_MODES:
-        raise ValueError(f"prune must be one of {PRUNE_MODES}, got {prune!r}")
-    scorer = _scorer_for(accumulator)
-    if check_abort is not None and check_abort():
-        raise SearchAbortedError()
-    run = _KernelRun(
-        scorer,
-        n,
-        min_size=min_size,
-        size_cap=size_cap,
-        limit=None,
-        bounded=prune == "bounds",
-        testability=testability,
-        check_abort=check_abort,
-        incumbent=incumbent,
-    )
-    run.seed_value = seed_value
-    adj = neighborhood_masks(adjacency)
-    by_size: dict[int, list[tuple[int, int, int, int]]] = {}
-    for frame in frames:
-        by_size.setdefault(frame[1], []).append(frame)
-    for size in sorted(by_size):
-        group = by_size[size]
-        subsets = _np.array([f[0] for f in group], dtype=_np.uint64)
-        ext = _np.array([f[2] for f in group], dtype=_np.uint64)
-        forbidden = _np.array([f[3] for f in group], dtype=_np.uint64)
-        run.descend(adj, subsets, ext, forbidden, size)
-
-    c = run.counters
-    return FrameRunResult(
-        best_mask=run.best_mask,
-        best_value=run.best_value,
-        explored=c.explored,
-        pruned_size_cap=c.pruned_size_cap,
-        frontier_exhausted=c.frontier_exhausted,
-        evaluated=c.evaluated,
-        bound_cuts=c.bound_cuts,
-        bound_evaluations=c.bound_evaluations,
-        best_updates=c.best_updates,
-        kernel_batches=c.batches,
-        incumbent_broadcasts=run.broadcasts,
-        testability_cuts=c.testability_cuts,
-    )

@@ -24,7 +24,6 @@ and decompose the walk while returning bit-identical results.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from collections.abc import Callable, Hashable, Sequence
@@ -46,13 +45,11 @@ __all__ = [
     "AUTO_BOUNDS_PYTHON_MAX_VERTICES",
     "PRUNE_MODES",
     "SEARCH_BACKENDS",
-    "FrameRunResult",
     "SearchOutcome",
     "SearchTestability",
     "exhaustive_best_mask",
     "exhaustive_best_subset",
     "resolve_backend",
-    "run_frames",
 ]
 
 PRUNE_MODES = ("none", "bounds")
@@ -79,13 +76,6 @@ Admissible bounds typically cut >99% of states on reduced super-graphs
 per-level batch setup dominates — measured at 0.6x the scalar walk on
 the pipeline regimes of ``bench_kernel_backends.py``.  Above this size
 the state counts grow enough for batching to win even under bounds."""
-
-PARALLEL_ENV_VAR = "REPRO_TEST_PARALLEL"
-"""Environment override forcing a shard width on ``parallel=1`` calls.
-
-CI sets this to re-run the property and service suites through the
-parallel path without touching every call site.  Explicit ``parallel``
-arguments above 1 always win over the environment."""
 
 ABORT_CHECK_MASK = 0xFF
 """``check_abort`` polling cadence: every ``ABORT_CHECK_MASK + 1`` states.
@@ -152,15 +142,11 @@ class SearchTestability:
     tie-break included.  When it does not pass, the solver detects that
     by the value test ``p_raw <= delta*`` and re-runs unpruned (see
     ``repro.core.solver``).  With testability active, cut *accounting* is
-    backend- and schedule-dependent, like bounds accounting.
+    backend-dependent, like bounds accounting.
     """
 
     min_mass: int
     statistic_floor: float
-
-    def as_wire(self) -> tuple[int, float]:
-        """Plain-tuple form for crossing process boundaries."""
-        return (self.min_mass, self.statistic_floor)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,6 +194,25 @@ class SearchOutcome:
         return self.pruned_size_cap + self.frontier_exhausted
 
 
+def _check_search_args(
+    min_size: int,
+    max_size: int | None,
+    prune: str,
+    testability: SearchTestability | None,
+) -> None:
+    """Argument checks shared by both backends' entry points."""
+    if min_size < 1:
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
+    if max_size is not None and max_size < min_size:
+        raise ValueError(f"max_size ({max_size}) must be >= min_size ({min_size})")
+    if prune not in PRUNE_MODES:
+        raise ValueError(f"prune must be one of {PRUNE_MODES}, got {prune!r}")
+    if testability is not None and testability.min_mass < 1:
+        raise ValueError(
+            f"testability.min_mass must be >= 1, got {testability.min_mass}"
+        )
+
+
 def exhaustive_best_mask(
     adjacency: Sequence[int],
     accumulator: ChiSquareAccumulator,
@@ -218,7 +223,6 @@ def exhaustive_best_mask(
     prune: str = "none",
     check_abort: Callable[[], bool] | None = None,
     backend: str = "python",
-    parallel: int = 1,
     progress: ProgressCallback | None = None,
     testability: SearchTestability | None = None,
 ) -> SearchOutcome:
@@ -243,21 +247,6 @@ def exhaustive_best_mask(
     ``"numpy"`` unconditionally.  ``backend="auto"`` picks per instance
     via :func:`resolve_backend`.
 
-    ``parallel=N`` (N > 1) shards the walk across a spawn-context
-    process pool (:mod:`repro.enumerate.parallel`): block-cut plan
-    entries and root-level frontier subtrees become disjoint, exhaustive
-    shard tasks, and under ``prune="bounds"`` the shards share an
-    incumbent bound through shared memory so a good solution found in
-    one shard cuts states in every other.  Under ``prune="none"`` the
-    merged :class:`SearchOutcome` equals the sequential one exactly
-    (counters are functions of the visited set family); under bounds the
-    optimum is identical while cut accounting is schedule-dependent.
-    Calls with a ``limit``, a custom accumulator type, or fewer than two
-    vertices fall back to the sequential walk (limit semantics are
-    enumeration-order dependent; custom accumulators cannot cross a
-    process boundary).  The :data:`PARALLEL_ENV_VAR` environment
-    variable rewrites ``parallel=1`` calls to its value for CI sweeps.
-
     ``check_abort`` is polled every ``ABORT_CHECK_MASK + 1`` visited states
     (python walk) or between state batches (numpy kernel) — cooperative
     cancellation for serving deadlines; when it returns True the walk
@@ -278,15 +267,10 @@ def exhaustive_best_mask(
     incumbent threshold.  The accumulator must expose ``payload_sizes``
     (both bundled accumulators do).  The returned optimum is the true
     uncorrected optimum whenever that optimum meets the corrected
-    threshold; cut accounting is backend/schedule-dependent.
+    threshold; cut accounting is backend-dependent.
     """
     n = len(adjacency)
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
-    if max_size is not None and max_size < min_size:
-        raise ValueError(f"max_size ({max_size}) must be >= min_size ({min_size})")
-    if prune not in PRUNE_MODES:
-        raise ValueError(f"prune must be one of {PRUNE_MODES}, got {prune!r}")
+    _check_search_args(min_size, max_size, prune, testability)
     if backend not in SEARCH_BACKENDS:
         raise ValueError(
             f"backend must be one of {SEARCH_BACKENDS}, got {backend!r}"
@@ -297,39 +281,12 @@ def exhaustive_best_mask(
             "prune='bounds' needs a bound-capable accumulator "
             "(see repro.enumerate.bounds)"
         )
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
-    if testability is not None:
-        if testability.min_mass < 1:
-            raise ValueError(
-                f"testability.min_mass must be >= 1, got {testability.min_mass}"
-            )
-        if not hasattr(accumulator, "payload_sizes"):
-            raise TypeError(
-                f"{type(accumulator).__name__} does not expose payload_sizes; "
-                "testability pruning needs per-vertex payload masses"
-            )
-    backend = resolve_backend(backend, n=n, accumulator=accumulator, prune=prune)
-    size_cap = n if max_size is None else min(max_size, n)
-    effective_parallel = parallel
-    if parallel == 1:
-        override = os.environ.get(PARALLEL_ENV_VAR, "").strip()
-        if override.isdigit():
-            effective_parallel = max(1, int(override))
-    if (
-        effective_parallel > 1
-        and limit is None
-        and n >= 2
-        and isinstance(accumulator, (DiscreteAccumulator, ContinuousAccumulator))
-    ):
-        from repro.enumerate.parallel import parallel_best_mask
-
-        return parallel_best_mask(
-            adjacency, accumulator,
-            jobs=effective_parallel, min_size=min_size, size_cap=size_cap,
-            prune=prune, backend=backend, check_abort=check_abort,
-            progress=progress, testability=testability,
+    if testability is not None and not hasattr(accumulator, "payload_sizes"):
+        raise TypeError(
+            f"{type(accumulator).__name__} does not expose payload_sizes; "
+            "testability pruning needs per-vertex payload masses"
         )
+    backend = resolve_backend(backend, n=n, accumulator=accumulator, prune=prune)
     if backend == "numpy":
         from repro.enumerate.kernel import MAX_KERNEL_VERTICES, kernel_best_mask
 
@@ -342,33 +299,65 @@ def exhaustive_best_mask(
             )
     if check_abort is not None and check_abort():
         raise SearchAbortedError()
-    if prune == "bounds":
-        return _search_bounded(
-            adjacency, accumulator,
-            min_size=min_size, size_cap=size_cap, limit=limit,
-            check_abort=check_abort, progress=progress,
-            testability=testability,
-        )
-    return _search_unbounded(
+    return _python_walk(
         adjacency, accumulator,
-        min_size=min_size, size_cap=size_cap, limit=limit,
-        check_abort=check_abort, progress=progress,
+        min_size=min_size,
+        size_cap=n if max_size is None else min(max_size, n),
+        limit=limit,
+        bounded=prune == "bounds",
+        check_abort=check_abort,
+        progress=progress,
         testability=testability,
     )
 
 
-def _search_unbounded(
+def _reachable_closure(
+    adjacency: Sequence[int], frontier: int, blocked: int
+) -> int:
+    """Every vertex reachable from ``frontier`` without entering ``blocked``."""
+    visited = frontier
+    while frontier:
+        reach = 0
+        for i in iter_bits(frontier):
+            reach |= adjacency[i]
+        frontier = reach & ~blocked & ~visited
+        visited |= frontier
+    return visited
+
+
+def _python_walk(
     adjacency: Sequence[int],
     accumulator: ChiSquareAccumulator,
     *,
     min_size: int,
     size_cap: int,
     limit: int | None,
+    bounded: bool,
     check_abort: Callable[[], bool] | None = None,
     progress: ProgressCallback | None = None,
     testability: SearchTestability | None = None,
 ) -> SearchOutcome:
-    """The plain exhaustive walk (``prune="none"``)."""
+    """The reference DFS; ``bounded`` turns it into the branch-and-bound.
+
+    Pruning only removes whole subtrees, never reorders the survivors, so
+    both modes visit states in the same order.  When the reachable closure
+    of an expansion frame is needed (bounds or testability), these cuts
+    apply to it, in this order:
+
+    1. *reachability* (bounds only): if the closure cannot grow the set to
+       ``min_size``, nothing below is evaluable;
+    2. *testable mass* (testability only): if the closure cannot lift the
+       set's mass to ``testability.min_mass``, nothing below can pass the
+       corrected threshold;
+    3. *bound* (bounds only): if the accumulator's admissible upper bound
+       over the closure is strictly below the incumbent, nothing below can
+       win.
+
+    In bounds mode the incumbent threshold is seeded with the best
+    single-vertex statistic (a valid solution whenever ``min_size <= 1``)
+    and the testability statistic floor, so bounds bite before the first
+    root subtree is explored.
+    """
     n = len(adjacency)
     best_mask = 0
     best_value = float("-inf")
@@ -377,20 +366,44 @@ def _search_unbounded(
     frontier_exhausted = 0
     evaluated = 0
     best_updates = 0
+    bound_cuts = 0
+    bound_evaluations = 0
     testability_cuts = 0
     min_mass = testability.min_mass if testability is not None else 0
     payload_sizes = (
         accumulator.payload_sizes if testability is not None else ()
     )
+    needs_closure = bounded or testability is not None
     poll = check_abort is not None or progress is not None
     started = time.perf_counter() if progress is not None else 0.0
 
     def snapshot() -> SearchProgress:
         return SearchProgress(
             states_visited=explored,
+            bound_cuts=bound_cuts,
             best_chi_square=best_value if best_mask else None,
             elapsed_seconds=time.perf_counter() - started,
         )
+
+    seed_value = float("-inf")
+    if bounded:
+        # Best-first incumbent seeding: singles are evaluable results when
+        # min_size <= 1, so their maximum is a sound pruning threshold from
+        # the start.  (With min_size > 1 a single's statistic may exceed
+        # every eligible set's, which would prune the true optimum.)
+        if min_size <= 1:
+            for v in range(n):
+                accumulator.push(v)
+                value = accumulator.chi_square()
+                accumulator.pop(v)
+                if value > seed_value:
+                    seed_value = value
+        if testability is not None and testability.statistic_floor > seed_value:
+            # The Tarone statistic floor is a threshold no passing subgraph
+            # can sit below, so it is a sound incumbent seed even when
+            # min_size > 1 forbids singles seeding; its cuts count as
+            # bound_cuts.
+            seed_value = testability.statistic_floor
 
     def consider(mask: int, size: int) -> None:
         nonlocal best_mask, best_value, explored, evaluated, best_updates
@@ -425,7 +438,7 @@ def _search_unbounded(
             root_bit = 1 << root
             accumulator.push(root)
             consider(root_bit, 1)
-            # Stack frames: (vertex_to_pop,) sentinel or (subset, size, ext, fb).
+            # Stack frames: (POP, vertex) sentinel or (subset, size, ext, fb).
             stack: list[tuple[int, ...]] = [
                 (
                     root_bit,
@@ -446,19 +459,34 @@ def _search_unbounded(
                 if not ext:
                     frontier_exhausted += 1
                     continue
-                if testability is not None:
-                    # The stack discipline guarantees the accumulator holds
-                    # exactly `subset` here, so its mass is O(1); if even the
-                    # full reachable closure cannot lift the mass to the
-                    # minimum testable size, nothing below can be significant
-                    # after correction.
-                    closure = _reachable_closure(adjacency, ext, subset | fb)
-                    reachable_mass = accumulator.size
-                    for i in iter_bits(closure):
-                        reachable_mass += payload_sizes[i]
-                    if reachable_mass < min_mass:
-                        testability_cuts += 1
+                if needs_closure:
+                    candidates = _reachable_closure(adjacency, ext, subset | fb)
+                    if bounded and size + candidates.bit_count() < min_size:
+                        bound_cuts += 1
                         continue
+                    if testability is not None:
+                        # The stack discipline guarantees the accumulator
+                        # holds exactly `subset` here, so its mass is O(1).
+                        reachable_mass = accumulator.size
+                        for i in iter_bits(candidates):
+                            reachable_mass += payload_sizes[i]
+                        if reachable_mass < min_mass:
+                            testability_cuts += 1
+                            continue
+                    if bounded:
+                        threshold = (
+                            best_value if best_value > seed_value else seed_value
+                        )
+                        if threshold > float("-inf"):
+                            bound_evaluations += 1
+                            bound = accumulator.upper_bound(
+                                candidates, size_cap - size
+                            )
+                            # Strict: an exactly-tying subtree must survive
+                            # so the tie-break matches prune="none".
+                            if bound < threshold:
+                                bound_cuts += 1
+                                continue
                 u_bit = ext & -ext
                 u = u_bit.bit_length() - 1
                 rest = ext ^ u_bit
@@ -488,199 +516,9 @@ def _search_unbounded(
             metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, frontier_exhausted)
             metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, evaluated)
             metrics.count(_metric.SEARCH_BEST_UPDATES, best_updates)
-            if testability is not None:
-                metrics.count(_metric.SEARCH_TESTABILITY_CUTS, testability_cuts)
-            metrics.observe(_metric.SEARCH_STATES_PER_CALL, explored)
-
-    if best_mask == 0:
-        best_value = 0.0
-    return SearchOutcome(
-        mask=best_mask, chi_square=best_value, explored=explored,
-        pruned_size_cap=pruned_size_cap, frontier_exhausted=frontier_exhausted,
-        evaluated=evaluated, testability_cuts=testability_cuts,
-    )
-
-
-def _reachable_closure(
-    adjacency: Sequence[int], frontier: int, blocked: int
-) -> int:
-    """Every vertex reachable from ``frontier`` without entering ``blocked``."""
-    visited = frontier
-    while frontier:
-        reach = 0
-        for i in iter_bits(frontier):
-            reach |= adjacency[i]
-        frontier = reach & ~blocked & ~visited
-        visited |= frontier
-    return visited
-
-
-def _search_bounded(
-    adjacency: Sequence[int],
-    accumulator: ChiSquareAccumulator,
-    *,
-    min_size: int,
-    size_cap: int,
-    limit: int | None,
-    check_abort: Callable[[], bool] | None = None,
-    progress: ProgressCallback | None = None,
-    testability: SearchTestability | None = None,
-) -> SearchOutcome:
-    """Branch-and-bound walk (``prune="bounds"``).
-
-    Identical state ordering to :func:`_search_unbounded` — pruning only
-    removes whole subtrees, never reorders the survivors — plus two cuts at
-    every expansion frame:
-
-    1. *reachability*: if the connected closure of the frontier cannot grow
-       the set to ``min_size``, nothing below is evaluable;
-    2. *bound*: if the accumulator's admissible upper bound over that
-       closure is strictly below the incumbent, nothing below can win.
-
-    The incumbent threshold is seeded with the best single-vertex statistic
-    (a valid solution whenever ``min_size <= 1``) so bounds bite before the
-    first root subtree is explored.
-    """
-    n = len(adjacency)
-    best_mask = 0
-    best_value = float("-inf")
-    explored = 0
-    pruned_size_cap = 0
-    frontier_exhausted = 0
-    evaluated = 0
-    best_updates = 0
-    bound_cuts = 0
-    bound_evaluations = 0
-    testability_cuts = 0
-    min_mass = testability.min_mass if testability is not None else 0
-    payload_sizes = (
-        accumulator.payload_sizes if testability is not None else ()
-    )
-    poll = check_abort is not None or progress is not None
-    started = time.perf_counter() if progress is not None else 0.0
-
-    def snapshot() -> SearchProgress:
-        return SearchProgress(
-            states_visited=explored,
-            bound_cuts=bound_cuts,
-            best_chi_square=best_value if best_mask else None,
-            elapsed_seconds=time.perf_counter() - started,
-        )
-
-    # Best-first incumbent seeding: singles are evaluable results when
-    # min_size <= 1, so their maximum is a sound pruning threshold from the
-    # start.  (With min_size > 1 a single's statistic may exceed every
-    # eligible set's, which would prune the true optimum — skip seeding.)
-    seed_value = float("-inf")
-    if min_size <= 1:
-        for v in range(n):
-            accumulator.push(v)
-            value = accumulator.chi_square()
-            accumulator.pop(v)
-            if value > seed_value:
-                seed_value = value
-    if testability is not None and testability.statistic_floor > seed_value:
-        # The Tarone statistic floor is a threshold no passing subgraph can
-        # sit below, so it is a sound incumbent seed even when min_size > 1
-        # forbids singles seeding; its cuts count as bound_cuts.
-        seed_value = testability.statistic_floor
-
-    def consider(mask: int, size: int) -> None:
-        nonlocal best_mask, best_value, explored, evaluated, best_updates
-        explored += 1
-        if limit is not None and explored > limit:
-            raise EnumerationLimitError(limit)
-        if poll and not explored & ABORT_CHECK_MASK:
-            if check_abort is not None and check_abort():
-                raise SearchAbortedError()
-            if progress is not None:
-                progress(snapshot())
-        if size >= min_size:
-            evaluated += 1
-            value = accumulator.chi_square()
-            # Canonical tie-break: on equal statistic the numerically
-            # smallest mask wins, so the optimum is independent of the
-            # enumeration order (required for backend equivalence).
-            if value > best_value or (value == best_value and mask < best_mask):
-                best_value = value
-                best_mask = mask
-                best_updates += 1
-
-    POP = -1
-    try:
-        for root in range(n):
-            root_bit = 1 << root
-            accumulator.push(root)
-            consider(root_bit, 1)
-            stack: list[tuple[int, ...]] = [
-                (
-                    root_bit,
-                    1,
-                    adjacency[root] & ~(root_bit - 1) & ~root_bit,
-                    root_bit - 1,
-                )
-            ]
-            while stack:
-                frame = stack.pop()
-                if frame[0] == POP:
-                    accumulator.pop(frame[1])
-                    continue
-                subset, size, ext, fb = frame
-                if size >= size_cap:
-                    pruned_size_cap += 1
-                    continue
-                if not ext:
-                    frontier_exhausted += 1
-                    continue
-                candidates = _reachable_closure(adjacency, ext, subset | fb)
-                if size + candidates.bit_count() < min_size:
-                    bound_cuts += 1
-                    continue
-                if testability is not None:
-                    reachable_mass = accumulator.size
-                    for i in iter_bits(candidates):
-                        reachable_mass += payload_sizes[i]
-                    if reachable_mass < min_mass:
-                        testability_cuts += 1
-                        continue
-                threshold = best_value if best_value > seed_value else seed_value
-                if threshold > float("-inf"):
-                    bound_evaluations += 1
-                    bound = accumulator.upper_bound(candidates, size_cap - size)
-                    # Strict: an exactly-tying subtree must survive so the
-                    # first-found tie-break matches prune="none".
-                    if bound < threshold:
-                        bound_cuts += 1
-                        continue
-                u_bit = ext & -ext
-                u = u_bit.bit_length() - 1
-                rest = ext ^ u_bit
-                stack.append((subset, size, rest, fb | u_bit))
-                child_subset = subset | u_bit
-                child_ext = rest | (adjacency[u] & ~(child_subset | fb | rest))
-                accumulator.push(u)
-                consider(child_subset, size + 1)
-                stack.append((POP, u))
-                stack.append((child_subset, size + 1, child_ext, fb))
-            accumulator.pop(root)
-    finally:
-        # Final snapshot fires even on abort/limit so consumers see the
-        # call's complete counters before the metrics flush below.
-        if progress is not None:
-            progress(snapshot())
-        if _TELEMETRY.enabled:
-            metrics = _TELEMETRY.metrics
-            metrics.count(_metric.SEARCH_STATES_VISITED, explored)
-            metrics.count(
-                _metric.SEARCH_STATES_PRUNED,
-                pruned_size_cap + frontier_exhausted,
-            )
-            metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, pruned_size_cap)
-            metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, frontier_exhausted)
-            metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, evaluated)
-            metrics.count(_metric.SEARCH_BEST_UPDATES, best_updates)
-            metrics.count(_metric.SEARCH_BOUND_CUTS, bound_cuts)
-            metrics.count(_metric.SEARCH_BOUND_EVALUATIONS, bound_evaluations)
+            if bounded:
+                metrics.count(_metric.SEARCH_BOUND_CUTS, bound_cuts)
+                metrics.count(_metric.SEARCH_BOUND_EVALUATIONS, bound_evaluations)
             if testability is not None:
                 metrics.count(_metric.SEARCH_TESTABILITY_CUTS, testability_cuts)
             metrics.observe(_metric.SEARCH_STATES_PER_CALL, explored)
@@ -692,199 +530,6 @@ def _search_bounded(
         pruned_size_cap=pruned_size_cap, frontier_exhausted=frontier_exhausted,
         evaluated=evaluated,
         bound_cuts=bound_cuts, bound_evaluations=bound_evaluations,
-        testability_cuts=testability_cuts,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class FrameRunResult:
-    """Counters and local optimum from one :func:`run_frames` call.
-
-    Shard processes return these to the parallel merge
-    (:mod:`repro.enumerate.parallel`); the fields mirror
-    :class:`SearchOutcome` plus the shard-local extras the merge needs
-    (``best_updates`` for telemetry, ``kernel_batches`` for the numpy
-    runner, ``incumbent_broadcasts`` for the shared-bound accounting).
-    ``best_value`` is ``-inf`` when the frame family contained no
-    evaluable state (``best_mask == 0``).
-    """
-
-    best_mask: int
-    best_value: float
-    explored: int
-    pruned_size_cap: int = 0
-    frontier_exhausted: int = 0
-    evaluated: int = 0
-    bound_cuts: int = 0
-    bound_evaluations: int = 0
-    best_updates: int = 0
-    kernel_batches: int = 0
-    incumbent_broadcasts: int = 0
-    testability_cuts: int = 0
-
-
-def run_frames(
-    adjacency: Sequence[int],
-    accumulator: ChiSquareAccumulator,
-    frames: Sequence[tuple[int, int, int, int]],
-    *,
-    min_size: int,
-    size_cap: int,
-    prune: str = "none",
-    seed_value: float = float("-inf"),
-    check_abort: Callable[[], bool] | None = None,
-    incumbent=None,
-    testability: SearchTestability | None = None,
-) -> FrameRunResult:
-    """Run the python walk over explicit task frames (the shard runner).
-
-    Each frame is an *unconsidered state* ``(subset, size, ext, fb)``:
-    ``subset`` is a connected vertex set not yet pushed into the
-    accumulator, ``ext`` its extension frontier, and ``fb`` its forbidden
-    set (which encodes any region restriction, so ``adjacency`` is always
-    the full graph).  The runner considers the state itself, then walks
-    its subtree exactly like :func:`exhaustive_best_mask` would — so a
-    family of frames that partitions the sequential walk's state space
-    yields counters that *sum* to the sequential counters and a local
-    optimum that merges to the sequential optimum under the canonical
-    smallest-mask tie-break.
-
-    ``seed_value`` is the bounds-mode incumbent threshold (the parent's
-    best single-vertex statistic); ``incumbent``, when given, is a
-    shared-memory bound exposing ``refresh() -> float`` and
-    ``publish(value) -> bool`` — refreshed at the ``ABORT_CHECK_MASK``
-    polling cadence and published on every local best improvement, so
-    one shard's solution tightens every other shard's cuts.  Both are
-    admissible: thresholds only ever carry statistics of real solutions
-    and pruning stays strict, so optima (ties included) survive in their
-    home shard.
-
-    No telemetry is flushed here and ``limit`` is unsupported — the
-    parallel merge owns both.
-    """
-    if prune not in PRUNE_MODES:
-        raise ValueError(f"prune must be one of {PRUNE_MODES}, got {prune!r}")
-    bounded = prune == "bounds"
-    best_mask = 0
-    best_value = float("-inf")
-    explored = 0
-    pruned_size_cap = 0
-    frontier_exhausted = 0
-    evaluated = 0
-    best_updates = 0
-    bound_cuts = 0
-    bound_evaluations = 0
-    broadcasts = 0
-    testability_cuts = 0
-    min_mass = testability.min_mass if testability is not None else 0
-    payload_sizes = (
-        accumulator.payload_sizes if testability is not None else ()
-    )
-    poll = check_abort is not None or incumbent is not None
-    if check_abort is not None and check_abort():
-        raise SearchAbortedError()
-
-    def consider(mask: int, size: int) -> None:
-        nonlocal best_mask, best_value, explored, evaluated
-        nonlocal best_updates, broadcasts, seed_value
-        explored += 1
-        if poll and not explored & ABORT_CHECK_MASK:
-            if check_abort is not None and check_abort():
-                raise SearchAbortedError()
-            if incumbent is not None:
-                refreshed = incumbent.refresh()
-                if refreshed > seed_value:
-                    seed_value = refreshed
-        if size >= min_size:
-            evaluated += 1
-            value = accumulator.chi_square()
-            # Canonical tie-break: on equal statistic the numerically
-            # smallest mask wins, so the merged optimum is independent
-            # of the shard schedule.
-            if value > best_value or (value == best_value and mask < best_mask):
-                best_value = value
-                best_mask = mask
-                best_updates += 1
-                if incumbent is not None and incumbent.publish(value):
-                    broadcasts += 1
-
-    POP = -1
-    for seed_subset, seed_size, seed_ext, seed_fb in frames:
-        pushed = list(iter_bits(seed_subset))
-        for v in pushed:
-            accumulator.push(v)
-        try:
-            consider(seed_subset, seed_size)
-            stack: list[tuple[int, ...]] = [
-                (seed_subset, seed_size, seed_ext, seed_fb)
-            ]
-            while stack:
-                frame = stack.pop()
-                if frame[0] == POP:
-                    accumulator.pop(frame[1])
-                    continue
-                subset, size, ext, fb = frame
-                if size >= size_cap:
-                    pruned_size_cap += 1
-                    continue
-                if not ext:
-                    frontier_exhausted += 1
-                    continue
-                if bounded or testability is not None:
-                    candidates = _reachable_closure(adjacency, ext, subset | fb)
-                if bounded and size + candidates.bit_count() < min_size:
-                    bound_cuts += 1
-                    continue
-                if testability is not None:
-                    reachable_mass = accumulator.size
-                    for i in iter_bits(candidates):
-                        reachable_mass += payload_sizes[i]
-                    if reachable_mass < min_mass:
-                        testability_cuts += 1
-                        continue
-                if bounded:
-                    threshold = (
-                        best_value if best_value > seed_value else seed_value
-                    )
-                    if threshold > float("-inf"):
-                        bound_evaluations += 1
-                        bound = accumulator.upper_bound(
-                            candidates, size_cap - size
-                        )
-                        # Strict: an exactly-tying subtree must survive so
-                        # the merged tie-break matches the sequential walk.
-                        if bound < threshold:
-                            bound_cuts += 1
-                            continue
-                u_bit = ext & -ext
-                u = u_bit.bit_length() - 1
-                rest = ext ^ u_bit
-                stack.append((subset, size, rest, fb | u_bit))
-                child_subset = subset | u_bit
-                child_ext = rest | (adjacency[u] & ~(child_subset | fb | rest))
-                accumulator.push(u)
-                consider(child_subset, size + 1)
-                stack.append((POP, u))
-                stack.append((child_subset, size + 1, child_ext, fb))
-        finally:
-            # The stack's POP sentinels unwind the walk's own pushes; the
-            # seed members are popped here.  On abort mid-walk the
-            # accumulator is left dirty (partial path still pushed) — an
-            # aborted shard discards both, nothing leaks into an outcome.
-            for v in reversed(pushed):
-                accumulator.pop(v)
-
-    return FrameRunResult(
-        best_mask=best_mask,
-        best_value=best_value,
-        explored=explored,
-        pruned_size_cap=pruned_size_cap,
-        frontier_exhausted=frontier_exhausted,
-        evaluated=evaluated,
-        bound_cuts=bound_cuts,
-        bound_evaluations=bound_evaluations,
-        best_updates=best_updates,
-        incumbent_broadcasts=broadcasts,
         testability_cuts=testability_cuts,
     )
 
@@ -923,7 +568,3 @@ def exhaustive_best_subset(
     )
     return bitset.vertex_set(outcome.mask), outcome.chi_square, outcome.explored
 
-
-def masks_to_indices(mask: int) -> tuple[int, ...]:
-    """Expand a bitmask into its sorted vertex indices (helper for callers)."""
-    return tuple(iter_bits(mask))

@@ -98,17 +98,6 @@ class KernelError(ReproError, RuntimeError):
     """
 
 
-class ParallelExecutionError(ReproError, RuntimeError):
-    """A parallel search shard failed or died before finishing its work.
-
-    Raised by :mod:`repro.enumerate.parallel` when a shard process exits
-    abnormally (e.g. it was killed) or reports an internal error.  The
-    partially merged state is discarded — a ``SearchOutcome`` is never
-    built from an incomplete shard set — and the pool is rebuilt so the
-    next call starts from clean processes.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for errors raised by the :mod:`repro.service` subsystem."""
 

@@ -54,11 +54,9 @@ doubles as a liveness heartbeat for the per-worker detail in
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import json
 import multiprocessing as mp
-import os
 import queue
 import tempfile
 import threading
@@ -241,7 +239,6 @@ def _execute_request(
     deadline: float | None,
     progress: Any = None,
     registry: GraphRegistry | None = None,
-    parallel_limit: int | None = None,
 ) -> dict[str, Any]:
     """Run one validated mining request; returns its result payload.
 
@@ -249,14 +246,9 @@ def _execute_request(
     (``repro serve --workers 0`` is not offered, but tests exercise this
     directly).  Raises :class:`SearchAbortedError` on deadline overrun and
     :class:`~repro.exceptions.ServiceError` for unresolvable
-    ``graph_digest`` references.  ``parallel_limit`` caps the request's
-    ``params.parallel`` (the manager stamps each task with its share of
-    the pool's core budget, so one job cannot oversubscribe the host).
+    ``graph_digest`` references.
     """
     params = request["params"]
-    parallel = params.get("parallel", 1)
-    if parallel_limit is not None:
-        parallel = max(1, min(parallel, parallel_limit))
     if request.get("graph_digest"):
         if registry is None:
             raise ServiceError(
@@ -307,7 +299,6 @@ def _execute_request(
         polish=params["polish"],
         prune=params["prune"],
         backend=params.get("backend", "python"),
-        parallel=parallel,
         correction=params.get("correction", "none"),
         alpha=params.get("alpha", 0.05),
         check_abort=check_abort,
@@ -389,7 +380,6 @@ def _worker_main(
         deadline = item["deadline"]
         trace_id = item["trace_id"]
         batch = item.get("batch")
-        parallel_limit = item.get("parallel_limit")
         results.put({"kind": "started", "job_id": job_id, "pid": pid})
         publisher = _ProgressPublisher(results, job_id, pid)
         telemetry_payload = None
@@ -410,7 +400,6 @@ def _worker_main(
                             payload = _execute_request(
                                 request, cache, deadline,
                                 progress=publisher, registry=registry,
-                                parallel_limit=parallel_limit,
                             )
                     finally:
                         # Capture on every exit path: aborted/failed jobs
@@ -422,7 +411,6 @@ def _worker_main(
                 payload = _execute_request(
                     request, cache, deadline,
                     progress=publisher, registry=registry,
-                    parallel_limit=parallel_limit,
                 )
             kind = "done"
             body: Any = payload
@@ -473,23 +461,12 @@ class JobManager:
         cache_dir: str | Path | None = None,
         cache_bytes: int | None = None,
         registry_dir: str | Path | None = None,
-        core_budget: int | None = None,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         if queue_size < 1:
             raise ServiceError(f"queue_size must be >= 1, got {queue_size}")
-        if core_budget is not None and core_budget < 1:
-            raise ServiceError(f"core_budget must be >= 1, got {core_budget}")
         self.default_deadline = default_deadline
-        # The pool-wide cap on concurrently scheduled shard processes:
-        # each dispatched job may use at most core_budget // workers
-        # search shards, so `workers` fully parallel jobs together stay
-        # within the budget (default: every core the host has).
-        self.core_budget = (
-            (os.cpu_count() or 1) if core_budget is None else core_budget
-        )
-        self._parallel_limit = max(1, self.core_budget // workers)
         self._cache_size = cache_size
         self._queue_size = queue_size
         self._trace_dir = None if trace_dir is None else Path(trace_dir)
@@ -521,12 +498,6 @@ class JobManager:
             target=self._collect, name="repro-service-collector", daemon=True
         )
         self._collector.start()
-        # Workers are non-daemonic (they must be able to spawn search
-        # shards), so a parent that exits without calling close() would
-        # otherwise hang joining them; close() is idempotent and this
-        # atexit hook runs before multiprocessing's own join-children
-        # handler (registered first = called last).
-        atexit.register(self.close)
 
     # -- lifecycle -----------------------------------------------------
     def _spawn_worker(self) -> mp.process.BaseProcess:
@@ -537,9 +508,9 @@ class JobManager:
                 tasks, self._results, self._cache_size,
                 self._cache_dir, self._cache_bytes, self._registry_dir,
             ),
-            # Non-daemonic: a daemonic process cannot have children, and
-            # jobs with params.parallel > 1 spawn search-shard processes.
-            daemon=False,
+            # Daemonic: a parent that exits without calling close() has
+            # multiprocessing terminate its workers instead of joining them.
+            daemon=True,
         )
         process.start()
         self._queues[process.pid] = tasks
@@ -671,8 +642,6 @@ class JobManager:
                 })
             return {
                 "workers": len(self._workers),
-                "core_budget": self.core_budget,
-                "parallel_limit": self._parallel_limit,
                 "workers_alive": sum(
                     1 for p in self._workers if p.is_alive()
                 ),
@@ -761,7 +730,6 @@ class JobManager:
                     "batch": None if group is None else {
                         "group": group, "index": index, "size": size,
                     },
-                    "parallel_limit": self._parallel_limit,
                 }
                 self._queues[pid].put(task)
             self.batch_counters["dispatches"] += 1

@@ -13,8 +13,8 @@ parameters::
                  "edge_order": "input", "seed": null,
                  "search_limit": null, "min_size": 1,
                  "polish": false, "prune": "none",
-                 "backend": "auto", "parallel": 1,
-                 "correction": "none", "alpha": 0.05},
+                 "backend": "auto", "correction": "none",
+                 "alpha": 0.05},
       "async": false,
       "deadline_seconds": null,
       "trace": true
@@ -72,7 +72,6 @@ DEFAULT_PARAMS: dict[str, Any] = {
     "polish": False,
     "prune": "none",
     "backend": "auto",
-    "parallel": 1,
     "correction": "none",
     "alpha": 0.05,
 }
@@ -213,7 +212,6 @@ def validate_request(doc: Any) -> dict[str, Any]:
     _check_int(params["top_t"], "params.top_t", minimum=1)
     _check_int(params["n_theta"], "params.n_theta", minimum=1)
     _check_int(params["min_size"], "params.min_size", minimum=1)
-    _check_int(params["parallel"], "params.parallel", minimum=1)
     if params["search_limit"] is not None:
         _check_int(params["search_limit"], "params.search_limit", minimum=1)
     if params["seed"] is not None:

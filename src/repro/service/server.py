@@ -343,7 +343,6 @@ class MiningService:
         trace_dir: str | None = None,
         cache_dir: str | None = None,
         cache_bytes: int | None = None,
-        core_budget: int | None = None,
     ) -> None:
         # The registry always exists (PUT /graphs works on every service);
         # without --cache-dir it lives in a throwaway directory and the
@@ -362,7 +361,6 @@ class MiningService:
             cache_dir=cache_dir,
             cache_bytes=cache_bytes,
             registry_dir=registry_dir,
-            core_budget=core_budget,
         )
         self.max_request_bytes = max_request_bytes
         self._httpd = ThreadingHTTPServer((host, port), _Handler)

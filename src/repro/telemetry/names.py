@@ -35,11 +35,8 @@ __all__ = [
     "SEARCH_BOUND_EVALUATIONS",
     "SEARCH_CHI_SQUARE_EVALUATIONS",
     "SEARCH_FRONTIER_EXHAUSTED",
-    "SEARCH_INCUMBENT_BROADCASTS",
     "SEARCH_KERNEL_BATCHES",
     "SEARCH_PRUNED_SIZE_CAP",
-    "SEARCH_SHARDS",
-    "SEARCH_SHARD_STEALS",
     "SEARCH_STATES_PER_CALL",
     "SEARCH_STATES_PRUNED",
     "SEARCH_STATES_VISITED",
@@ -148,20 +145,6 @@ SEARCH_BLOCKS_SEARCHED = "search.blocks_searched"
 """Counter: independent subproblems run by the kernel's block-cut
 decomposition — one per connected component or articulation split
 (``backend="numpy"`` only)."""
-
-SEARCH_SHARDS = "search.shards"
-"""Counter: shard tasks executed by the parallel search — block-cut plan
-entries and split frontier subtrees handed to the process pool
-(``parallel=N`` only)."""
-
-SEARCH_SHARD_STEALS = "search.shard_steals"
-"""Counter: shard tasks executed by a pool slot other than the one the
-balanced (LPT) assignment earmarked them for — i.e. work stolen from a
-slower slot's backlog (``parallel=N`` only)."""
-
-SEARCH_INCUMBENT_BROADCASTS = "search.incumbent_broadcasts"
-"""Counter: incumbent improvements published to the cross-shard shared
-bound cell (``parallel=N`` with ``prune="bounds"`` only)."""
 
 SEARCH_TESTABILITY_CUTS = "search.testability_cuts"
 """Counter: branches cut because no reachable extension could accumulate

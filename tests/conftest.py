@@ -15,7 +15,7 @@ try:
 
     # Wall-clock deadlines measure the CI host, not the code under test:
     # a 0.03ms property flakes at 200ms whenever a neighboring suite
-    # (worker pools, shard processes) saturates the box.  Most property
+    # (worker pools) saturates the box.  Most property
     # tests already opt out per-test; make it the suite-wide default.
     _hyp_settings.register_profile("repro", deadline=None)
     _hyp_settings.load_profile("repro")

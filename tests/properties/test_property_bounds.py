@@ -233,112 +233,6 @@ class TestBackendEquivalenceContinuous:
         )
 
 
-@pytest.mark.parallel
-class TestParallelEquivalenceDiscrete:
-    """Sequential vs sharded: 60 discrete instances x 2 backends x 2 widths.
-
-    240 instances of *full* :class:`SearchOutcome` equality under
-    ``prune="none"``: the sharded task frames partition the sequential
-    state family exactly, so per-shard counters must sum to the
-    sequential counters bit-for-bit (dyadic probabilities make the
-    statistic exact too).  Any splitting bug — a state visited twice, a
-    frontier frame double-counted, a sibling chain mis-walked — moves a
-    counter and fails the ``==``.
-    """
-
-    @pytest.mark.parametrize("jobs", (2, 4))
-    @pytest.mark.parametrize("backend", ("python", "numpy"))
-    @pytest.mark.parametrize("seed", range(60))
-    def test_prune_none_bit_identical_outcome(self, seed, backend, jobs):
-        adjacency, acc = _discrete_instance(seed)
-        min_size, max_size = _size_window(seed)
-        sequential = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
-            prune="none", backend=backend,
-        )
-        sharded = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
-            prune="none", backend=backend, parallel=jobs,
-        )
-        assert sharded == sequential
-
-    @pytest.mark.parametrize("backend", ("python", "numpy"))
-    @pytest.mark.parametrize("seed", range(20))
-    def test_prune_bounds_identical_optimum(self, seed, backend):
-        adjacency, acc = _discrete_instance(seed)
-        min_size, max_size = _size_window(seed)
-        sequential = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
-            prune="bounds", backend=backend,
-        )
-        sharded = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
-            prune="bounds", backend=backend, parallel=2,
-        )
-        # Cut accounting depends on incumbent-broadcast timing, so only
-        # the optimum is schedule-independent under bounds.
-        assert sharded.mask == sequential.mask
-        assert sharded.chi_square == sequential.chi_square
-
-    def test_parallel_one_is_the_sequential_path(self):
-        adjacency, acc = _discrete_instance(0)
-        assert exhaustive_best_mask(
-            adjacency, acc, parallel=1
-        ) == exhaustive_best_mask(adjacency, acc)
-
-    def test_env_override_routes_through_the_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_PARALLEL", "2")
-        adjacency, acc = _discrete_instance(1)
-        overridden = exhaustive_best_mask(adjacency, acc)
-        monkeypatch.delenv("REPRO_TEST_PARALLEL")
-        assert overridden == exhaustive_best_mask(adjacency, acc)
-
-
-@pytest.mark.parallel
-class TestParallelEquivalenceContinuous:
-    """Continuous payloads: masks and counters exact, statistic to ulps.
-
-    The continuous chi-square is path-dependent in floating point (each
-    shard accumulates along its own push/pop path), so scores agree to
-    1e-9 while the visited set family — and hence every counter — is
-    asserted exactly.
-    """
-
-    @pytest.mark.parametrize("backend", ("python", "numpy"))
-    @pytest.mark.parametrize("seed", range(20))
-    def test_prune_none_identical_family_and_optimum(self, seed, backend):
-        adjacency, acc = _continuous_instance(seed)
-        min_size, max_size = _size_window(seed)
-        sequential = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
-            prune="none", backend=backend,
-        )
-        sharded = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
-            prune="none", backend=backend, parallel=4,
-        )
-        assert sharded.mask == sequential.mask
-        assert sharded.chi_square == pytest.approx(
-            sequential.chi_square, rel=1e-9, abs=1e-12
-        )
-        assert sharded.explored == sequential.explored
-        assert sharded.pruned_size_cap == sequential.pruned_size_cap
-        assert sharded.frontier_exhausted == sequential.frontier_exhausted
-        assert sharded.evaluated == sequential.evaluated
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_prune_bounds_identical_optimum(self, seed):
-        adjacency, acc = _continuous_instance(seed)
-        sequential = exhaustive_best_mask(adjacency, acc, prune="bounds")
-        sharded = exhaustive_best_mask(
-            adjacency, acc, prune="bounds", parallel=2
-        )
-        assert sharded.mask == sequential.mask
-        assert sharded.chi_square == pytest.approx(
-            sequential.chi_square, rel=1e-9, abs=1e-12
-        )
-
-
 class TestPruningActuallyHappens:
     """Guard against the bound silently degenerating into a no-op."""
 

