@@ -48,7 +48,8 @@ from repro.graph.io import (
 from repro.graph.properties import average_degree, density_threshold_edges
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling, uniform_probabilities
-from repro.core.solver import mine
+from repro.core.solver import PARAM_CHOICES, PARAM_DEFAULTS, mine
+from repro.service.protocol import labeling_from_doc, result_to_payload
 from repro.telemetry import telemetry_session
 
 __all__ = ["build_parser", "main"]
@@ -61,28 +62,6 @@ def _load_graph(path: str, vertex_type: type) -> Graph:
         graph, _ = read_json_graph(path)
         return graph
     return read_edge_list(path, vertex_type=vertex_type)
-
-
-def _load_labeling(path: str, vertex_type: type):
-    doc = json.loads(Path(path).read_text())
-    kind = doc.get("type")
-    if kind == "discrete":
-        assignment = {
-            vertex_type(key): int(value)
-            for key, value in doc["assignment"].items()
-        }
-        return DiscreteLabeling(
-            doc["probabilities"], assignment, symbols=doc.get("symbols")
-        )
-    if kind == "continuous":
-        scores = {
-            vertex_type(key): value for key, value in doc["scores"].items()
-        }
-        return ContinuousLabeling(scores)
-    raise ReproError(
-        f"labeling document must have type 'discrete' or 'continuous', "
-        f"got {kind!r}"
-    )
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -129,7 +108,9 @@ def _progress_ticker(stream):
 def _cmd_mine(args: argparse.Namespace) -> int:
     vertex_type = _VERTEX_TYPES[args.vertex_type]
     graph = _load_graph(args.graph, vertex_type)
-    labeling = _load_labeling(args.labels, vertex_type)
+    labeling = labeling_from_doc(
+        json.loads(Path(args.labels).read_text()), vertex_type
+    )
     progress = _progress_ticker(sys.stderr) if args.progress else None
 
     def run():
@@ -168,52 +149,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
     report = result.report
     if args.json:
-        # p_value_raw always mirrors p_value so corrected and uncorrected
-        # runs diff cleanly field-by-field; corrected_p_value is null
-        # unless --correct fwer kept the region.
-        payload = {
-            "subgraphs": [
-                {
-                    "vertices": sorted(map(str, sub.vertices)),
-                    "size": sub.size,
-                    "chi_square": sub.chi_square,
-                    "p_value": sub.p_value,
-                    "p_value_raw": sub.p_value,
-                    "corrected_p_value": sub.corrected_p_value,
-                    "component_sizes": list(sub.component_sizes),
-                    "component_labels": list(sub.component_labels),
-                }
-                for sub in result.subgraphs
-            ],
-            "report": {
-                "prune": args.prune,
-                "backend": args.backend,
-                "num_vertices": report.num_vertices,
-                "num_edges": report.num_edges,
-                "supergraph_vertices": report.supergraph_vertices,
-                "supergraph_edges": report.supergraph_edges,
-                "reduced_vertices": report.reduced_vertices,
-                "contractions": report.contractions,
-                "explored_subgraphs": report.explored_subgraphs,
-                "rounds": report.rounds,
-                "dense_enough": report.dense_enough,
-                "construction_seconds": report.construction_seconds,
-                "reduction_seconds": report.reduction_seconds,
-                "search_seconds": report.search_seconds,
-                "total_seconds": report.total_seconds,
-            },
+        # The service's payload, plus the CLI-only keys: the search modes
+        # lead the report, metrics and the trace path trail the document.
+        payload = result_to_payload(result)
+        payload["report"] = {
+            "prune": args.prune, "backend": args.backend, **payload["report"]
         }
-        if result.correction is not None:
-            corr = result.correction
-            payload["correction"] = {
-                "method": corr.method,
-                "alpha": corr.alpha,
-                "delta_star": corr.delta_star,
-                "num_testable": corr.num_testable,
-                "testable_min_size": corr.testable_min_size,
-                "counts_mode": corr.counts_mode,
-                "regions_filtered": corr.regions_filtered,
-            }
         if metrics_snapshot is not None:
             payload["metrics"] = metrics_snapshot
         if args.trace:
@@ -469,55 +410,66 @@ def build_parser() -> argparse.ArgumentParser:
     mine_cmd.add_argument("graph", help="edge list or .json graph document")
     mine_cmd.add_argument("labels", help="labeling JSON document")
     mine_cmd.add_argument("--vertex-type", choices=_VERTEX_TYPES, default="int")
-    mine_cmd.add_argument("--top", type=int, default=1, help="top-t regions")
+    # Defaults and choices are mine()'s own (one contract for library,
+    # CLI and service).
     mine_cmd.add_argument(
-        "--n-theta", type=int, default=20, help="reduction threshold"
+        "--top", type=int, default=PARAM_DEFAULTS["top_t"], help="top-t regions"
     )
     mine_cmd.add_argument(
-        "--method", choices=("supergraph", "naive"), default="supergraph"
+        "--n-theta", type=int, default=PARAM_DEFAULTS["n_theta"],
+        help="reduction threshold",
     )
     mine_cmd.add_argument(
-        "--edge-order", choices=("input", "shuffled", "by_chi_square"),
-        default="input",
+        "--method", choices=PARAM_CHOICES["method"],
+        default=PARAM_DEFAULTS["method"],
+    )
+    mine_cmd.add_argument(
+        "--edge-order", choices=PARAM_CHOICES["edge_order"],
+        default=PARAM_DEFAULTS["edge_order"],
         help="edge processing order for continuous construction (Alg 2)",
     )
     mine_cmd.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=int, default=PARAM_DEFAULTS["seed"],
         help="RNG seed for --edge-order shuffled",
     )
     mine_cmd.add_argument(
-        "--search-limit", type=int, default=None, metavar="N",
+        "--search-limit", type=int, default=PARAM_DEFAULTS["search_limit"],
+        metavar="N",
         help="cap on connected sets explored per search (None = exhaustive)",
     )
     mine_cmd.add_argument(
-        "--min-size", type=int, default=1, metavar="K",
-        help="minimum vertices per reported region",
+        "--min-size", type=int, default=PARAM_DEFAULTS["min_size"],
+        metavar="K", help="minimum vertices per reported region",
     )
     mine_cmd.add_argument(
         "--polish", action="store_true", help="LMCS post-pass"
     )
     mine_cmd.add_argument(
-        "--prune", choices=("none", "bounds"), default="none",
+        "--prune", choices=PARAM_CHOICES["prune"],
+        default=PARAM_DEFAULTS["prune"],
         help="branch-and-bound pruning of the exhaustive search "
         "(admissible bounds; identical optima, fewer states)",
     )
     mine_cmd.add_argument(
-        "--backend", choices=("python", "numpy", "auto"), default="auto",
+        "--backend", choices=PARAM_CHOICES["backend"],
+        default=PARAM_DEFAULTS["backend"],
         help="search backend: the reference python DFS, the vectorized "
-        "numpy batch kernel (identical results, much faster), or "
-        "per-instance auto-selection (default: the kernel except on "
-        "small bounds-pruned instances where batching overhead wins; "
-        "always falls back to python above 64 vertices)",
+        "numpy batch kernel (much faster), or per-instance auto-selection "
+        "(default: the kernel except on small bounds-pruned instances "
+        "where batching overhead wins; always falls back to python above "
+        "64 vertices).  All pick the same regions; chi-square values may "
+        "differ in the last few ulps between the walk and the kernel",
     )
     mine_cmd.add_argument(
-        "--correct", choices=("none", "fwer"), default="none",
+        "--correct", choices=PARAM_CHOICES["correction"],
+        default=PARAM_DEFAULTS["correction"],
         help="multiple-testing correction: 'fwer' applies the Tarone "
         "testability bound (discrete labelings only) — only regions with "
         "p <= delta* are reported, each with a corrected p-value "
         "min(1, m*p); see docs/correction.md",
     )
     mine_cmd.add_argument(
-        "--alpha", type=float, default=0.05, metavar="A",
+        "--alpha", type=float, default=PARAM_DEFAULTS["alpha"], metavar="A",
         help="target family-wise error rate for --correct fwer",
     )
     mine_cmd.add_argument("--json", action="store_true", help="JSON output")

@@ -25,7 +25,7 @@ import random
 from collections.abc import Hashable
 from math import fsum
 from operator import add, mul
-from typing import Literal
+from typing import Literal, get_args
 
 from repro.exceptions import GraphError
 from repro.graph.generators import resolve_rng
@@ -36,9 +36,11 @@ from repro.stats.zscore import RegionScore
 from repro.telemetry import TELEMETRY as _TELEMETRY
 from repro.telemetry import names as _metric
 
-__all__ = ["build_continuous_supergraph"]
+__all__ = ["EDGE_ORDERS", "build_continuous_supergraph"]
 
 EdgeOrder = Literal["input", "shuffled", "by_chi_square"]
+EDGE_ORDERS: tuple[str, ...] = get_args(EdgeOrder)
+"""Valid values of the ``edge_order`` argument."""
 
 
 def _ordered_edges(

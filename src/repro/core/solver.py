@@ -22,21 +22,31 @@ exhaustive search on the input graph (the paper's baseline).
 
 from __future__ import annotations
 
+import inspect
 import random
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, replace
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 from repro.exceptions import GraphError, LabelingError, SearchAbortedError
 from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
 from repro.enumerate.bitset import BitsetGraph, iter_bits
-from repro.enumerate.search import SearchTestability, exhaustive_best_mask
+from repro.enumerate.search import (
+    PRUNE_MODES,
+    SEARCH_BACKENDS,
+    SearchTestability,
+    exhaustive_best_mask,
+)
 from repro.graph.graph import Graph
 from repro.graph.properties import is_dense_enough
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
-from repro.core.construct_continuous import EdgeOrder, build_continuous_supergraph
+from repro.core.construct_continuous import (
+    EDGE_ORDERS,
+    EdgeOrder,
+    build_continuous_supergraph,
+)
 from repro.core.construct_discrete import BlockPartition, build_discrete_supergraph
 from repro.core.local_search import lmcs_local_search
 from repro.core.reduce import reduce_supergraph
@@ -64,10 +74,27 @@ from repro.telemetry import names as _metric
 from repro.telemetry.progress import ProgressAggregator, ProgressCallback
 from repro.telemetry.span import Tracer
 
-__all__ = ["DEFAULT_N_THETA", "PrefixCache", "find_mscs", "mine"]
+__all__ = [
+    "DEFAULT_N_THETA",
+    "PARAM_CHOICES",
+    "PARAM_DEFAULTS",
+    "PrefixCache",
+    "check_params",
+    "find_mscs",
+    "mine",
+]
 
 DEFAULT_N_THETA = 20
 """Default reduction threshold — the paper uses 15-20 throughout Section 5."""
+
+PARAM_CHOICES: dict[str, tuple[str, ...]] = {
+    "method": ("supergraph", "naive"),
+    "edge_order": EDGE_ORDERS,
+    "prune": PRUNE_MODES,
+    "backend": SEARCH_BACKENDS,
+    "correction": ("none", "fwer"),
+}
+"""The allowed values of each enumerated :func:`mine` parameter."""
 
 Labeling = DiscreteLabeling | ContinuousLabeling
 
@@ -158,7 +185,7 @@ def mine(
     min_size: int = 1,
     polish: bool = False,
     prune: str = "none",
-    backend: str = "python",
+    backend: str = "auto",
     correction: str = "none",
     alpha: float = 0.05,
     check_abort: Callable[[], bool] | None = None,
@@ -188,10 +215,11 @@ def mine(
         order-dependent); one of ``"input"``, ``"shuffled"``,
         ``"by_chi_square"``.
     seed:
-        RNG seed for ``edge_order="shuffled"``.
+        RNG seed (an int or a :class:`random.Random`) for
+        ``edge_order="shuffled"``.
     search_limit:
-        Budget on connected sets evaluated per exhaustive search (raises
-        :class:`~repro.exceptions.EnumerationLimitError` beyond).
+        Budget (>= 1) on connected sets evaluated per exhaustive search
+        (raises :class:`~repro.exceptions.EnumerationLimitError` beyond).
     min_size:
         Minimum number of *original* vertices in a reported region.
     polish:
@@ -202,13 +230,17 @@ def mine(
         bound with admissible chi-square upper bounds (identical optima,
         fewer states visited; see :mod:`repro.enumerate.bounds`).
     backend:
-        Search backend: ``"python"`` — the reference DFS; ``"numpy"`` —
-        the vectorized batch kernel with block-cut decomposition
-        (:mod:`repro.enumerate.kernel`), identical results, much faster
-        on reduced super-graphs; ``"auto"`` — pick per search instance
+        Search backend: ``"auto"`` (default) — pick per search instance
         (the python walk for small bounds-pruned instances where kernel
-        batching overhead dominates, the kernel otherwise).  Graphs
-        above the kernel's 64-vertex limit fall back to the python walk
+        batching overhead dominates, the kernel otherwise);
+        ``"python"`` — the reference DFS; ``"numpy"`` — the vectorized
+        batch kernel with block-cut decomposition
+        (:mod:`repro.enumerate.kernel`), much faster on reduced
+        super-graphs.  The backends pick the same regions, but sum the
+        statistic in a different order, so chi-square values can differ
+        in the last few ulps (see
+        :data:`~repro.enumerate.search.SEARCH_BACKENDS`).  Graphs above
+        the kernel's 64-vertex limit fall back to the python walk
         automatically.
     correction:
         ``"none"`` — report raw per-region p-values (the paper's
@@ -226,7 +258,8 @@ def mine(
         later round — is identical.  Discrete labelings only.
     alpha:
         Target family-wise error rate for ``correction="fwer"``
-        (strictly between 0 and 1); ignored under ``correction="none"``.
+        (strictly between 0 and 1, checked even when unused); ignored
+        under ``correction="none"``.
     check_abort:
         Cooperative-cancellation callback, polled between TSSS rounds and
         every few hundred states inside the exhaustive search; when it
@@ -248,19 +281,11 @@ def mine(
         escalations, so ``states_visited`` advances monotonically), with
         one final snapshot guaranteed when :func:`mine` returns or
         raises.  Observe-only; cannot change the result.
+
+    Raises :class:`GraphError` naming the parameter when one is outside
+    its allowed values (see :func:`check_params`).
     """
-    if top_t < 1:
-        raise GraphError(f"top_t must be >= 1, got {top_t}")
-    if method not in ("supergraph", "naive"):
-        raise GraphError(f"unknown method {method!r}")
-    if min_size < 1:
-        raise GraphError(f"min_size must be >= 1, got {min_size}")
-    if prune not in ("none", "bounds"):
-        raise GraphError(f"unknown prune mode {prune!r}")
-    if backend not in ("python", "numpy", "auto"):
-        raise GraphError(f"unknown search backend {backend!r}")
-    if correction not in ("none", "fwer"):
-        raise GraphError(f"unknown correction mode {correction!r}")
+    check_params(locals())  # nothing but the arguments is bound yet
     labeling.validate_covers(graph)
 
     ctx: _CorrectionContext | None = None
@@ -270,10 +295,6 @@ def mine(
                 "correction='fwer' requires a discrete labeling: the "
                 "continuous statistic has no per-size attainable maximum, "
                 "so Tarone testability is undefined"
-            )
-        if not 0.0 < alpha < 1.0:
-            raise GraphError(
-                f"alpha must be strictly between 0 and 1, got {alpha}"
             )
         ctx = _correction_context(graph, labeling, alpha)
 
@@ -403,6 +424,54 @@ def mine(
     )
 
 
+PARAM_DEFAULTS: dict[str, Any] = {
+    name: param.default
+    for name, param in inspect.signature(mine).parameters.items()
+    if param.kind is param.KEYWORD_ONLY
+    and name not in ("check_abort", "prefix_cache", "progress")
+}
+"""The tunable keywords of :func:`mine` (all but its runtime hooks) and
+their defaults, in signature order."""
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_params(params: Mapping[str, Any]) -> None:
+    """Check every :data:`PARAM_DEFAULTS` key of ``params`` against its
+    allowed values.
+
+    Raises :class:`GraphError` whose message starts with the offending
+    parameter's name.  :func:`mine` runs this on its own arguments; the
+    service runs it on request documents before queueing them.
+    """
+    for name in ("top_t", "n_theta", "min_size", "search_limit"):
+        value = params[name]
+        if name == "search_limit" and value is None:
+            continue
+        if not _is_int(value) or value < 1:
+            raise GraphError(f"{name} must be an integer >= 1, got {value!r}")
+    seed = params["seed"]
+    if not (seed is None or _is_int(seed) or isinstance(seed, random.Random)):
+        raise GraphError(f"seed must be an integer, got {seed!r}")
+    for name, choices in PARAM_CHOICES.items():
+        if params[name] not in choices:
+            raise GraphError(
+                f"{name} must be one of {choices}, got {params[name]!r}"
+            )
+    if not isinstance(params["polish"], bool):
+        raise GraphError(f"polish must be a boolean, got {params['polish']!r}")
+    alpha = params["alpha"]
+    if not (
+        isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+        and 0.0 < alpha < 1.0
+    ):
+        raise GraphError(
+            f"alpha must be a number strictly between 0 and 1, got {alpha!r}"
+        )
+
+
 def find_mscs(graph: Graph, labeling: Labeling, **kwargs) -> SignificantSubgraph:
     """Convenience wrapper: the Most Significant Connected Subgraph.
 
@@ -462,7 +531,7 @@ def _mine_one(
     search_limit: int | None,
     min_size: int,
     prune: str,
-    backend: str = "python",
+    backend: str,
     correction_ctx: _CorrectionContext | None = None,
     check_abort: Callable[[], bool] | None = None,
     prefix_cache: PrefixCache | None = None,
@@ -621,8 +690,8 @@ def _search_supergraph(
     search_limit: int | None,
     min_size: int,
     report: PipelineReport,
-    prune: str = "none",
-    backend: str = "python",
+    prune: str,
+    backend: str,
     testability: SearchTestability | None = None,
     check_abort: Callable[[], bool] | None = None,
     progress: ProgressAggregator | None = None,

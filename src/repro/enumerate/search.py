@@ -19,7 +19,8 @@ Statistic ties break toward the numerically smallest winning bitmask.
 That makes the optimum a function of the visited *set family* rather than
 of the visit order, which is what lets the vectorized numpy backend
 (:mod:`repro.enumerate.kernel`, selected with ``backend="numpy"``) batch
-and decompose the walk while returning bit-identical results.
+and decompose the walk while returning the same winner (its statistic
+equal up to a few ulps; see :data:`SEARCH_BACKENDS`).
 """
 
 from __future__ import annotations
@@ -59,10 +60,14 @@ SEARCH_BACKENDS = ("python", "numpy", "auto")
 """Valid values of the ``backend`` search argument.
 
 ``"python"`` is the reference DFS in this module; ``"numpy"`` is the
-vectorized batch kernel in :mod:`repro.enumerate.kernel`, which returns
-provably identical results (see the differential property suite) and
-falls back to the python walk for graphs above the kernel's 64-vertex
-machine-word limit.  ``"auto"`` picks per call via
+vectorized batch kernel in :mod:`repro.enumerate.kernel`, which falls
+back to the python walk for graphs above the kernel's 64-vertex
+machine-word limit.  The two pick the same winning regions, but the
+kernel sums the statistic in a different floating-point order, so its
+chi-square can differ from the walk's in the last few ulps (measured:
+discrete up to 4 ulps, continuous up to ~2e-13 relative).  They are
+bit-equal only when every partial sum is exact, which is why the
+differential property suites compare them on dyadic probabilities.  ``"auto"`` picks per call via
 :func:`resolve_backend`: the kernel wherever it is eligible, except on
 small bounds-pruned instances where batch setup costs more than the
 handful of surviving states (the scalar walk wins there)."""

@@ -70,6 +70,7 @@ from typing import Any
 from repro.core.solver import mine
 from repro.exceptions import (
     BackpressureError,
+    DigestError,
     ReproError,
     SearchAbortedError,
     ServiceError,
@@ -194,9 +195,11 @@ def _group_key(request: dict[str, Any]) -> str | None:
     into warm-memory hits.  This is a cheap *grouping* key computed on the
     manager's submission path, not the cache key itself: inline instances
     hash their canonical JSON (no graph materialisation), registry
-    references reuse the upload digest.  Returns None when the prefix is
-    uncacheable (non-reproducible shuffle, naive method) — such jobs never
-    group.
+    references reuse the upload digest, and
+    :func:`~repro.service.digest.prefix_digest_from_parts` adds the prefix
+    parameters by the cache key's own rule.  Returns None when the prefix
+    is uncacheable (non-reproducible shuffle, naive method) — such jobs
+    never group.
     """
     params = request["params"]
     if params["method"] != "supergraph":
@@ -219,18 +222,13 @@ def _group_key(request: dict[str, Any]) -> str | None:
         )
         base = "inline:" + hashlib.sha256(doc.encode("utf-8")).hexdigest()
         discrete = request["labels"].get("type") == "discrete"
-    if discrete:
-        order_code = seed_code = "-"
-    else:
-        order_code = params["edge_order"]
-        seed = params["seed"]
-        if order_code == "shuffled":
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                return None
-            seed_code = str(seed)
-        else:
-            seed_code = "-"
-    return f"{base}|n{params['n_theta']}|{order_code}|{seed_code}"
+    try:
+        return prefix_digest_from_parts(
+            base, "-", discrete=discrete, n_theta=params["n_theta"],
+            edge_order=params["edge_order"], seed=params["seed"],
+        )
+    except DigestError:
+        return None
 
 
 def _execute_request(
@@ -287,23 +285,8 @@ def _execute_request(
         if check_abort():
             raise SearchAbortedError("the job deadline expired while queued")
     result = mine(
-        graph,
-        labeling,
-        top_t=params["top_t"],
-        n_theta=params["n_theta"],
-        method=params["method"],
-        edge_order=params["edge_order"],
-        seed=params["seed"],
-        search_limit=params["search_limit"],
-        min_size=params["min_size"],
-        polish=params["polish"],
-        prune=params["prune"],
-        backend=params.get("backend", "python"),
-        correction=params.get("correction", "none"),
-        alpha=params.get("alpha", 0.05),
-        check_abort=check_abort,
-        prefix_cache=cache,
-        progress=progress,
+        graph, labeling, **params,
+        check_abort=check_abort, prefix_cache=cache, progress=progress,
     )
     return result_to_payload(result)
 

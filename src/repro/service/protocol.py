@@ -33,8 +33,8 @@ latency-critical fire-and-forget jobs.
 (raising :class:`~repro.exceptions.RequestValidationError` with a
 field-specific message), :func:`build_instance` materialises the graph and
 labeling, and :func:`result_to_payload` renders a
-:class:`~repro.core.result.MiningResult` into the same JSON shape the CLI's
-``mine --json`` emits.
+:class:`~repro.core.result.MiningResult` into the JSON document that the
+CLI's ``mine --json`` extends.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ import re
 from typing import Any
 
 from repro.core.result import MiningResult
-from repro.exceptions import ReproError, RequestValidationError
+from repro.core.solver import PARAM_DEFAULTS, check_params
+from repro.exceptions import GraphError, ReproError, RequestValidationError
 from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
@@ -61,47 +62,20 @@ _VERTEX_TYPES = {"int": int, "str": str}
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
-DEFAULT_PARAMS: dict[str, Any] = {
-    "top_t": 1,
-    "n_theta": 20,
-    "method": "supergraph",
-    "edge_order": "input",
-    "seed": None,
-    "search_limit": None,
-    "min_size": 1,
-    "polish": False,
-    "prune": "none",
-    "backend": "auto",
-    "correction": "none",
-    "alpha": 0.05,
-}
-"""Defaults applied to ``params`` fields a request leaves out; they match
-the CLI's ``repro mine`` defaults."""
+DEFAULT_PARAMS = PARAM_DEFAULTS
+"""Defaults applied to ``params`` fields a request leaves out: the keyword
+defaults of :func:`repro.core.solver.mine`, which the CLI's ``repro mine``
+shares."""
 
 _TOP_LEVEL_KEYS = {
     "graph", "graph_digest", "labels", "vertex_type", "params", "async",
     "deadline_seconds", "trace",
 }
-_METHODS = ("supergraph", "naive")
-_EDGE_ORDERS = ("input", "shuffled", "by_chi_square")
-_PRUNES = ("none", "bounds")
-_BACKENDS = ("python", "numpy", "auto")
-_CORRECTIONS = ("none", "fwer")
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise RequestValidationError(message)
-
-
-def _check_int(value: Any, field: str, *, minimum: int | None = None) -> int:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{field} must be an integer, got {value!r}",
-    )
-    if minimum is not None:
-        _require(value >= minimum, f"{field} must be >= {minimum}, got {value}")
-    return value
 
 
 def _validate_instance_fields(
@@ -209,48 +183,11 @@ def validate_request(doc: Any) -> dict[str, Any]:
     _require(not unknown, f"unknown params fields: {sorted(unknown)}")
     params = dict(DEFAULT_PARAMS)
     params.update(params_doc)
-    _check_int(params["top_t"], "params.top_t", minimum=1)
-    _check_int(params["n_theta"], "params.n_theta", minimum=1)
-    _check_int(params["min_size"], "params.min_size", minimum=1)
-    if params["search_limit"] is not None:
-        _check_int(params["search_limit"], "params.search_limit", minimum=1)
-    if params["seed"] is not None:
-        _check_int(params["seed"], "params.seed")
-    _require(
-        params["method"] in _METHODS,
-        f"params.method must be one of {_METHODS}, got {params['method']!r}",
-    )
-    _require(
-        params["edge_order"] in _EDGE_ORDERS,
-        f"params.edge_order must be one of {_EDGE_ORDERS}, "
-        f"got {params['edge_order']!r}",
-    )
-    _require(
-        params["prune"] in _PRUNES,
-        f"params.prune must be one of {_PRUNES}, got {params['prune']!r}",
-    )
-    _require(
-        params["backend"] in _BACKENDS,
-        f"params.backend must be one of {_BACKENDS}, "
-        f"got {params['backend']!r}",
-    )
-    _require(
-        isinstance(params["polish"], bool),
-        f"params.polish must be a boolean, got {params['polish']!r}",
-    )
-    _require(
-        params["correction"] in _CORRECTIONS,
-        f"params.correction must be one of {_CORRECTIONS}, "
-        f"got {params['correction']!r}",
-    )
-    alpha = params["alpha"]
-    _require(
-        isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
-        and 0.0 < alpha < 1.0,
-        f"params.alpha must be a number strictly between 0 and 1, "
-        f"got {alpha!r}",
-    )
-    params["alpha"] = float(alpha)
+    try:
+        check_params(params)
+    except GraphError as exc:
+        raise RequestValidationError(f"params.{exc}") from exc
+    params["alpha"] = float(params["alpha"])
 
     if (
         params["correction"] == "fwer"
@@ -302,8 +239,8 @@ def labeling_from_doc(
 ) -> DiscreteLabeling | ContinuousLabeling:
     """Materialise a labeling from its JSON document.
 
-    The document shape is identical to the CLI's labeling files; keys of
-    ``assignment``/``scores`` are coerced with ``vertex_type``.
+    The one loader for service requests and the CLI's labeling files;
+    keys of ``assignment``/``scores`` are coerced with ``vertex_type``.
     """
     kind = doc.get("type")
     try:
@@ -362,9 +299,11 @@ def build_instance(
 def result_to_payload(result: MiningResult) -> dict[str, Any]:
     """Render a :class:`MiningResult` as the service's JSON result payload.
 
-    The shape matches the CLI's ``mine --json`` output (``subgraphs`` +
-    ``report``), so clients can switch between the CLI and the service
-    without reparsing.
+    ``repro mine --json`` prints this same document plus its CLI-only
+    keys, so clients can switch between the CLI and the service without
+    reparsing.  ``p_value_raw`` always mirrors ``p_value`` so corrected
+    and uncorrected runs diff cleanly field-by-field;
+    ``corrected_p_value`` is null unless FWER correction kept the region.
     """
     report = result.report
     payload = {

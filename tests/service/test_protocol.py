@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core.solver import mine
-from repro.exceptions import RequestValidationError
+from repro.exceptions import GraphError, RequestValidationError
 from repro.service.protocol import (
     DEFAULT_PARAMS,
     build_instance,
@@ -21,6 +21,42 @@ MINIMAL = {
     "labels": {"type": "discrete", "probabilities": [0.8, 0.2],
                "assignment": {"0": 1, "1": 1, "2": 0}},
 }
+
+BAD_PARAMS = [
+    {"top_t": 0},
+    {"top_t": True},
+    {"method": "psychic"},
+    {"edge_order": "sideways"},
+    {"seed": "seven"},
+    {"polish": "yes"},
+    {"correction": "fdr"},
+    {"correction": 1},
+    {"alpha": 0.0},
+    {"alpha": 1.0},
+    {"alpha": -0.2},
+    {"alpha": True},
+    {"alpha": "0.05"},
+    {"alpha": 2.0},
+    {"search_limit": 0},
+    {"search_limit": -5},
+    {"n_theta": 0},
+    {"min_size": 0},
+    {"prune": "sometimes"},
+    {"backend": "gpu"},
+]
+"""Parameter values outside mine()'s contract: rejected by the library
+and the service alike (the instance is MINIMAL's discrete one)."""
+
+_CORRECTION_FIELDS = {"correction", "alpha"}
+
+
+def assert_library_and_service_reject(params):
+    graph, labeling = build_instance(validate_request(MINIMAL))
+    (field,) = params
+    with pytest.raises(GraphError, match=f"^{field} "):
+        mine(graph, labeling, **params)
+    with pytest.raises(RequestValidationError, match=f"^params.{field} "):
+        validate_request(dict(MINIMAL, params=params))
 
 
 class TestValidateRequest:
@@ -48,12 +84,7 @@ class TestValidateRequest:
         dict(MINIMAL, graph={"edges": [[0]]}),             # 1-element edge
         dict(MINIMAL, graph={"edges": "nope"}),
         dict(MINIMAL, vertex_type="float"),
-        dict(MINIMAL, params={"top_t": 0}),
-        dict(MINIMAL, params={"top_t": True}),
-        dict(MINIMAL, params={"method": "psychic"}),
-        dict(MINIMAL, params={"edge_order": "sideways"}),
-        dict(MINIMAL, params={"seed": "seven"}),
-        dict(MINIMAL, params={"polish": "yes"}),
+        *(dict(MINIMAL, params=params) for params in BAD_PARAMS),
         dict(MINIMAL, params={"unknown": 1}),
         dict(MINIMAL, params={"parallel": 1}),             # removed field
         dict(MINIMAL, **{"async": "yes"}),
@@ -64,6 +95,12 @@ class TestValidateRequest:
     def test_invalid_documents_raise(self, doc):
         with pytest.raises(RequestValidationError):
             validate_request(doc)
+
+    @pytest.mark.parametrize("params", [
+        params for params in BAD_PARAMS if not set(params) & _CORRECTION_FIELDS
+    ])
+    def test_library_and_service_reject_the_same_params(self, params):
+        assert_library_and_service_reject(params)
 
 
 class TestGraphDigestRequests:
@@ -159,19 +196,6 @@ class TestBuildInstance:
             build_instance(validate_request(doc))
 
 
-class TestResultPayload:
-    def test_payload_matches_cli_json_shape(self):
-        graph, labeling = build_instance(validate_request(MINIMAL))
-        payload = result_to_payload(mine(graph, labeling))
-        assert set(payload) == {"subgraphs", "report"}
-        best = payload["subgraphs"][0]
-        assert set(best["vertices"]) == {"0", "1"}
-        for key in ("num_vertices", "contractions", "rounds",
-                    "construction_seconds", "total_seconds"):
-            assert key in payload["report"], key
-        json.dumps(payload)  # must be JSON-serialisable as-is
-
-
 class TestCorrectionParams:
     """`params.correction` / `params.alpha` validation and payload parity."""
 
@@ -193,17 +217,10 @@ class TestCorrectionParams:
         assert isinstance(validate_request(doc)["params"]["alpha"], float)
 
     @pytest.mark.parametrize("params", [
-        {"correction": "fdr"},
-        {"correction": 1},
-        {"alpha": 0.0},
-        {"alpha": 1.0},
-        {"alpha": -0.2},
-        {"alpha": True},
-        {"alpha": "0.05"},
+        params for params in BAD_PARAMS if set(params) & _CORRECTION_FIELDS
     ])
     def test_bad_correction_params_rejected(self, params):
-        with pytest.raises(RequestValidationError):
-            validate_request(dict(MINIMAL, params=params))
+        assert_library_and_service_reject(params)
 
     def test_fwer_with_inline_continuous_labels_rejected(self):
         doc = {

@@ -6,6 +6,7 @@ Real sockets, real worker processes — marked ``service``.
 from __future__ import annotations
 
 import json
+import random
 import time
 import urllib.error
 import urllib.request
@@ -13,8 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cli import main
 from repro.core.solver import mine
+from repro.graph.generators import barabasi_albert_graph
 from repro.graph.graph import Graph
+from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
 from repro.service.protocol import result_to_payload
 from repro.service.server import MiningService
@@ -247,3 +251,73 @@ class TestHealth:
             status, body = http("GET", base + "/metricsz")
             assert body["metrics"]["service.diskcache.writes"] >= 1
             assert body["metrics"]["service.diskcache.misses"] >= 1
+
+
+def _canonical(payload):
+    """The deterministic part of a payload: everything but the timings."""
+    doc = json.loads(json.dumps(payload))
+    doc["report"] = {
+        key: value for key, value in doc["report"].items()
+        if not key.endswith("_seconds")
+    }
+    return doc
+
+
+class TestEntryPathsAgree:
+    """One instance, four entry paths, byte-equal canonical payloads:
+    the library, ``repro mine --json``, inline ``POST /mine`` and
+    ``PUT /graphs`` + ``POST /mine`` by digest.  Int vertex names only."""
+
+    @pytest.mark.parametrize("kind, params", [
+        ("discrete", {"top_t": 3}),
+        ("discrete", {"top_t": 3, "prune": "bounds"}),
+        ("discrete", {"top_t": 3, "prune": "bounds", "correction": "fwer"}),
+        ("continuous", {"top_t": 3}),
+        ("continuous", {"top_t": 3, "prune": "bounds"}),
+    ])
+    def test_payloads_match(self, service, tmp_path, capsys, kind, params):
+        graph = barabasi_albert_graph(40, 2, seed=5)
+        edges = [[u, v] for u, v in graph.edge_list()]
+        rng = random.Random(5)
+        if kind == "discrete":
+            # The rare label on 0..11 (connected: BA vertices attach to
+            # earlier ones) plants a region that survives FWER correction.
+            values = {v: 2 if v < 12 else rng.randrange(3)
+                      for v in graph.vertices()}
+            labeling = DiscreteLabeling((0.5, 0.3, 0.2), values)
+            labels = {"type": "discrete", "probabilities": [0.5, 0.3, 0.2],
+                      "assignment": {str(v): x for v, x in values.items()}}
+        else:
+            values = {v: [rng.gauss(0, 1), rng.gauss(0, 1)]
+                      for v in graph.vertices()}
+            labeling = ContinuousLabeling(values)
+            labels = {"type": "continuous",
+                      "scores": {str(v): x for v, x in values.items()}}
+        library = _canonical(result_to_payload(
+            mine(Graph.from_edges(edges), labeling, **params)
+        ))
+
+        graph_file, labels_file = tmp_path / "g.txt", tmp_path / "l.json"
+        graph_file.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        labels_file.write_text(json.dumps(labels))
+        main([
+            "mine", str(graph_file), str(labels_file), "--json",
+            "--top", str(params["top_t"]),
+            "--prune", params.get("prune", "none"),
+            "--correct", params.get("correction", "none"),
+        ])
+        cli = json.loads(capsys.readouterr().out)
+        for key in ("prune", "backend"):  # CLI-only report keys
+            del cli["report"][key]
+
+        document = {"graph": {"edges": edges}, "labels": labels}
+        _, inline = http("POST", service + "/mine", dict(document, params=params))
+        _, registered = http("PUT", service + "/graphs", document)
+        _, by_digest = http("POST", service + "/mine", {
+            "graph_digest": registered["graph_digest"], "params": params,
+        })
+
+        assert library["subgraphs"]
+        assert _canonical(cli) == library
+        assert _canonical(inline["result"]) == library
+        assert _canonical(by_digest["result"]) == library

@@ -146,10 +146,18 @@ class TestMine:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["subgraphs"][0]["vertices"]) == {"1", "2"}
 
-    def test_bad_labeling_type_fails_cleanly(self, instance_files, tmp_path, capsys):
+    @pytest.mark.parametrize("doc", [
+        {"type": "bogus"},
+        {"type": "discrete", "probabilities": [0.5, 0.5]},
+        {"type": "discrete", "probabilities": [0.5, 0.5],
+         "assignment": {"0": "x"}},
+    ], ids=["unknown-type", "missing-assignment", "non-int-assignment"])
+    def test_bad_labeling_type_fails_cleanly(
+        self, instance_files, tmp_path, capsys, doc
+    ):
         graph_path, _ = instance_files
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"type": "bogus"}))
+        bad.write_text(json.dumps(doc))
         assert main(["mine", graph_path, str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
