@@ -26,10 +26,9 @@ instance hashing entirely.
 
 The cache is deliberately not thread-safe — in the service each worker
 *process* owns one instance (matching the telemetry design: single-threaded
-hot paths, no locks).  Hit/miss/eviction counts are exposed as plain
-attributes for the worker to report upstream, and are mirrored into the
-global telemetry registry (``service.cache.*``) when a telemetry session is
-active.
+hot paths, no locks).  Hit/miss/eviction counts are plain attributes: a
+service worker ships their per-job deltas upstream, where the job manager
+sums them into the pool's ``service.cache.*`` counters.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ from repro.service.digest import (
     prefix_digest_from_parts,
     scan_order_digest,
 )
-from repro.telemetry import TELEMETRY as _TELEMETRY
-from repro.telemetry import names as _metric
 
 __all__ = ["CachedPrefixEntry", "DEFAULT_MAX_ENTRIES", "SuperGraphCache"]
 
@@ -235,13 +232,9 @@ class SuperGraphCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            if _TELEMETRY.enabled:
-                _TELEMETRY.metrics.count(_metric.SERVICE_CACHE_MISSES)
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        if _TELEMETRY.enabled:
-            _TELEMETRY.metrics.count(_metric.SERVICE_CACHE_HITS)
         return entry
 
     def put(self, key: str, entry: CachedPrefixEntry) -> None:
@@ -251,8 +244,6 @@ class SuperGraphCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-            if _TELEMETRY.enabled:
-                _TELEMETRY.metrics.count(_metric.SERVICE_CACHE_EVICTIONS)
 
     def peek(self, key: str) -> CachedPrefixEntry | None:
         """Entry under ``key`` without counters or LRU effects."""

@@ -58,8 +58,6 @@ from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
 from repro.service.cache import CachedPrefixEntry, SuperGraphCache
-from repro.telemetry import TELEMETRY as _TELEMETRY
-from repro.telemetry import names as _metric
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
@@ -84,8 +82,8 @@ class DiskPrefixCache:
     — pair it with a :class:`~repro.service.cache.SuperGraphCache` via
     :class:`TieredPrefixCache` to obtain the solver-facing interface.
     Counters (`hits`/`misses`/`evictions`/`writes`/`corrupt_reads`) are
-    plain attributes mirrored into the telemetry registry
-    (``service.diskcache.*``) when a session is active.
+    plain attributes; the service pool reports them as
+    ``service.diskcache.*``.
     """
 
     __slots__ = (
@@ -128,23 +126,17 @@ class DiskPrefixCache:
             return None
         return self.root / f"{key}{_SUFFIX}"
 
-    def _count(self, name: str, value: int = 1) -> None:
-        if _TELEMETRY.enabled:
-            _TELEMETRY.metrics.count(name, value)
-
     # -- primitives -----------------------------------------------------
     def get(self, key: str) -> CachedPrefixEntry | None:
         """The entry stored under ``key``; any failure mode is a miss."""
         path = self._path(key)
         if path is None:
             self.misses += 1
-            self._count(_metric.SERVICE_DISKCACHE_MISSES)
             return None
         try:
             raw = path.read_bytes()
         except OSError:
             self.misses += 1
-            self._count(_metric.SERVICE_DISKCACHE_MISSES)
             return None
         try:
             entry = pickle.loads(raw)
@@ -155,8 +147,6 @@ class DiskPrefixCache:
         except Exception:  # noqa: BLE001 - a bad artifact must be a miss
             self.corrupt_reads += 1
             self.misses += 1
-            self._count(_metric.SERVICE_DISKCACHE_CORRUPT)
-            self._count(_metric.SERVICE_DISKCACHE_MISSES)
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - already gone / read-only
@@ -167,7 +157,6 @@ class DiskPrefixCache:
         except OSError:  # pragma: no cover - concurrent eviction
             pass
         self.hits += 1
-        self._count(_metric.SERVICE_DISKCACHE_HITS)
         return entry
 
     def put(self, key: str, entry: CachedPrefixEntry) -> None:
@@ -193,7 +182,6 @@ class DiskPrefixCache:
         except Exception:  # noqa: BLE001 - disk full etc.: cache stays warm-less
             return
         self.writes += 1
-        self._count(_metric.SERVICE_DISKCACHE_WRITES)
         self._evict_to_budget(keep=path.name)
 
     def _evict_to_budget(self, keep: str | None = None) -> None:
@@ -229,7 +217,6 @@ class DiskPrefixCache:
                 continue
             total -= size
             self.evictions += 1
-            self._count(_metric.SERVICE_DISKCACHE_EVICTIONS)
 
     # -- introspection --------------------------------------------------
     def __len__(self) -> int:

@@ -5,14 +5,10 @@ Mining is CPU-bound, so the service runs jobs in worker *processes* (a
 under the threaded HTTP server and portable across platforms).  The
 manager side owns:
 
-* a **bounded backlog with digest-grouped dispatch** — submissions beyond
-  ``queue_size`` raise :class:`~repro.exceptions.BackpressureError`
-  immediately instead of building an unbounded queue (the server maps
-  this to HTTP 503).  Queued jobs that share a pipeline-prefix group key
-  (same graph/labeling content and prefix parameters) are dispatched to
-  the same worker back-to-back, so one construct + reduce warms the
-  prefix cache for every search suffix behind it (``service.batch.*``
-  metrics; the batch position is stamped onto each job's trace);
+* a **bounded FIFO backlog** — submissions beyond ``queue_size`` raise
+  :class:`~repro.exceptions.BackpressureError` immediately instead of
+  building an unbounded queue (the server maps this to HTTP 503).  Each
+  idle worker takes the backlog head, one job at a time;
 * **per-job deadlines** — an absolute wall-clock instant stamped at
   submission (so time spent queued counts).  Workers poll it through the
   ``check_abort`` hook of :func:`repro.core.solver.mine`, turning an
@@ -21,18 +17,24 @@ manager side owns:
 * **crash detection and respawn** — every job handed to a worker is
   tracked from *dispatch*, not from the worker's ``started`` announcement:
   if a worker dies mid-job the announced job fails with the dead pid, and
-  jobs that were dispatched but never announced are either requeued (first
-  death) or failed (repeated deaths) — a crash can never strand a job in
+  a job that was dispatched but never announced is requeued (first death)
+  or failed (repeated deaths) — a crash can never strand a job in
   ``queued`` with its queue slot leaked.  Dead workers are replaced
   (counted as ``service.workers_respawned``).
+
+Each worker reports over its own one-way pipe, so no two processes share
+a result channel: killing one worker (which the pool does by design on a
+crash) can never corrupt the channel of another.  The collector waits on
+every worker's pipe and process sentinel at once, so a death is noticed
+as soon as it happens.
 
 Each worker process owns a private :class:`~repro.service.cache.
 SuperGraphCache`; with a shared ``--cache-dir`` it is composed over a
 :class:`~repro.service.diskcache.DiskPrefixCache` into a two-tier cache,
 so respawned workers and sibling replicas start warm.  Workers ship their
-cache-counter deltas back with every result; the manager folds them into
-the shared metrics registry so ``GET /metricsz`` aggregates over the whole
-pool.  Requests that reference a registered graph (``graph_digest``) are
+cache-counter deltas back with every result; the manager sums them into
+one counter dict that ``stats()`` and both ``GET /metricsz`` formats
+read.  Requests that reference a registered graph (``graph_digest``) are
 resolved against the shared :class:`~repro.service.registry.GraphRegistry`
 inside the worker, which primes the prefix cache with the registry's
 precomputed digests — a resolved job never re-hashes its instance.
@@ -44,33 +46,28 @@ request's ``trace_id``; the finished session is captured with
 :func:`~repro.telemetry.context.capture_session` and ships back with the
 terminal message, where the manager persists it as a per-job JSONL trace
 artifact (``GET /jobs/<id>/trace``) and folds the worker's metrics into
-the parent registry — skipping ``service.cache.*``/``service.diskcache.*``,
-whose delta path above is authoritative.  While the search runs, workers
-stream :class:`~repro.telemetry.progress.SearchProgress` heartbeats over
-the same results queue (``GET /jobs/<id>/progress``); every message
-doubles as a liveness heartbeat for the per-worker detail in
-``GET /healthz``.
+the parent registry.  While the search runs, workers stream
+:class:`~repro.telemetry.progress.SearchProgress` heartbeats over the
+same pipe (``GET /jobs/<id>/progress``); every message doubles as a
+liveness heartbeat for the per-worker detail in ``GET /healthz``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing as mp
-import queue
 import tempfile
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Any
 
 from repro.core.solver import mine
 from repro.exceptions import (
     BackpressureError,
-    DigestError,
     ReproError,
     SearchAbortedError,
     ServiceError,
@@ -100,29 +97,23 @@ rejected with backpressure."""
 
 _POLL_SECONDS = 0.2
 
-MAX_BATCH_SIZE = 8
-"""Cap on jobs dispatched to one worker per batch — enough to amortise a
-construct + reduce many times over, small enough that one hot prefix group
-cannot monopolise a worker while others idle."""
-
-GROUP_AFFINITY_MAX_WAIT_SECONDS = 2.0
-"""Backlog-head age beyond which a worker's warm-group preference is
-ignored.  Without this bound, a continuously arriving hot prefix group
-plus a small pool (e.g. ``workers=1``) could starve older jobs of other
-groups indefinitely while their deadlines expire in the queue; with it,
-FIFO order reasserts itself as soon as the head job has waited this long."""
-
 _MAX_DISPATCH_ATTEMPTS = 2
 """A job re-dispatched after this many worker deaths fails instead of
 being requeued again (it is probably what is killing the workers)."""
 
-# Cache-counter keys whose per-job deltas workers ship to the manager
-# (monotone counters only — gauges like "entries" do not difference).
-_DELTA_KEYS = (
-    "hits", "misses", "evictions",
-    "disk_hits", "disk_misses", "disk_evictions", "disk_writes",
-    "disk_corrupt",
-)
+_CACHE_METRICS = {
+    "hits": _metric.SERVICE_CACHE_HITS,
+    "misses": _metric.SERVICE_CACHE_MISSES,
+    "evictions": _metric.SERVICE_CACHE_EVICTIONS,
+    "disk_hits": _metric.SERVICE_DISKCACHE_HITS,
+    "disk_misses": _metric.SERVICE_DISKCACHE_MISSES,
+    "disk_evictions": _metric.SERVICE_DISKCACHE_EVICTIONS,
+    "disk_writes": _metric.SERVICE_DISKCACHE_WRITES,
+    "disk_corrupt": _metric.SERVICE_DISKCACHE_CORRUPT,
+}
+"""Cache ``counters()`` keys whose per-job deltas workers ship, mapped to
+their pool metric names (monotone counters only — gauges like "entries"
+do not difference)."""
 
 
 @dataclass(slots=True)
@@ -132,8 +123,7 @@ class Job:
     ``status`` walks ``queued -> running -> done | timeout | error``; the
     terminal payload lands in ``result`` (for ``done``) or ``error`` (a
     message, for ``timeout``/``error``).  ``wait()`` blocks until the job
-    reaches a terminal status.  ``group`` is the prefix-digest scheduling
-    group (None when the job's prefix is uncacheable or irrelevant).
+    reaches a terminal status.
     """
 
     id: str
@@ -146,7 +136,6 @@ class Job:
     finished_at: float | None = None
     worker_pid: int | None = None
     trace_id: str = ""
-    group: str | None = field(default=None, repr=False)
     dispatch_attempts: int = 0
     progress: dict[str, Any] | None = field(default=None, repr=False)
     trace_records: list[dict[str, Any]] | None = field(default=None, repr=False)
@@ -187,50 +176,6 @@ class Job:
         }
 
 
-def _group_key(request: dict[str, Any]) -> str | None:
-    """The prefix-digest scheduling group of a validated request.
-
-    Jobs with equal group keys provably share a prefix-cache key, so
-    dispatching them to one worker back-to-back turns all but the first
-    into warm-memory hits.  This is a cheap *grouping* key computed on the
-    manager's submission path, not the cache key itself: inline instances
-    hash their canonical JSON (no graph materialisation), registry
-    references reuse the upload digest, and
-    :func:`~repro.service.digest.prefix_digest_from_parts` adds the prefix
-    parameters by the cache key's own rule.  Returns None when the prefix
-    is uncacheable (non-reproducible shuffle, naive method) — such jobs
-    never group.
-    """
-    params = request["params"]
-    if params["method"] != "supergraph":
-        return None
-    digest = request.get("graph_digest")
-    if digest is not None:
-        base = f"digest:{digest}"
-        # The labeling kind is not known without loading the registry
-        # document; keep edge_order/seed in the key (worst case discrete
-        # jobs split into per-order groups that still share cache entries).
-        discrete = False
-    else:
-        doc = json.dumps(
-            {
-                "graph": request["graph"],
-                "labels": request["labels"],
-                "vertex_type": request["vertex_type"],
-            },
-            sort_keys=True, separators=(",", ":"),
-        )
-        base = "inline:" + hashlib.sha256(doc.encode("utf-8")).hexdigest()
-        discrete = request["labels"].get("type") == "discrete"
-    try:
-        return prefix_digest_from_parts(
-            base, "-", discrete=discrete, n_theta=params["n_theta"],
-            edge_order=params["edge_order"], seed=params["seed"],
-        )
-    except DigestError:
-        return None
-
-
 def _execute_request(
     request: dict[str, Any],
     cache: Any,
@@ -240,11 +185,10 @@ def _execute_request(
 ) -> dict[str, Any]:
     """Run one validated mining request; returns its result payload.
 
-    Shared by the worker processes and the CLI's in-process fallback
-    (``repro serve --workers 0`` is not offered, but tests exercise this
-    directly).  Raises :class:`SearchAbortedError` on deadline overrun and
-    :class:`~repro.exceptions.ServiceError` for unresolvable
-    ``graph_digest`` references.
+    The body of a worker's job, kept separate from the worker loop so
+    tests can run it in-process.  Raises :class:`SearchAbortedError` on
+    deadline overrun and :class:`~repro.exceptions.ServiceError` for
+    unresolvable ``graph_digest`` references.
     """
     params = request["params"]
     if request.get("graph_digest"):
@@ -292,36 +236,27 @@ def _execute_request(
 
 
 class _ProgressPublisher:
-    """Forwards a worker's progress snapshots onto the results queue.
+    """Forwards a worker's progress snapshots onto its result pipe.
 
     The solver's internal aggregator already throttles to ~10 snapshots a
-    second, so every received snapshot is forwarded as one small message;
-    a full pipe never blocks a search (``put_nowait`` + drop on overflow —
-    progress is best-effort, results are not).
+    second, so every received snapshot is sent as one small message.  The
+    collector reads every pipe continuously, so a send waits only while
+    the collector is behind — and the pipe is ordered, so no heartbeat
+    can overtake its job's terminal message.
     """
 
-    __slots__ = ("_results", "_job_id", "_pid")
+    __slots__ = ("_results",)
 
-    def __init__(self, results: "mp.queues.Queue", job_id: str, pid: int) -> None:
+    def __init__(self, results: Connection) -> None:
         self._results = results
-        self._job_id = job_id
-        self._pid = pid
 
     def __call__(self, snapshot: SearchProgress) -> None:
-        try:
-            self._results.put_nowait({
-                "kind": "progress",
-                "job_id": self._job_id,
-                "pid": self._pid,
-                "body": snapshot.to_payload(),
-            })
-        except queue.Full:  # pragma: no cover - heartbeats are best-effort
-            pass
+        self._results.send({"kind": "progress", "body": snapshot.to_payload()})
 
 
 def _worker_main(
     tasks: "mp.queues.Queue",
-    results: "mp.queues.Queue",
+    results: Connection,
     cache_size: int,
     cache_dir: str | None = None,
     cache_bytes: int | None = None,
@@ -331,18 +266,15 @@ def _worker_main(
 
     Runs in the child process — keep it importable at module level so the
     ``spawn`` start method can pickle it.  ``tasks`` is this worker's
-    *private* queue: the manager decides placement (digest-grouped
-    batching), workers just drain in order.  The prefix cache lives for
-    the worker's lifetime — in-memory only by default, tiered over the
-    shared on-disk store when ``cache_dir`` is set — and its counter
-    deltas ride back on every result message so the parent can aggregate
-    pool-wide cache metrics.
+    *private* queue, fed one job at a time, and ``results`` the write end
+    of its own pipe.  The prefix cache lives for the worker's lifetime —
+    in-memory only by default, tiered over the shared on-disk store when
+    ``cache_dir`` is set.
 
-    Messages are dicts ``{"kind", "job_id", "pid", "body", ...}``; the
-    terminal kinds (``done``/``timeout``/``error``) additionally carry the
-    cache ``delta`` and, for traced jobs, the captured ``telemetry``
-    payload.  Queue FIFO ordering guarantees the terminal message arrives
-    after every progress heartbeat of its job.
+    Messages are dicts ``{"kind", "body", ...}``; the terminal kinds
+    (``done``/``timeout``/``error``) additionally carry the cache counter
+    ``delta`` (keyed by pool metric name) and, for traced jobs, the
+    captured ``telemetry`` payload.
     """
     memory = SuperGraphCache(max_entries=cache_size)
     if cache_dir is not None:
@@ -353,6 +285,7 @@ def _worker_main(
         cache = memory
     registry = None if registry_dir is None else GraphRegistry(registry_dir)
     pid = mp.current_process().pid
+    publisher = _ProgressPublisher(results)
     last = cache.counters()
     while True:
         item = tasks.get()
@@ -362,24 +295,16 @@ def _worker_main(
         request = item["request"]
         deadline = item["deadline"]
         trace_id = item["trace_id"]
-        batch = item.get("batch")
-        results.put({"kind": "started", "job_id": job_id, "pid": pid})
-        publisher = _ProgressPublisher(results, job_id, pid)
+        results.send({"kind": "started", "body": pid})
         telemetry_payload = None
         try:
             if request.get("trace", True):
                 with telemetry_session() as (tracer, metrics):
                     try:
-                        span_attrs = dict(
+                        with tracer.span(
+                            "service.job",
                             trace_id=trace_id, job_id=job_id, pid=pid,
-                        )
-                        if batch is not None:
-                            span_attrs.update(
-                                batch_group=batch["group"],
-                                batch_index=batch["index"],
-                                batch_size=batch["size"],
-                            )
-                        with tracer.span("service.job", **span_attrs):
+                        ):
                             payload = _execute_request(
                                 request, cache, deadline,
                                 progress=publisher, registry=registry,
@@ -405,32 +330,51 @@ def _worker_main(
             kind, body = "error", f"{type(exc).__name__}: {exc}"
         current = cache.counters()
         delta = {
-            key: current[key] - last.get(key, 0)
-            for key in _DELTA_KEYS
-            if key in current
+            name: current.get(key, 0) - last.get(key, 0)
+            for key, name in _CACHE_METRICS.items()
         }
         last = current
-        results.put({
+        results.send({
             "kind": kind,
-            "job_id": job_id,
-            "pid": pid,
             "body": body,
             "delta": delta,
             "telemetry": telemetry_payload,
         })
 
 
+@dataclass(slots=True, eq=False)
+class _Worker:
+    """One pool process and everything the manager tracks about it.
+
+    ``results`` is the read end of the worker's own one-way pipe (the
+    worker holds the only write end, so end-of-file means it is gone).
+    ``job`` is the one job the worker holds, from dispatch until its
+    terminal message or the worker's death.
+    """
+
+    process: mp.process.BaseProcess
+    tasks: "mp.queues.Queue"
+    results: Connection
+    job: Job | None = None
+    last_heartbeat: float = field(default_factory=time.time)
+
+    def close_channels(self) -> None:
+        """Release both channels; never waits on a dead reader."""
+        self.tasks.cancel_join_thread()
+        self.tasks.close()
+        self.results.close()
+
+
 class JobManager:
     """Bounded job backlog feeding a self-healing worker pool.
 
     ``submit`` enqueues a validated request and returns a :class:`Job`
-    handle immediately; the manager dispatches backlog jobs onto
-    per-worker queues (grouping same-prefix jobs onto one worker), a
-    background collector thread applies worker results to the handles and
-    respawns crashed workers.  ``close`` drains the pool and fails every
-    job that has not reached a terminal state — a waiter can never hang
-    across shutdown.  All public methods are thread-safe (the HTTP server
-    calls them from many handler threads).
+    handle immediately; each idle worker takes the backlog head, and a
+    background collector thread applies worker messages to the handles
+    and respawns crashed workers.  ``close`` drains the pool and fails
+    every job that has not reached a terminal state — a waiter can never
+    hang across shutdown.  All public methods are thread-safe (the HTTP
+    server calls them from many handler threads).
     """
 
     def __init__(
@@ -457,38 +401,30 @@ class JobManager:
         self._cache_bytes = cache_bytes
         self._registry_dir = None if registry_dir is None else str(registry_dir)
         self._ctx = mp.get_context("spawn")
-        self._results: mp.queues.Queue = self._ctx.Queue()
         self._lock = threading.RLock()
         self._jobs: dict[str, Job] = {}
         self._pending = 0  # queued + running, bounded by queue_size
         self._backlog: deque[Job] = deque()
-        self._workers: list[mp.process.BaseProcess] = []
-        self._queues: dict[int, mp.queues.Queue] = {}  # pid -> task queue
-        self._dispatched: dict[int, deque[str]] = {}  # pid -> job ids, FIFO
-        self._last_group: dict[int, str | None] = {}
-        self._running_on: dict[int, str] = {}  # pid -> announced job id
-        self._worker_info: dict[int, dict[str, Any]] = {}
         self._closed = False
-        self.workers_respawned = 0
-        self.cache_counters = {"hits": 0, "misses": 0, "evictions": 0}
-        self.diskcache_counters = {
-            "hits": 0, "misses": 0, "evictions": 0, "writes": 0, "corrupt": 0,
-        }
-        self.batch_counters = {"dispatches": 0, "grouped_jobs": 0}
-        for _ in range(workers):
-            self._workers.append(self._spawn_worker())
+        # The pool's counters, by metric name: the sum of every worker's
+        # cache deltas, plus respawns.
+        self._counters = dict.fromkeys(
+            (*_CACHE_METRICS.values(), _metric.SERVICE_WORKERS_RESPAWNED), 0
+        )
+        self._workers = [self._spawn_worker() for _ in range(workers)]
         self._collector = threading.Thread(
             target=self._collect, name="repro-service-collector", daemon=True
         )
         self._collector.start()
 
     # -- lifecycle -----------------------------------------------------
-    def _spawn_worker(self) -> mp.process.BaseProcess:
+    def _spawn_worker(self) -> _Worker:
         tasks: mp.queues.Queue = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
-                tasks, self._results, self._cache_size,
+                tasks, writer, self._cache_size,
                 self._cache_dir, self._cache_bytes, self._registry_dir,
             ),
             # Daemonic: a parent that exits without calling close() has
@@ -496,14 +432,8 @@ class JobManager:
             daemon=True,
         )
         process.start()
-        self._queues[process.pid] = tasks
-        self._dispatched[process.pid] = deque()
-        self._last_group[process.pid] = None
-        self._worker_info[process.pid] = {
-            "spawned_at": time.time(),
-            "last_heartbeat": time.time(),
-        }
-        return process
+        writer.close()  # the child now holds the only write end
+        return _Worker(process, tasks, reader)
 
     def trace_dir(self) -> Path:
         """The directory job trace artifacts are written to (lazily created)."""
@@ -531,19 +461,18 @@ class JobManager:
             for job in self._jobs.values():
                 if job.status in ("queued", "running"):
                     self._finish(job, "error", "service shutting down")
-            task_queues = list(self._queues.values())
-        for tasks in task_queues:
-            try:
-                tasks.put_nowait(None)
-            except queue.Full:  # pragma: no cover - tiny sentinel race
-                pass
+            workers = list(self._workers)
+        for worker in workers:
+            worker.tasks.put(None)
         deadline = time.time() + timeout
-        for process in self._workers:
-            process.join(max(0.0, deadline - time.time()))
-            if process.is_alive():
-                process.terminate()
-                process.join(1.0)
+        for worker in workers:
+            worker.process.join(max(0.0, deadline - time.time()))
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(1.0)
         self._collector.join(timeout=2.0)
+        for worker in workers:
+            worker.close_channels()
 
     def __enter__(self) -> "JobManager":
         return self
@@ -577,7 +506,6 @@ class JobManager:
             deadline=deadline,
             submitted_at=now,
             trace_id=trace_id or new_trace_id(),
-            group=_group_key(request),
         )
         with self._lock:
             if self._closed:
@@ -606,121 +534,49 @@ class JobManager:
             by_status: dict[str, int] = {}
             for job in self._jobs.values():
                 by_status[job.status] = by_status.get(job.status, 0) + 1
-            worker_detail = []
-            for process in self._workers:
-                pid = process.pid
-                info = self._worker_info.get(pid, {})
-                job_id = self._running_on.get(pid)
-                heartbeat = info.get("last_heartbeat")
-                busy = job_id is not None or bool(self._dispatched.get(pid))
-                worker_detail.append({
-                    "pid": pid,
-                    "alive": process.is_alive(),
-                    "state": "busy" if busy else "idle",
-                    "job_id": job_id,
-                    "seconds_since_heartbeat": (
-                        None if heartbeat is None
-                        else round(max(0.0, now - heartbeat), 3)
+            worker_detail = [
+                {
+                    "pid": worker.process.pid,
+                    "alive": worker.process.is_alive(),
+                    "state": "idle" if worker.job is None else "busy",
+                    "job_id": None if worker.job is None else worker.job.id,
+                    "seconds_since_heartbeat": round(
+                        max(0.0, now - worker.last_heartbeat), 3
                     ),
-                })
+                }
+                for worker in self._workers
+            ]
             return {
                 "workers": len(self._workers),
-                "workers_alive": sum(
-                    1 for p in self._workers if p.is_alive()
-                ),
-                "workers_respawned": self.workers_respawned,
+                "workers_alive": sum(d["alive"] for d in worker_detail),
+                "workers_respawned":
+                    self._counters[_metric.SERVICE_WORKERS_RESPAWNED],
                 "worker_detail": worker_detail,
                 "jobs_in_flight": self._pending,
                 "backlog": len(self._backlog),
                 "queue_size": self._queue_size,
                 "jobs_by_status": dict(sorted(by_status.items())),
-                "cache": dict(self.cache_counters),
-                "diskcache": dict(self.diskcache_counters),
-                "batch": dict(self.batch_counters),
+                "counters": dict(self._counters),
             }
 
     # -- dispatch ------------------------------------------------------
-    def _take_batch_locked(self, preferred: str | None) -> list[Job]:
-        """Pull the next batch off the backlog (caller holds the lock).
-
-        Prefers jobs matching the worker's last-dispatched group (its
-        prefix cache is warm for them), else batches the head job with
-        every same-group job behind it.  Affinity is bounded by an aging
-        rule: once the backlog head has waited longer than
-        :data:`GROUP_AFFINITY_MAX_WAIT_SECONDS`, the head's group is served
-        regardless of preference, so a continuously hot group can never
-        starve older jobs.  Ungrouped jobs (``group=None``) dispatch alone.
-        Bounded by :data:`MAX_BATCH_SIZE`.
-        """
-        if not self._backlog:
-            return []
-        head = self._backlog[0]
-        head_is_stale = (
-            head.group != preferred
-            and time.time() - head.submitted_at
-            > GROUP_AFFINITY_MAX_WAIT_SECONDS
-        )
-        group: str | None = None
-        if (
-            preferred is not None
-            and not head_is_stale
-            and any(job.group == preferred for job in self._backlog)
-        ):
-            group = preferred
-        else:
-            group = head.group
-            if group is None:
-                job = self._backlog.popleft()
-                return [job]
-        batch: list[Job] = []
-        kept: deque[Job] = deque()
-        while self._backlog:
-            job = self._backlog.popleft()
-            if job.group == group and len(batch) < MAX_BATCH_SIZE:
-                batch.append(job)
-            else:
-                kept.append(job)
-        self._backlog.extend(kept)
-        return batch
-
     def _dispatch_locked(self) -> None:
-        """Hand backlog jobs to idle workers (caller holds the lock)."""
+        """Hand the backlog head to each idle worker (caller holds the lock)."""
         if self._closed:
             return
-        for process in self._workers:
+        for worker in self._workers:
             if not self._backlog:
                 return
-            pid = process.pid
-            if not process.is_alive():
+            if worker.job is not None or not worker.process.is_alive():
                 continue
-            if self._dispatched.get(pid):
-                continue  # worker has unfinished dispatched work
-            batch = self._take_batch_locked(self._last_group.get(pid))
-            if not batch:
-                return
-            group = batch[0].group
-            self._last_group[pid] = group
-            size = len(batch)
-            owned = self._dispatched.setdefault(pid, deque())
-            for index, job in enumerate(batch):
-                job.dispatch_attempts += 1
-                owned.append(job.id)
-                task = {
-                    "job_id": job.id,
-                    "request": job.request,
-                    "deadline": job.deadline,
-                    "trace_id": job.trace_id,
-                    "batch": None if group is None else {
-                        "group": group, "index": index, "size": size,
-                    },
-                }
-                self._queues[pid].put(task)
-            self.batch_counters["dispatches"] += 1
-            self.batch_counters["grouped_jobs"] += max(0, size - 1)
-            self._count(_metric.SERVICE_BATCH_DISPATCHES)
-            self._count(_metric.SERVICE_BATCH_GROUPED_JOBS, size - 1)
-            if _TELEMETRY.enabled:
-                _TELEMETRY.metrics.observe(_metric.SERVICE_BATCH_SIZE, size)
+            job = worker.job = self._backlog.popleft()
+            job.dispatch_attempts += 1
+            worker.tasks.put({
+                "job_id": job.id,
+                "request": job.request,
+                "deadline": job.deadline,
+                "trace_id": job.trace_id,
+            })
 
     # -- collector -----------------------------------------------------
     def _count(self, name: str, value: int = 1) -> None:
@@ -728,60 +584,60 @@ class JobManager:
         if value and _TELEMETRY.enabled:
             _TELEMETRY.metrics.count(name, value)
 
-    def _heartbeat(self, pid: int) -> None:
-        # Caller holds the lock.
-        info = self._worker_info.get(pid)
-        if info is not None:
-            info["last_heartbeat"] = time.time()
-
     def _collect(self) -> None:
         while True:
-            try:
-                message = self._results.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
+            with self._lock:
                 if self._closed:
                     return
-                self._reap_dead_workers()
-                continue
-            kind = message["kind"]
-            job_id = message["job_id"]
-            pid = message["pid"]
-            with self._lock:
-                job = self._jobs.get(job_id)
-            if job is None:  # pragma: no cover - cancelled out of band
-                continue
+                handles: dict[Any, _Worker] = {}
+                for worker in self._workers:
+                    handles[worker.results] = worker
+                    handles[worker.process.sentinel] = worker
+            ready = wait(list(handles), timeout=_POLL_SECONDS)
+            for worker in dict.fromkeys(handles[handle] for handle in ready):
+                self._serve(worker)
+
+    def _serve(self, worker: _Worker) -> None:
+        """Apply every message waiting on ``worker``'s pipe; reap it if dead.
+
+        A dying worker's last messages are drained before the reap, so a
+        job it finished is never failed, and a pipe at end-of-file means
+        the worker can report nothing more.
+        """
+        try:
+            while worker.results.poll():
+                self._apply(worker, worker.results.recv())
+        except (EOFError, OSError):
+            pass
+        else:
+            if worker.process.is_alive():
+                return
+        self._reap(worker)
+
+    def _apply(self, worker: _Worker, message: dict[str, Any]) -> None:
+        # A worker only sends while it holds the job it was handed.
+        kind = message["kind"]
+        job = worker.job
+        telemetry = message.get("telemetry")
+        if telemetry is not None:
+            self._absorb_telemetry(job, telemetry)
+        with self._lock:
+            worker.last_heartbeat = time.time()
             if kind == "started":
-                with self._lock:
-                    if job.status == "queued":
-                        job.status = "running"
-                    job.worker_pid = pid
-                    self._running_on[pid] = job_id
-                    self._heartbeat(pid)
-                continue
-            if kind == "progress":
-                with self._lock:
-                    if job.status == "running":
-                        job.progress = message["body"]
-                    self._heartbeat(pid)
-                self._count(_metric.SERVICE_PROGRESS_UPDATES)
-                continue
-            delta = message.get("delta")
-            if delta:
-                self._fold_cache_delta(delta)
-            telemetry = message.get("telemetry")
-            if telemetry is not None:
-                self._absorb_telemetry(job, telemetry)
-            with self._lock:
-                self._running_on.pop(pid, None)
-                owned = self._dispatched.get(pid)
-                if owned is not None:
-                    try:
-                        owned.remove(job_id)
-                    except ValueError:  # pragma: no cover - requeued job
-                        pass
-                self._heartbeat(pid)
+                if job.status == "queued":
+                    job.status = "running"
+                job.worker_pid = message["body"]
+            elif kind == "progress":
+                if job.status == "running":
+                    job.progress = message["body"]
+            else:
+                for name, value in message["delta"].items():
+                    self._counters[name] += value
+                worker.job = None
                 self._finish(job, kind, message["body"])
                 self._dispatch_locked()
+        if kind == "progress":
+            self._count(_metric.SERVICE_PROGRESS_UPDATES)
 
     def _absorb_telemetry(self, job: Job, payload: dict[str, Any]) -> None:
         """Persist a job's captured telemetry and fold it into the parent.
@@ -789,9 +645,7 @@ class JobManager:
         The trace artifact and in-memory records are built whether or not
         telemetry is enabled in the *parent* process — the worker already
         paid for them, and ``GET /jobs/<id>/trace`` should work either
-        way.  The registry merge is gated on the parent's telemetry state,
-        and skips ``service.cache.*``/``service.diskcache.*`` (the
-        delta-fold path above already accounts for those).
+        way.  The registry merge is gated on the parent's telemetry state.
         """
         try:
             job.trace_records = payload_records(payload, job_id=job.id)
@@ -827,89 +681,39 @@ class JobManager:
             }[kind]
             _TELEMETRY.metrics.count(metric)
 
-    def _fold_cache_delta(self, delta: dict[str, int]) -> None:
-        with self._lock:
-            for key in ("hits", "misses", "evictions"):
-                self.cache_counters[key] += delta.get(key, 0)
-            self.diskcache_counters["hits"] += delta.get("disk_hits", 0)
-            self.diskcache_counters["misses"] += delta.get("disk_misses", 0)
-            self.diskcache_counters["evictions"] += delta.get(
-                "disk_evictions", 0
-            )
-            self.diskcache_counters["writes"] += delta.get("disk_writes", 0)
-            self.diskcache_counters["corrupt"] += delta.get("disk_corrupt", 0)
-        # The workers' process-local telemetry never reaches this process,
-        # so mirror the deltas into the parent registry here.
-        self._count(_metric.SERVICE_CACHE_HITS, delta.get("hits", 0))
-        self._count(_metric.SERVICE_CACHE_MISSES, delta.get("misses", 0))
-        self._count(_metric.SERVICE_CACHE_EVICTIONS, delta.get("evictions", 0))
-        self._count(_metric.SERVICE_DISKCACHE_HITS, delta.get("disk_hits", 0))
-        self._count(
-            _metric.SERVICE_DISKCACHE_MISSES, delta.get("disk_misses", 0)
-        )
-        self._count(
-            _metric.SERVICE_DISKCACHE_EVICTIONS, delta.get("disk_evictions", 0)
-        )
-        self._count(
-            _metric.SERVICE_DISKCACHE_WRITES, delta.get("disk_writes", 0)
-        )
-        self._count(
-            _metric.SERVICE_DISKCACHE_CORRUPT, delta.get("disk_corrupt", 0)
-        )
+    def _reap(self, worker: _Worker) -> None:
+        """Settle a dead worker's job and start its replacement.
 
-    def _reap_dead_workers(self) -> None:
+        An announced job fails with the dead pid.  A job dispatched but
+        never announced goes back to the backlog head once; a second death
+        fails it (it is probably what is killing the workers).
+        """
         with self._lock:
             if self._closed:
                 return
-            dead = [p for p in self._workers if not p.is_alive()]
-            if not dead:
-                return
-            for process in dead:
-                pid = process.pid
-                self._workers.remove(process)
-                self._worker_info.pop(pid, None)
-                self._last_group.pop(pid, None)
-                tasks = self._queues.pop(pid, None)
-                if tasks is not None:
-                    # Drop the dead worker's private queue; its feeder
-                    # thread would otherwise linger.
-                    tasks.cancel_join_thread()
-                    tasks.close()
-                announced = self._running_on.pop(pid, None)
-                if announced is not None:
-                    job = self._jobs.get(announced)
-                    if job is not None:
-                        self._finish(
-                            job,
-                            "error",
-                            f"worker process {pid} died "
-                            f"(exit code {process.exitcode})",
-                        )
-                # Jobs dispatched to the dead worker but never announced
-                # (sitting in its private queue, or dequeued in the
-                # crash window before "started") would otherwise leak in
-                # ``queued`` forever: requeue them once, fail repeat
-                # offenders.
-                requeue: list[Job] = []
-                for job_id in self._dispatched.pop(pid, ()):  # FIFO order
-                    job = self._jobs.get(job_id)
-                    if job is None or job.status != "queued":
-                        continue
-                    if job.dispatch_attempts >= _MAX_DISPATCH_ATTEMPTS:
-                        self._finish(
-                            job,
-                            "error",
-                            f"worker process {pid} died before the job "
-                            f"started ({job.dispatch_attempts} dispatch "
-                            "attempts)",
-                        )
-                    else:
-                        requeue.append(job)
-                for job in reversed(requeue):
+            process = worker.process
+            if process.is_alive():  # its pipe broke: finish it off
+                process.kill()
+            process.join(1.0)
+            worker.close_channels()
+            self._workers.remove(worker)
+            job = worker.job
+            if job is not None and job.status == "running":
+                self._finish(
+                    job, "error",
+                    f"worker process {process.pid} died "
+                    f"(exit code {process.exitcode})",
+                )
+            elif job is not None and job.status == "queued":
+                if job.dispatch_attempts >= _MAX_DISPATCH_ATTEMPTS:
+                    self._finish(
+                        job, "error",
+                        f"worker process {process.pid} died before the job "
+                        f"started ({job.dispatch_attempts} dispatch "
+                        "attempts)",
+                    )
+                else:
                     self._backlog.appendleft(job)
-            respawned = len(dead)
-            self.workers_respawned += respawned
-            for _ in range(respawned):
-                self._workers.append(self._spawn_worker())
+            self._counters[_metric.SERVICE_WORKERS_RESPAWNED] += 1
+            self._workers.append(self._spawn_worker())
             self._dispatch_locked()
-        self._count(_metric.SERVICE_WORKERS_RESPAWNED, respawned)

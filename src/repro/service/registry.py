@@ -17,8 +17,8 @@ itself is never hashed again.  (Continuous keys also cover the order
 Algorithm 2 scans the solver's working copy in, so the solver hashes
 that itself.)  Workers memoise materialised instances in
 a small LRU keyed by digest, so back-to-back jobs over the same graph
-(exactly what digest-grouped scheduling produces) reuse one object, which
-also keeps the prefix cache's identity-keyed memo hot.
+reuse one object, which also keeps the prefix cache's identity-keyed memo
+hot.
 
 Writes are atomic (same temp-file + ``os.replace`` discipline as the disk
 cache), so replicas sharing a registry directory never observe partial
@@ -228,8 +228,8 @@ class GraphRegistry:
 
         Raises :class:`~repro.exceptions.ServiceError` for unknown (or
         unreadable) digests.  Resolutions are memoised in a small LRU, so
-        back-to-back jobs over one graph — the digest-grouped scheduler's
-        steady state — share a single materialised instance.
+        back-to-back jobs over one graph share a single materialised
+        instance.
         """
         with self._lock:
             cached = self._resolved.get(digest)

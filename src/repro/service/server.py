@@ -75,6 +75,14 @@ small enough to stop accidental multi-gigabyte uploads."""
 _SYNC_POLL_SECONDS = 30.0
 
 
+class _BodyError(Exception):
+    """A request body that cannot be read; carries the response status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler; the owning :class:`MiningService` is ``server.service``."""
 
@@ -114,6 +122,32 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("X-Trace-Id", trace_id)
         self.end_headers()
         self.wfile.write(body)
+
+    def _read_json_body(self) -> Any:
+        """The request body decoded as JSON (an empty body reads as null).
+
+        Raises :class:`_BodyError`: 400 for a ``Content-Length`` that is
+        not a non-negative integer or a body that is not JSON, 413 for one
+        over the size limit.  The connection is closed after such an error,
+        since any unread body would otherwise be parsed as the next request.
+        """
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        limit = self.service.max_request_bytes
+        if length < 0:
+            self.close_connection = True
+            raise _BodyError(400, f"invalid Content-Length {header!r}")
+        if length > limit:
+            self.close_connection = True
+            raise _BodyError(413, f"request body exceeds {limit} bytes")
+        raw = self.rfile.read(length)
+        try:
+            return json.loads(raw or b"null")
+        except json.JSONDecodeError as exc:
+            raise _BodyError(400, f"request body is not JSON: {exc}") from None
 
     def _observe(self, started: float, trace_id: str) -> None:
         elapsed = time.monotonic() - started
@@ -218,22 +252,10 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path != "/graphs":
                 self._send_json(404, {"error": "unknown route"}, trace_id)
                 return
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > self.service.max_request_bytes:
-                self._send_json(
-                    413,
-                    {"error": f"request body exceeds "
-                              f"{self.service.max_request_bytes} bytes"},
-                    trace_id,
-                )
-                return
-            raw = self.rfile.read(length)
             try:
-                document = json.loads(raw or b"null")
-            except json.JSONDecodeError as exc:
-                self._send_json(
-                    400, {"error": f"request body is not JSON: {exc}"}, trace_id
-                )
+                document = self._read_json_body()
+            except _BodyError as exc:
+                self._send_json(exc.status, {"error": str(exc)}, trace_id)
                 return
             try:
                 summary = self.service.registry.put_document(document)
@@ -255,22 +277,10 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path != "/mine":
                 self._send_json(404, {"error": "unknown route"}, trace_id)
                 return
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > self.service.max_request_bytes:
-                self._send_json(
-                    413,
-                    {"error": f"request body exceeds "
-                              f"{self.service.max_request_bytes} bytes"},
-                    trace_id,
-                )
-                return
-            raw = self.rfile.read(length)
             try:
-                request = validate_request(json.loads(raw or b"null"))
-            except json.JSONDecodeError as exc:
-                self._send_json(
-                    400, {"error": f"request body is not JSON: {exc}"}, trace_id
-                )
+                request = validate_request(self._read_json_body())
+            except _BodyError as exc:
+                self._send_json(exc.status, {"error": str(exc)}, trace_id)
                 return
             except RequestValidationError as exc:
                 self._send_json(400, {"error": str(exc)}, trace_id)
@@ -376,30 +386,21 @@ class MiningService:
     def metrics_snapshot(self) -> dict[str, Any]:
         """Service metrics for ``GET /metricsz``.
 
-        Pool/cache counters are always present (aggregated across worker
-        processes); when a telemetry session is active in this process its
-        registry snapshot is merged in under the same keys.
+        When a telemetry session is active in this process its registry
+        snapshot comes first; the pool counters (cache tiers aggregated
+        across worker processes, respawns) and pool gauges are always
+        present and win over registry entries of the same name, exactly
+        as in :meth:`prometheus_metrics`.
         """
         stats = self.manager.stats()
-        snapshot: dict[str, Any] = {
-            _metric.SERVICE_CACHE_HITS: stats["cache"]["hits"],
-            _metric.SERVICE_CACHE_MISSES: stats["cache"]["misses"],
-            _metric.SERVICE_CACHE_EVICTIONS: stats["cache"]["evictions"],
-            _metric.SERVICE_DISKCACHE_HITS: stats["diskcache"]["hits"],
-            _metric.SERVICE_DISKCACHE_MISSES: stats["diskcache"]["misses"],
-            _metric.SERVICE_DISKCACHE_EVICTIONS: stats["diskcache"]["evictions"],
-            _metric.SERVICE_DISKCACHE_WRITES: stats["diskcache"]["writes"],
-            _metric.SERVICE_DISKCACHE_CORRUPT: stats["diskcache"]["corrupt"],
-            _metric.SERVICE_BATCH_DISPATCHES: stats["batch"]["dispatches"],
-            _metric.SERVICE_BATCH_GROUPED_JOBS: stats["batch"]["grouped_jobs"],
-            _metric.SERVICE_WORKERS_RESPAWNED: stats["workers_respawned"],
+        snapshot = _TELEMETRY.metrics.snapshot() if _TELEMETRY.enabled else {}
+        snapshot.update(stats["counters"])
+        snapshot.update({
             "service.graphs_registered_total": len(self.registry),
             "service.jobs_in_flight": stats["jobs_in_flight"],
             "service.jobs_by_status": stats["jobs_by_status"],
             "service.workers_alive": stats["workers_alive"],
-        }
-        if _TELEMETRY.enabled:
-            snapshot.update(_TELEMETRY.metrics.snapshot())
+        })
         return snapshot
 
     def prometheus_metrics(self) -> str:
@@ -407,29 +408,15 @@ class MiningService:
 
         Exports the full registry state (which, thanks to the collector's
         cross-process merge, aggregates the workers' ``search.*`` and
-        ``solver.*`` metrics) plus the pool/cache statistics; pool-level
-        series win over registry entries of the same name so aggregated
-        values are never exported twice.
+        ``solver.*`` metrics) plus the pool statistics; pool-level series
+        win over registry entries of the same name so aggregated values
+        are never exported twice.
         """
         stats = self.manager.stats()
         state = _TELEMETRY.metrics.to_state() if _TELEMETRY.enabled else None
         return render_prometheus(
             state,
-            counters={
-                _metric.SERVICE_CACHE_HITS: stats["cache"]["hits"],
-                _metric.SERVICE_CACHE_MISSES: stats["cache"]["misses"],
-                _metric.SERVICE_CACHE_EVICTIONS: stats["cache"]["evictions"],
-                _metric.SERVICE_DISKCACHE_HITS: stats["diskcache"]["hits"],
-                _metric.SERVICE_DISKCACHE_MISSES: stats["diskcache"]["misses"],
-                _metric.SERVICE_DISKCACHE_EVICTIONS:
-                    stats["diskcache"]["evictions"],
-                _metric.SERVICE_DISKCACHE_WRITES: stats["diskcache"]["writes"],
-                _metric.SERVICE_DISKCACHE_CORRUPT: stats["diskcache"]["corrupt"],
-                _metric.SERVICE_BATCH_DISPATCHES: stats["batch"]["dispatches"],
-                _metric.SERVICE_BATCH_GROUPED_JOBS:
-                    stats["batch"]["grouped_jobs"],
-                _metric.SERVICE_WORKERS_RESPAWNED: stats["workers_respawned"],
-            },
+            counters=stats["counters"],
             gauges={
                 "service.jobs_in_flight": stats["jobs_in_flight"],
                 "service.workers_alive": stats["workers_alive"],

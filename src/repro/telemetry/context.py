@@ -10,11 +10,9 @@ serialised back.  This module defines the wire shape for that round trip:
    span records, a lossless metrics state) that travels over the result
    pipe alongside the mining result.
 2. The parent folds the payload's metrics into its own registry with
-   :func:`merge_payload_metrics` — excluding ``service.cache.*`` by
-   default, because the worker's :class:`~repro.service.cache.
-   SuperGraphCache` counts those into the worker session *and* ships an
-   authoritative cache delta with the result; merging both would double
-   count.
+   :func:`merge_payload_metrics`.  Prefix-cache counters are not in the
+   payload: the cache keeps plain attribute counters, which the job
+   manager sums from per-job deltas into the pool's counters.
 3. :func:`write_job_trace` persists the payload as a per-job JSONL trace
    artifact (meta record + spans + metrics) in the same schema
    :meth:`~repro.telemetry.span.Tracer.write_jsonl` writes, so ``repro
@@ -38,28 +36,12 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.span import SCHEMA_VERSION, Tracer
 
 __all__ = [
-    "DEFAULT_MERGE_EXCLUDES",
     "capture_session",
     "merge_payload_metrics",
     "new_trace_id",
     "payload_records",
     "write_job_trace",
 ]
-
-DEFAULT_MERGE_EXCLUDES: tuple[str, ...] = (
-    "service.cache.",
-    "service.diskcache.",
-)
-"""Metric-name prefixes skipped by :func:`merge_payload_metrics`.
-
-The super-graph prefix cache instruments ``service.cache.*`` (and its
-on-disk tier ``service.diskcache.*``) inside the worker's telemetry
-session and *also* reports per-job deltas that the job manager folds into
-the parent registry; the delta path is authoritative (it works even with
-telemetry disabled in the worker), so the session copy must not be merged
-a second time.
-"""
-
 
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id (the service's trace-id format)."""
@@ -94,30 +76,19 @@ def capture_session(
 
 
 def merge_payload_metrics(
-    registry: MetricsRegistry,
-    payload: dict[str, Any],
-    *,
-    exclude_prefixes: tuple[str, ...] = DEFAULT_MERGE_EXCLUDES,
+    registry: MetricsRegistry, payload: dict[str, Any]
 ) -> int:
     """Fold a payload's metrics state into ``registry``.
 
-    Names starting with any of ``exclude_prefixes`` are skipped (see
-    :data:`DEFAULT_MERGE_EXCLUDES` for why the cache namespace defaults
-    out).  Returns the number of metric names merged.
+    Returns the number of metric names merged.
     """
     state = payload.get("metrics") or {}
-    merged = 0
-    filtered: dict[str, dict[str, Any]] = {}
-    for group in ("counters", "gauges", "histograms"):
-        kept = {
-            name: value
-            for name, value in state.get(group, {}).items()
-            if not name.startswith(exclude_prefixes)
-        }
-        filtered[group] = kept
-        merged += len(kept)
+    merged = sum(
+        len(state.get(group, {}))
+        for group in ("counters", "gauges", "histograms")
+    )
     if merged:
-        registry.merge_state(filtered)
+        registry.merge_state(state)
     return merged
 
 

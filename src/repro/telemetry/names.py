@@ -41,9 +41,6 @@ __all__ = [
     "SEARCH_STATES_PRUNED",
     "SEARCH_STATES_VISITED",
     "SEARCH_TESTABILITY_CUTS",
-    "SERVICE_BATCH_DISPATCHES",
-    "SERVICE_BATCH_GROUPED_JOBS",
-    "SERVICE_BATCH_SIZE",
     "SERVICE_CACHE_EVICTIONS",
     "SERVICE_CACHE_HITS",
     "SERVICE_CACHE_MISSES",
@@ -179,6 +176,9 @@ SUPERGRAPH_MERGE_ABSORBED_SIZE = "supergraph.merge_absorbed_size"
 """Histogram: size of the smaller group absorbed by each merge."""
 
 # --- serving layer (repro.service) ------------------------------------
+# The service.cache.* / service.diskcache.* names are pool counters: the
+# job manager sums them from per-job worker deltas, and no telemetry
+# session records them.
 SERVICE_CACHE_HITS = "service.cache.hits"
 """Counter: super-graph prefix cache lookups answered from the cache."""
 
@@ -207,17 +207,6 @@ and unlinked; a corrupt artifact is never an error)."""
 
 SERVICE_GRAPHS_REGISTERED = "service.graphs_registered"
 """Counter: graph documents stored in the registry via ``PUT /graphs``."""
-
-SERVICE_BATCH_DISPATCHES = "service.batch.dispatches"
-"""Counter: batches handed to a worker by the digest-grouped scheduler
-(singleton dispatches included)."""
-
-SERVICE_BATCH_GROUPED_JOBS = "service.batch.grouped_jobs"
-"""Counter: jobs that rode a multi-job batch behind a same-prefix leader
-(i.e. jobs expected to hit the leader's freshly warmed prefix)."""
-
-SERVICE_BATCH_SIZE = "service.batch.size"
-"""Histogram: jobs per dispatched batch."""
 
 SERVICE_REQUESTS_TOTAL = "service.requests_total"
 """Counter: HTTP requests accepted by the mining service."""

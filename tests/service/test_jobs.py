@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import BackpressureError, ServiceError
-from repro.service.jobs import JobManager, _group_key
+from repro.service.jobs import JobManager
 from repro.service.protocol import validate_request
 from conftest import service_cache_dir_from_env
 
@@ -51,27 +51,6 @@ def wait_for(predicate, timeout=20.0, interval=0.05):
             return
         time.sleep(interval)
     pytest.fail("condition not reached within the timeout")
-
-
-def _slow_grouped_request():
-    """A cacheable request whose prefix construction takes ~1-2 seconds.
-
-    Unlike SLOW_REQUEST (naive method, group key None), this one groups:
-    the 5000-edge continuous instance keeps Algorithm 1/2 construction busy
-    long enough to SIGKILL the worker mid-job deterministically.
-    """
-    from repro.graph.generators import gnm_random_graph
-
-    graph = gnm_random_graph(500, 5000, seed=11)
-    return validate_request({
-        "graph": {"edges": [[u, v] for u, v in graph.edges()]},
-        "labels": {"type": "continuous",
-                   "scores": {str(v): [float(v % 7) - 3.0]
-                              for v in graph.vertices()}},
-    })
-
-
-SLOW_GROUPED_REQUEST = _slow_grouped_request()
 
 
 @pytest.fixture(scope="module")
@@ -126,18 +105,34 @@ class TestLifecycle:
             assert sub["p_value"] <= corr["delta_star"]
             assert sub["corrected_p_value"] is not None
 
-    def test_cache_deltas_are_folded_pool_wide(self, manager):
-        before = manager.cache_counters["hits"] + manager.cache_counters["misses"]
-        jobs = [manager.submit(QUICK_REQUEST) for _ in range(4)]
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_cache_deltas_are_folded_pool_wide(self, manager, trace):
+        """Workers ship cache deltas whether or not the job is traced."""
+        def lookups():
+            counters = manager.stats()["counters"]
+            return (counters["service.cache.hits"]
+                    + counters["service.cache.misses"])
+
+        hits_before = manager.stats()["counters"]["service.cache.hits"]
+        before = lookups()
+        request = dict(QUICK_REQUEST, trace=trace)
+        jobs = [manager.submit(request) for _ in range(4)]
         for job in jobs:
             assert job.wait(60)
             assert job.status == "done"
-        wait_for(lambda: (
-            manager.cache_counters["hits"] + manager.cache_counters["misses"]
-        ) >= before + 4)
+            assert (job.trace_records is not None) == trace
+        assert lookups() >= before + 4
         # 4 identical jobs over 2 workers: pigeonhole guarantees a repeat
         # on some worker, hence at least one cache hit.
-        assert manager.cache_counters["hits"] >= 1
+        assert manager.stats()["counters"]["service.cache.hits"] > hits_before
+
+    def test_each_worker_has_its_own_result_pipe(self, manager):
+        """No two workers share a result channel, so killing one can
+        never corrupt what another reports."""
+        pipes = [worker.results for worker in manager._workers]
+        assert len(pipes) == 2
+        assert len({pipe.fileno() for pipe in pipes}) == len(pipes)
+        assert all(pipe.readable and not pipe.writable for pipe in pipes)
 
 
 class TestDeadlines:
@@ -192,32 +187,44 @@ class TestCrashRecovery:
             assert job.status == "done"
 
     def test_dispatched_but_unstarted_job_survives_worker_death(self):
-        """Regression: a job sitting in a dead worker's private queue
-        (dispatched, never announced) used to leak in ``queued`` forever
-        with its queue slot held; it must be requeued and finish."""
+        """Regression: a job dispatched to a worker that dies before
+        announcing it used to leak in ``queued`` forever with its queue
+        slot held; it must be requeued once and finish on the replacement."""
         with JobManager(workers=1, cache_size=8) as mgr:
-            warmup = mgr.submit(QUICK_REQUEST)
-            # Both slow jobs land in the backlog while the warmup runs,
-            # then dispatch to the single worker as one two-job batch.
-            first = mgr.submit(SLOW_GROUPED_REQUEST)
-            second = mgr.submit(SLOW_GROUPED_REQUEST, deadline_seconds=3.0)
-            assert first.group is not None
-            assert first.group == second.group
-            assert warmup.wait(60)
-            wait_for(lambda: first.status == "running")
-            # ``second`` is now dispatched (owned by the worker) but has
-            # never been announced.
-            os.kill(first.worker_pid, signal.SIGKILL)
-            assert first.wait(30)
-            assert first.status == "error"
-            assert "died" in first.error
-            # The leaked job is requeued onto the respawned worker and
-            # reaches a terminal state: done if the replacement finishes it
-            # inside the deadline, timeout otherwise — never a stuck
-            # ``queued`` and never an error from the dead worker.
-            assert second.wait(30)
-            assert second.status in ("done", "timeout")
-            assert mgr.stats()["workers_respawned"] >= 1
+            pid = mgr.stats()["worker_detail"][0]["pid"]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                job = mgr.submit(QUICK_REQUEST)
+                # Dispatched to the stopped worker, which can never
+                # announce it.
+                assert mgr.stats()["worker_detail"][0]["job_id"] == job.id
+                assert job.status == "queued"
+            finally:
+                os.kill(pid, signal.SIGKILL)
+            assert job.wait(60)
+            assert job.status == "done"
+            assert job.dispatch_attempts == 2
+            assert mgr.stats()["workers_respawned"] == 1
+            assert mgr.stats()["jobs_in_flight"] == 0
+
+    def test_kill_under_load_leaves_no_job_behind(self):
+        """More workers than cores, a burst of jobs, one worker killed at
+        an arbitrary point: every job still reaches a terminal state, the
+        only failure is a job the dead worker had announced, and every
+        queue slot is released."""
+        with JobManager(workers=3, cache_size=8) as mgr:
+            jobs = [mgr.submit(QUICK_REQUEST) for _ in range(12)]
+            os.kill(mgr.stats()["worker_detail"][0]["pid"], signal.SIGKILL)
+            for job in jobs:
+                assert job.wait(60)
+            failed = [job for job in jobs if job.status != "done"]
+            assert len(failed) <= 1
+            assert all("died" in job.error for job in failed)
+            results = {json.dumps(job.result["subgraphs"])
+                       for job in jobs if job.status == "done"}
+            assert len(results) == 1
+            wait_for(lambda: mgr.stats()["workers_alive"] == 3)
+            assert mgr.stats()["workers_respawned"] == 1
             assert mgr.stats()["jobs_in_flight"] == 0
 
 
@@ -249,7 +256,8 @@ class TestShutdown:
             manager = JobManager(workers=2, cache_size=4)
             job = manager.submit(json.loads(sys.argv[1]))
             assert job.wait(60) and job.status == "done", job.status
-            print(" ".join(str(p.pid) for p in manager._workers), flush=True)
+            print(" ".join(str(w.process.pid) for w in manager._workers),
+                  flush=True)
         """)
         src = str(Path(__import__("repro").__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
@@ -279,74 +287,3 @@ class TestShutdown:
             for pid in pids:  # never leak orphans when the test fails
                 if alive(pid):
                     os.kill(pid, signal.SIGKILL)
-
-
-class TestBatching:
-    def test_group_keys(self):
-        assert _group_key(QUICK_REQUEST) is not None
-        assert _group_key(QUICK_REQUEST) == _group_key(dict(QUICK_REQUEST))
-        assert _group_key(SLOW_REQUEST) is None  # naive method never groups
-        shuffled = validate_request({
-            "graph": {"edges": [[0, 1]]},
-            "labels": {"type": "continuous",
-                       "scores": {"0": [1.0], "1": [2.0]}},
-            "params": {"edge_order": "shuffled"},
-        })
-        assert _group_key(shuffled) is None  # not reproducible, no seed
-        other_n = dict(QUICK_REQUEST,
-                       params=dict(QUICK_REQUEST["params"], n_theta=7))
-        assert _group_key(other_n) != _group_key(QUICK_REQUEST)
-
-    def test_group_affinity_ages_out_for_a_starving_head(self):
-        """Regression: a worker's warm-group preference used to pull its
-        last-dispatched group from anywhere in the backlog with no bound,
-        so with ``workers=1`` a continuously arriving hot group starved
-        older jobs of other groups until their deadlines expired.  Once
-        the backlog head has waited past the aging bound, its group wins."""
-        from collections import deque
-
-        from repro.service.jobs import GROUP_AFFINITY_MAX_WAIT_SECONDS, Job
-
-        manager = JobManager.__new__(JobManager)  # no pool: pure queue test
-        now = time.time()
-
-        def load_backlog(head_age):
-            cold = Job(id="cold", request={}, submitted_at=now - head_age,
-                       group="cold")
-            hot = [
-                Job(id=f"hot{i}", request={}, submitted_at=now, group="hot")
-                for i in range(3)
-            ]
-            manager._backlog = deque([cold, *hot])
-
-        # Fresh head: affinity holds and the worker's hot group batches.
-        load_backlog(head_age=0.0)
-        batch = manager._take_batch_locked("hot")
-        assert [job.group for job in batch] == ["hot"] * 3
-        # Starving head: affinity is ignored and the head dispatches.
-        load_backlog(head_age=GROUP_AFFINITY_MAX_WAIT_SECONDS + 1.0)
-        batch = manager._take_batch_locked("hot")
-        assert [job.id for job in batch] == ["cold"]
-        assert [job.group for job in manager._backlog] == ["hot"] * 3
-
-    def test_grouped_jobs_batch_to_one_worker_with_identical_results(self):
-        with JobManager(workers=1, cache_size=8) as mgr:
-            jobs = [mgr.submit(QUICK_REQUEST) for _ in range(4)]
-            for job in jobs:
-                assert job.wait(60)
-                assert job.status == "done"
-            results = [job.result["subgraphs"] for job in jobs]
-            assert all(r == results[0] for r in results)
-            stats = mgr.stats()["batch"]
-            # Job 1 dispatched alone (empty pool), jobs 2-4 as one batch.
-            assert stats["grouped_jobs"] >= 2
-            assert stats["dispatches"] >= 2
-            # Batched jobs carry their position on the service.job span.
-            attrs = [
-                record.get("attrs", {})
-                for job in jobs if job.trace_records
-                for record in job.trace_records
-                if record.get("name") == "service.job"
-            ]
-            sizes = [a["batch_size"] for a in attrs if "batch_size" in a]
-            assert max(sizes) >= 2

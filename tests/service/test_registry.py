@@ -76,8 +76,8 @@ class TestResolve:
         digest = registry.put_document(DOCUMENT)["graph_digest"]
         first = registry.resolve(digest)
         second = registry.resolve(digest)
-        # Same object: back-to-back grouped jobs share one instance, which
-        # keeps the prefix cache's identity-keyed memo hot.
+        # Same object: back-to-back jobs over one graph share one instance,
+        # which keeps the prefix cache's identity-keyed memo hot.
         assert first is second
 
     def test_info_reports_metadata(self, registry):

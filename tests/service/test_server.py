@@ -7,10 +7,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import socket
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
 from repro.service.protocol import result_to_payload
 from repro.service.server import MiningService
+from repro.telemetry.exposition import prometheus_name
 from conftest import service_cache_dir_from_env
 
 pytestmark = pytest.mark.service
@@ -147,6 +151,31 @@ class TestValidation:
             )
             assert status == 413
 
+    @pytest.mark.parametrize("method, path", [("POST", "/mine"),
+                                              ("PUT", "/graphs")])
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(
+        self, service, capsys, method, path, length
+    ):
+        host, port = urlsplit(service).netloc.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            response = b""
+            while b"\r\n\r\n" not in response:
+                chunk = sock.recv(4096)
+                assert chunk, "connection closed without a response"
+                response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            size = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            while len(body) < size:
+                body += sock.recv(4096)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestAsyncJobs:
     def test_async_flow(self, service):
@@ -236,9 +265,34 @@ class TestHealth:
                     "service.cache.evictions", "service.workers_respawned",
                     "service.jobs_in_flight", "service.workers_alive",
                     "service.diskcache.hits", "service.diskcache.misses",
-                    "service.diskcache.writes", "service.batch.dispatches",
-                    "service.batch.grouped_jobs"):
+                    "service.diskcache.writes"):
             assert key in body["metrics"], key
+        assert not any(k.startswith("service.batch.") for k in body["metrics"])
+
+    def test_json_and_prometheus_agree_on_cache_counters(self, service):
+        """Both /metricsz formats read the pool's one counter dict."""
+        assert http("POST", service + "/mine", REQUEST)[0] == 200
+        for _ in range(20):  # retry while another test's job lands
+            before = http("GET", service + "/metricsz")[1]["metrics"]
+            with urllib.request.urlopen(
+                service + "/metricsz?format=prometheus", timeout=60
+            ) as response:
+                text = response.read().decode()
+            after = http("GET", service + "/metricsz")[1]["metrics"]
+            names = sorted(
+                name for name in after
+                if name.startswith(("service.cache.", "service.diskcache."))
+            )
+            if all(before[name] == after[name] for name in names):
+                break
+        assert len(names) == 8
+        assert after["service.cache.hits"] + after["service.cache.misses"] > 0
+        series = dict(
+            line.rsplit(" ", 1) for line in text.splitlines()
+            if line and not line.startswith("#")
+        )
+        for name in names:
+            assert float(series[prometheus_name(name)]) == after[name], name
 
     def test_disk_tier_counters_move_when_cache_dir_is_set(self, tmp_path):
         with MiningService(

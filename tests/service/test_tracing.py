@@ -219,7 +219,12 @@ class TestWorkerMetricsAggregation:
                 assert snapshot["telemetry.registry_merges"] >= 1
                 assert snapshot["telemetry.spans_merged"] > 0
                 assert snapshot["service.traces_persisted"] >= 1
-                # Cache metrics come only from the delta path (no doubles).
+                # Cache counters are pool counters: no worker session
+                # records them, so the merge cannot double count them.
+                assert not any(
+                    name.startswith(("service.cache.", "service.diskcache."))
+                    for name in metrics.names()
+                )
                 text = svc.prometheus_metrics()
                 assert "repro_search_states_visited" in text
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.exceptions import TelemetryError
 from repro.telemetry.context import (
-    DEFAULT_MERGE_EXCLUDES,
     capture_session,
     merge_payload_metrics,
     new_trace_id,
@@ -31,7 +30,6 @@ def session_payload(trace_id="abc123"):
             metrics.count("search.states_visited", 100)
     metrics.set_gauge("construct.super_vertices", 4)
     metrics.observe("search.states_per_call", 100.0)
-    metrics.count("service.cache.hits", 7)
     return capture_session(tracer, metrics, trace_id=trace_id)
 
 
@@ -65,20 +63,6 @@ class TestMergePayloadMetrics:
         assert snapshot["search.states_visited"] == 111
         assert snapshot["construct.super_vertices"] == 4
         assert snapshot["search.states_per_call"]["count"] == 1
-
-    def test_cache_namespace_excluded_by_default(self):
-        assert "service.cache." in DEFAULT_MERGE_EXCLUDES
-        registry = MetricsRegistry()
-        merge_payload_metrics(registry, session_payload())
-        assert "service.cache.hits" not in registry.names()
-
-    def test_exclusion_override(self):
-        registry = MetricsRegistry()
-        merged = merge_payload_metrics(
-            registry, session_payload(), exclude_prefixes=()
-        )
-        assert merged == 4
-        assert registry.snapshot()["service.cache.hits"] == 7
 
     def test_empty_payload_merges_nothing(self):
         registry = MetricsRegistry()
