@@ -37,10 +37,17 @@ from repro.core.result import (
     SignificantSubgraph,
     SubgraphComponent,
 )
-from repro.core.solver import DEFAULT_N_THETA, PrefixCache, find_mscs, mine
+from repro.core.solver import (
+    DEFAULT_N_THETA,
+    CachedPrefix,
+    PrefixCache,
+    find_mscs,
+    mine,
+)
 from repro.core.supergraph import Payload, SuperGraph, SuperVertex
 
 __all__ = [
+    "CachedPrefix",
     "DEFAULT_N_THETA",
     "MiningResult",
     "Payload",

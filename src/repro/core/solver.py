@@ -25,11 +25,11 @@ from __future__ import annotations
 import inspect
 import random
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable, Mapping
+from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, replace
 from typing import Any, Protocol, runtime_checkable
 
-from repro.exceptions import GraphError, LabelingError, SearchAbortedError
+from repro.exceptions import GraphError, SearchAbortedError
 from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
 from repro.enumerate.bitset import BitsetGraph, iter_bits
 from repro.enumerate.search import (
@@ -75,6 +75,7 @@ from repro.telemetry.progress import ProgressAggregator, ProgressCallback
 from repro.telemetry.span import Tracer
 
 __all__ = [
+    "CachedPrefix",
     "DEFAULT_N_THETA",
     "PARAM_CHOICES",
     "PARAM_DEFAULTS",
@@ -116,6 +117,16 @@ class _CorrectionContext:
     regions_filtered: int = 0
 
 
+@dataclass(frozen=True, slots=True)
+class CachedPrefix:
+    """One cached pipeline prefix: the reduced stage plus report metadata."""
+
+    supergraph: SuperGraph
+    super_vertices_before: int
+    super_edges_before: int
+    contractions: int
+
+
 @runtime_checkable
 class PrefixCache(Protocol):
     """Cache of the deterministic pipeline prefix (construct + reduce).
@@ -125,8 +136,10 @@ class PrefixCache(Protocol):
     continuous construction) ``edge_order``/``seed`` and the order the
     graph iterates its vertices and edges in — so their output can be
     content-addressed and reused across :func:`mine` calls over the same
-    graph.  For continuous labelings the solver passes the graph Algorithm
-    2 scans.  :class:`repro.service.cache.SuperGraphCache` is the production
+    graph.  Each round the solver asks for the :meth:`key` once (for
+    continuous labelings, of the graph Algorithm 2 scans), then probes
+    :meth:`get` and, on a miss, hands the fresh prefix to :meth:`put`.
+    :class:`repro.service.cache.SuperGraphCache` is the production
     implementation; the solver only relies on this structural interface.
 
     Cached super-graphs are **post-reduction and read-only**: the solver
@@ -134,7 +147,7 @@ class PrefixCache(Protocol):
     single entry can back any number of sequential queries.
     """
 
-    def fetch(
+    def key(
         self,
         graph: Graph,
         labeling: "Labeling",
@@ -142,34 +155,17 @@ class PrefixCache(Protocol):
         n_theta: int,
         edge_order: EdgeOrder,
         seed: int | random.Random | None,
-    ) -> "CachedPrefix | None":
-        """The cached prefix for these inputs, or None on miss/uncacheable."""
+    ) -> str | None:
+        """The key of these inputs' prefix, or None when uncacheable."""
         ...
 
-    def store(
-        self,
-        graph: Graph,
-        labeling: "Labeling",
-        *,
-        n_theta: int,
-        edge_order: EdgeOrder,
-        seed: int | random.Random | None,
-        supergraph: SuperGraph,
-        super_vertices_before: int,
-        super_edges_before: int,
-        contractions: int,
-    ) -> None:
-        """Record a freshly computed prefix (no-op when uncacheable)."""
+    def get(self, key: str) -> CachedPrefix | None:
+        """The prefix stored under ``key``, or None on a miss."""
         ...
 
-
-class CachedPrefix(Protocol):
-    """What a :class:`PrefixCache` hit carries back into the solver."""
-
-    supergraph: SuperGraph
-    super_vertices_before: int
-    super_edges_before: int
-    contractions: int
+    def put(self, key: str, entry: CachedPrefix) -> None:
+        """Store a freshly computed prefix under ``key``."""
+        ...
 
 
 def mine(
@@ -547,15 +543,13 @@ def _mine_one(
     of this round's fresh discrete construction.
     """
     first_round = report.rounds == 0
-    # In round 0 the working graph is an untouched copy of the caller's
-    # graph, so discrete cache lookups may use the original object:
-    # identity-keyed optimisations in the cache (key memoisation primed
-    # from a registry's precomputed digests) then apply to the object the
-    # caller actually handed over, not to a copy they have never seen.
-    # Algorithm 2 depends on the order it scans ``working`` in, which the
-    # copy need not share with the original, so continuous lookups always
-    # key on ``working`` itself.
-    cache_graph = (
+    # Round 0's working graph is an untouched copy of the caller's graph,
+    # so a discrete key may digest the caller's object instead: its
+    # memoised digest (seeded by the graph registry for resolved
+    # instances) then applies.  Algorithm 2 depends on the order it scans
+    # ``working`` in, which the copy need not share with the original, so
+    # continuous keys always digest ``working`` itself.
+    key_graph = (
         pristine
         if first_round and pristine is not None
         and isinstance(labeling, DiscreteLabeling)
@@ -571,16 +565,18 @@ def _mine_one(
             report.supergraph_edges = supergraph.num_super_edges
             report.reduced_vertices = supergraph.num_super_vertices
     else:
-        cached = None
+        key = cached = None
         if prefix_cache is not None:
             with tracer.span("solver.cache_lookup") as span:
-                cached = prefix_cache.fetch(
-                    cache_graph, labeling,
+                key = prefix_cache.key(
+                    key_graph, labeling,
                     n_theta=n_theta, edge_order=edge_order, seed=seed,
                 )
+                if key is not None:
+                    cached = prefix_cache.get(key)
                 span.set(hit=cached is not None)
                 tier = getattr(prefix_cache, "last_tier", None)
-                if tier is not None:
+                if cached is not None and tier is not None:
                     span.set(tier=tier)
             # Digest + lookup time is prefix work the cache is amortising.
             report.construction_seconds += span.wall_seconds
@@ -622,15 +618,13 @@ def _mine_one(
             report.contractions += contractions
             if first_round:
                 report.reduced_vertices = supergraph.num_super_vertices
-            if prefix_cache is not None:
-                prefix_cache.store(
-                    cache_graph, labeling,
-                    n_theta=n_theta, edge_order=edge_order, seed=seed,
+            if key is not None:
+                prefix_cache.put(key, CachedPrefix(
                     supergraph=supergraph,
                     super_vertices_before=super_vertices_before,
                     super_edges_before=super_edges_before,
                     contractions=contractions,
-                )
+                ))
 
     explored_before = report.explored_subgraphs
     testability = (
@@ -931,10 +925,3 @@ def _polished_components(
         )
         for i in ordered
     )
-
-
-def restrict_labeling(labeling: Labeling, vertices: Iterable[Hashable]) -> Labeling:
-    """Restrict either labeling type to a vertex subset (same models)."""
-    if isinstance(labeling, (DiscreteLabeling, ContinuousLabeling)):
-        return labeling.restricted_to(vertices)
-    raise LabelingError(f"unsupported labeling type: {type(labeling).__name__}")

@@ -193,11 +193,6 @@ class SearchOutcome:
     bound_evaluations: int = 0
     testability_cuts: int = 0
 
-    @property
-    def pruned(self) -> int:
-        """Back-compat aggregate: size-cap prunes plus exhausted frontiers."""
-        return self.pruned_size_cap + self.frontier_exhausted
-
 
 def _check_search_args(
     min_size: int,

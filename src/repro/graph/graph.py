@@ -40,7 +40,7 @@ class Graph:
     [0, 2]
     """
 
-    __slots__ = ("_adj", "_num_edges", "_version")
+    __slots__ = ("_adj", "_num_edges", "_version", "__weakref__")
 
     def __init__(self, vertices: Iterable[Hashable] = ()) -> None:
         self._adj: dict[Hashable, set[Hashable]] = {}
@@ -168,9 +168,10 @@ class Graph:
     def version(self) -> int:
         """Monotone mutation counter (bumped by every structural change).
 
-        Lets caches detect that a graph *object* they keyed work on has
-        since been mutated (e.g. the solver's iterative top-t deletion)
-        without re-hashing its content.  Copies start back at 0 — the
+        The per-object digest memo of :mod:`repro.service.digest` stores it
+        beside a graph's content digest, so a graph mutated since (e.g. the
+        solver's working graph between top-t rounds) is hashed afresh
+        instead of reusing a stale digest.  Copies start back at 0 — the
         counter identifies states of one object, not content.
         """
         return self._version

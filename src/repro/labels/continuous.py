@@ -27,7 +27,7 @@ __all__ = ["ContinuousLabeling"]
 class ContinuousLabeling:
     """Assignment of a ``k``-dimensional z-score vector to every vertex."""
 
-    __slots__ = ("_scores", "_dimensions")
+    __slots__ = ("_scores", "_dimensions", "__weakref__")
 
     def __init__(self, scores: Mapping[Hashable, Sequence[float]]) -> None:
         if not scores:

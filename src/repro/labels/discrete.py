@@ -71,7 +71,7 @@ class DiscreteLabeling:
         Optional human-readable symbols (defaults to ``"0", "1", ...``).
     """
 
-    __slots__ = ("_probs", "_assignment", "_symbols")
+    __slots__ = ("_probs", "_assignment", "_symbols", "__weakref__")
 
     def __init__(
         self,

@@ -11,11 +11,9 @@ serve many queries over the same graph:
     parameters — stable across vertex insertion order.
 ``repro.service.cache``
     :class:`SuperGraphCache`, a bounded LRU of constructed/reduced
-    super-graph stages keyed by those digests.
-``repro.service.diskcache``
-    :class:`DiskPrefixCache`, the persistent on-disk artifact store, and
-    :class:`TieredPrefixCache`, which stacks the in-memory LRU over it so
-    respawned workers and replicas sharing ``--cache-dir`` start warm.
+    super-graph stages keyed by those digests, optionally over a
+    persistent on-disk tier so respawned workers and replicas sharing
+    ``--cache-dir`` start warm.
 ``repro.service.registry``
     :class:`GraphRegistry`: content-addressed graph+labeling documents
     behind ``PUT /graphs``, so ``POST /mine`` can reference an instance by
@@ -36,7 +34,7 @@ Start one from the command line with ``python -m repro serve``; see
 ``docs/service.md`` for the API and operational semantics.
 """
 
-from repro.service.cache import CachedPrefixEntry, SuperGraphCache
+from repro.service.cache import SuperGraphCache
 from repro.service.digest import (
     encode_vertex,
     graph_digest,
@@ -45,7 +43,6 @@ from repro.service.digest import (
     prefix_digest_from_parts,
     scan_order_digest,
 )
-from repro.service.diskcache import DiskPrefixCache, TieredPrefixCache
 from repro.service.jobs import Job, JobManager
 from repro.service.protocol import (
     build_instance,
@@ -58,14 +55,11 @@ from repro.service.registry import GraphRegistry
 from repro.service.server import MiningService
 
 __all__ = [
-    "CachedPrefixEntry",
-    "DiskPrefixCache",
     "GraphRegistry",
     "Job",
     "JobManager",
     "MiningService",
     "SuperGraphCache",
-    "TieredPrefixCache",
     "build_instance",
     "encode_vertex",
     "graph_digest",

@@ -1,117 +1,162 @@
-"""Bounded LRU cache of constructed/reduced super-graph pipeline prefixes.
+"""The prefix cache: a bounded in-memory LRU over an optional disk tier.
 
 :class:`SuperGraphCache` implements the :class:`repro.core.solver.PrefixCache`
-interface: the solver consults it before running Algorithm 1/2 construction
-and Algorithm 5 reduction, and stores the freshly computed stage on a miss.
+interface.  The solver computes each round's :meth:`~SuperGraphCache.key`
+once, probes :meth:`~SuperGraphCache.get` before running Algorithm 1/2
+construction and Algorithm 5 reduction, and on a miss hands the fresh
+:class:`~repro.core.solver.CachedPrefix` to :meth:`~SuperGraphCache.put`.
 Keys are the content digests of :mod:`repro.service.digest`, so any two
 requests over bit-identical inputs share one entry.  Discrete keys ignore
 how the graph was assembled; continuous keys include the order Algorithm 2
-scans the graph in, because its output depends on that order.
+scans the graph in, because its output depends on that order.  The graph
+and labeling digests are memoised per object (see
+:func:`repro.service.digest.graph_digest`), so a worker re-mining one
+registry-resolved instance never hashes it again.
 
 Entries hold the **post-reduction** super-graph plus the pre-reduction
 sizes the pipeline report needs.  Cached super-graphs are read-only by
-contract (the search suffix only reads them); the cache never copies, so a
-hit costs one digest plus an ``OrderedDict`` move.
+contract (the search suffix only reads them); the cache never copies.
 
-A miss costs exactly one digest too: the key computed by ``fetch`` is
-memoised against its input objects (held by strong reference and matched
-by identity plus mutation :attr:`~repro.graph.graph.Graph.version`), and
-the solver's follow-up ``store`` on the same inputs consumes the memo
-instead of re-hashing the whole instance.  Holding real references — not
-bare ``id()`` integers — means a memo can never alias a *different*
-instance that happens to reuse a freed object's address.
-``prime`` seeds the same memo from an externally known key (the graph
-registry ships precomputed digests), so registry-resolved jobs skip
-instance hashing entirely.
+With ``cache_dir`` set, the memory tier sits over pickled artifacts under
+``<cache_dir>/prefix/<digest>.pkl``.  ``get`` probes memory, then disk,
+and promotes disk hits into memory; ``put`` writes through to both.  The
+directory is safe to share between worker processes, respawns and
+service replicas, because the keys are content digests:
 
-The cache is deliberately not thread-safe — in the service each worker
-*process* owns one instance (matching the telemetry design: single-threaded
-hot paths, no locks).  Hit/miss/eviction counts are plain attributes: a
-service worker ships their per-job deltas upstream, where the job manager
-sums them into the pool's ``service.cache.*`` counters.
+* **atomic writes** — an artifact is written to a same-directory temp
+  file and ``os.replace``d into place, so readers never see a partial
+  pickle, and a failed write (a full disk, say) leaves nothing behind;
+* **corruption-tolerant reads** — a truncated, garbled or wrong-typed
+  artifact is a miss (and is unlinked), never an error;
+* **byte-budget LRU eviction** — after a write, oldest-``mtime`` artifacts
+  are deleted until the directory fits ``max_bytes``; read hits refresh
+  an artifact's mtime so hot entries survive.
+
+.. warning:: **Trust boundary.**  Artifacts are Python pickles, and
+   ``pickle.loads`` executes arbitrary code during deserialization — the
+   type checks run only *after* that.  Anyone who can write to
+   ``cache_dir`` can therefore run code in every worker that reads from
+   it.  The directories this cache creates get ``0o700`` permissions;
+   operators pointing replicas at shared storage must keep that
+   restriction.
+
+The cache is deliberately not thread-safe: in the service each worker
+*process* owns one.  Its counters are one monotone dict keyed by the pool
+metric names (``service.cache.*`` for the memory tier,
+``service.diskcache.*`` for the disk tier); a service worker ships their
+per-job deltas upstream, where the job manager sums them.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import re
+import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass
+from pathlib import Path
 
+from repro.core.solver import CachedPrefix
 from repro.core.supergraph import SuperGraph
 from repro.exceptions import DigestError, ServiceError
 from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
 from repro.service.digest import (
+    graph_digest,
     labeling_digest,
-    prefix_digest,
     prefix_digest_from_parts,
     scan_order_digest,
 )
+from repro.telemetry import names as _metric
 
-__all__ = ["CachedPrefixEntry", "DEFAULT_MAX_ENTRIES", "SuperGraphCache"]
+__all__ = [
+    "COUNTERS",
+    "DEFAULT_MAX_BYTES",
+    "DEFAULT_MAX_ENTRIES",
+    "SuperGraphCache",
+]
 
 DEFAULT_MAX_ENTRIES = 32
-"""Default cache capacity — a reduced super-graph is small (<= n_theta
+"""Default memory capacity — a reduced super-graph is small (<= n_theta
 vertices plus payloads), so a few dozen distinct (graph, labeling, params)
 combinations fit comfortably in a worker process."""
 
+DEFAULT_MAX_BYTES = 512 * 1024 * 1024
+"""Default on-disk budget (512 MiB) — a reduced super-graph artifact is a
+few KiB, so the default holds tens of thousands of distinct prefixes."""
+
+COUNTERS = (
+    _metric.SERVICE_CACHE_HITS,
+    _metric.SERVICE_CACHE_MISSES,
+    _metric.SERVICE_CACHE_EVICTIONS,
+    _metric.SERVICE_DISKCACHE_HITS,
+    _metric.SERVICE_DISKCACHE_MISSES,
+    _metric.SERVICE_DISKCACHE_EVICTIONS,
+    _metric.SERVICE_DISKCACHE_WRITES,
+    _metric.SERVICE_DISKCACHE_CORRUPT,
+)
+"""The metric names of :attr:`SuperGraphCache.counters`, in order."""
+
 Labeling = DiscreteLabeling | ContinuousLabeling
 
-
-@dataclass(frozen=True, slots=True)
-class CachedPrefixEntry:
-    """One cached pipeline prefix: the reduced stage plus report metadata."""
-
-    supergraph: SuperGraph
-    super_vertices_before: int
-    super_edges_before: int
-    contractions: int
+_KEY_RE = re.compile(r"^[0-9a-f]{16,128}$")
+_SUFFIX = ".pkl"
 
 
 class SuperGraphCache:
-    """Bounded LRU of pipeline prefixes keyed by content digest.
+    """Bounded LRU of pipeline prefixes, optionally over a disk tier.
 
-    Satisfies :class:`repro.core.solver.PrefixCache`.  ``fetch`` returns
-    None both on a genuine miss and for uncacheable inputs (undigestable
-    vertex types, a ``shuffled`` edge order without an int seed); ``store``
-    silently skips the same uncacheable inputs, so the solver never has to
-    distinguish the cases.
-
-    The digest-level ``get``/``put`` primitives are also public so tiered
-    compositions (:class:`repro.service.diskcache.TieredPrefixCache`) can
-    reuse this class as their memory tier without double-hashing.
+    Satisfies :class:`repro.core.solver.PrefixCache`.  ``key`` returns None
+    for uncacheable inputs (undigestable vertex types, a ``shuffled`` edge
+    order without an int seed), and the solver then neither gets nor puts.
+    ``last_tier`` records where the most recent ``get`` was answered
+    (``"memory"``, ``"disk"``, or None on a miss); the solver reports it
+    on its ``solver.cache_lookup`` span.
     """
 
     __slots__ = (
-        "max_entries", "_entries", "_key_memo", "hits", "misses", "evictions",
+        "max_entries", "root", "max_bytes", "counters", "last_tier",
+        "_entries",
     )
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
+    def __init__(
+        self,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
+        *,
+        cache_dir: str | Path | None = None,
+        max_bytes: int | None = DEFAULT_MAX_BYTES,
+    ) -> None:
         if max_entries < 1:
             raise ServiceError(
                 f"cache max_entries must be >= 1, got {max_entries}"
             )
+        if max_bytes is not None and max_bytes < 1:
+            raise ServiceError(
+                f"cache max_bytes must be >= 1 or None, got {max_bytes}"
+            )
         self.max_entries = max_entries
-        self._entries: OrderedDict[str, CachedPrefixEntry] = OrderedDict()
-        # (graph, labeling, (version, n_theta, edge_order, seed), key) —
-        # a single slot; the solver's fetch/store pairs are strictly
-        # interleaved per round.  The memo holds strong references and
-        # matches by identity, so a dead object's reused address can never
-        # resurrect another instance's key (it pins at most one
-        # graph+labeling until the next resolve, prime, or clear).
-        self._key_memo: tuple | None = None
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.max_bytes = max_bytes
+        self.root: Path | None = None
+        if cache_dir is not None:
+            # A pre-existing cache_dir is left as the operator configured
+            # it; every directory created here is owner-only.
+            self.root = Path(cache_dir) / "prefix"
+            created = [
+                p for p in (self.root, *self.root.parents) if not p.exists()
+            ]
+            self.root.mkdir(parents=True, exist_ok=True)  # racing sibling ok
+            for path in created:
+                os.chmod(path, 0o700)
+        self.counters = dict.fromkeys(COUNTERS, 0)
+        self.last_tier: str | None = None
+        self._entries: OrderedDict[str, CachedPrefix] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def key_of(
+    def key(
         self,
         graph: Graph,
         labeling: Labeling,
@@ -122,193 +167,153 @@ class SuperGraphCache:
     ) -> str | None:
         """The cache key for these inputs, or None when uncacheable.
 
-        Discrete prefixes are keyed on :func:`~repro.service.digest.
-        prefix_digest`, which ignores insertion order.  Algorithm 2 does
-        not: two graphs with equal content can build different continuous
-        super-graphs, so continuous prefixes are keyed on the
-        :func:`~repro.service.digest.scan_order_digest` of ``graph`` — the
-        graph the construction scans — in place of its content digest.
+        Discrete prefixes are keyed on the graph's content digest, which
+        ignores insertion order.  Algorithm 2 does not: two graphs with
+        equal content can build different continuous super-graphs, so
+        continuous prefixes are keyed on the :func:`~repro.service.digest.
+        scan_order_digest` of ``graph`` — the graph the construction scans.
         """
+        discrete = isinstance(labeling, DiscreteLabeling)
         try:
-            if isinstance(labeling, DiscreteLabeling):
-                return prefix_digest(
-                    graph, labeling,
-                    n_theta=n_theta, edge_order=edge_order, seed=seed,
-                )
             return prefix_digest_from_parts(
-                scan_order_digest(graph), labeling_digest(labeling),
-                discrete=False, n_theta=n_theta, edge_order=edge_order,
+                graph_digest(graph) if discrete else scan_order_digest(graph),
+                labeling_digest(labeling),
+                discrete=discrete, n_theta=n_theta, edge_order=edge_order,
                 seed=seed,
             )
         except DigestError:
             return None
 
-    # -- key memoisation ------------------------------------------------
-    def _memo_signature(
-        self,
-        graph: Graph,
-        labeling: Labeling,
-        n_theta: int,
-        edge_order: str,
-        seed: int | random.Random | None,
-    ) -> tuple | None:
-        # A random.Random seed has no stable identity worth memoising.
-        if seed is not None and not isinstance(seed, int):
-            return None
-        return (graph.version, n_theta, edge_order, seed)
-
-    def resolve_key(
-        self,
-        graph: Graph,
-        labeling: Labeling,
-        *,
-        n_theta: int,
-        edge_order: str = "input",
-        seed: int | random.Random | None = None,
-        consume: bool = False,
-    ) -> str | None:
-        """``key_of`` with a single-slot identity memo.
-
-        A ``fetch`` records the computed key; the ``store`` that follows
-        the same miss passes ``consume=True`` to reuse it (and clear the
-        slot), so one miss pays for exactly one content digest.  The memo
-        matches its inputs by object identity *while holding strong
-        references to them* — a same-shaped but distinct instance (even one
-        allocated at a freed object's address) always re-digests — and the
-        signature includes the graph's mutation :attr:`~repro.graph.graph.
-        Graph.version`, so the solver mutating its working graph between
-        top-t rounds can never resurrect a stale key either.
-        """
-        signature = self._memo_signature(
-            graph, labeling, n_theta, edge_order, seed
-        )
-        memo = self._key_memo
-        if (
-            memo is not None
-            and signature is not None
-            and memo[0] is graph
-            and memo[1] is labeling
-            and memo[2] == signature
-        ):
-            if consume:
-                self._key_memo = None
-            return memo[3]
-        key = self.key_of(
-            graph, labeling, n_theta=n_theta, edge_order=edge_order, seed=seed
-        )
-        if signature is not None:
-            self._key_memo = (
-                None if consume else (graph, labeling, signature, key)
-            )
-        return key
-
-    def prime(
-        self,
-        graph: Graph,
-        labeling: Labeling,
-        *,
-        n_theta: int,
-        edge_order: str = "input",
-        seed: int | random.Random | None = None,
-        key: str | None,
-    ) -> None:
-        """Pre-seed the key memo with an externally computed key.
-
-        The graph registry stores component digests beside each graph, so
-        workers resolving a ``graph_digest`` request can derive the prefix
-        key from those strings and prime the cache — the following
-        ``fetch``/``store`` over the same objects then never hash the
-        instance at all.  ``key=None`` marks the inputs uncacheable.
-        """
-        signature = self._memo_signature(
-            graph, labeling, n_theta, edge_order, seed
-        )
-        if signature is not None:
-            self._key_memo = (graph, labeling, signature, key)
-
-    # -- digest-level primitives ----------------------------------------
-    def get(self, key: str) -> CachedPrefixEntry | None:
-        """Entry under ``key`` (counted as a hit/miss, LRU-refreshed)."""
+    def get(self, key: str) -> CachedPrefix | None:
+        """The entry under ``key``: memory first, then disk; None on a miss."""
+        self.last_tier = None
         entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.counters[_metric.SERVICE_CACHE_HITS] += 1
+            self.last_tier = "memory"
+            return entry
+        self.counters[_metric.SERVICE_CACHE_MISSES] += 1
+        if self.root is None:
             return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        entry = self._read(key)
+        if entry is not None:
+            self.last_tier = "disk"
+            self._remember(key, entry)
         return entry
 
-    def put(self, key: str, entry: CachedPrefixEntry) -> None:
-        """Insert ``entry`` under ``key``, evicting the LRU tail if full."""
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def peek(self, key: str) -> CachedPrefixEntry | None:
-        """Entry under ``key`` without counters or LRU effects."""
-        return self._entries.get(key)
-
-    # -- PrefixCache interface -------------------------------------------
-    def fetch(
-        self,
-        graph: Graph,
-        labeling: Labeling,
-        *,
-        n_theta: int,
-        edge_order: str = "input",
-        seed: int | random.Random | None = None,
-    ) -> CachedPrefixEntry | None:
-        """Look up the cached prefix; None on miss or uncacheable inputs."""
-        key = self.resolve_key(
-            graph, labeling, n_theta=n_theta, edge_order=edge_order, seed=seed
-        )
-        if key is None:
-            return None
-        return self.get(key)
-
-    def store(
-        self,
-        graph: Graph,
-        labeling: Labeling,
-        *,
-        n_theta: int,
-        edge_order: str = "input",
-        seed: int | random.Random | None = None,
-        supergraph: SuperGraph,
-        super_vertices_before: int,
-        super_edges_before: int,
-        contractions: int,
-    ) -> None:
-        """Record a freshly computed prefix, evicting the LRU entry if full.
+    def put(self, key: str, entry: CachedPrefix) -> None:
+        """Store ``entry`` under ``key`` in memory and, if set, on disk.
 
         The stored super-graph must not be mutated afterwards — the solver
         guarantees this (only the construct/reduce stages mutate, and they
         are exactly what the cache replaces).
         """
-        key = self.resolve_key(
-            graph, labeling,
-            n_theta=n_theta, edge_order=edge_order, seed=seed, consume=True,
-        )
-        if key is None:
+        self._remember(key, entry)
+        if self.root is not None:
+            self._write(key, entry)
+
+    # -- memory tier ------------------------------------------------------
+    def _remember(self, key: str, entry: CachedPrefix) -> None:
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.counters[_metric.SERVICE_CACHE_EVICTIONS] += 1
+
+    # -- disk tier --------------------------------------------------------
+    def _path(self, key: str) -> Path | None:
+        # Keys are sha256 hexdigests; anything else never touches the
+        # filesystem (defence against path-traversal via a crafted key).
+        if self.root is None or not _KEY_RE.match(key):
+            return None
+        return self.root / f"{key}{_SUFFIX}"
+
+    def _read(self, key: str) -> CachedPrefix | None:
+        path = self._path(key)
+        try:
+            raw = path.read_bytes() if path is not None else None
+        except OSError:
+            raw = None
+        if raw is None:
+            self.counters[_metric.SERVICE_DISKCACHE_MISSES] += 1
+            return None
+        try:
+            entry = pickle.loads(raw)
+            if not isinstance(entry, CachedPrefix):
+                raise TypeError(type(entry).__name__)
+            if not isinstance(entry.supergraph, SuperGraph):
+                raise TypeError(type(entry.supergraph).__name__)
+        except Exception:  # noqa: BLE001 - a bad artifact must be a miss
+            self.counters[_metric.SERVICE_DISKCACHE_CORRUPT] += 1
+            self.counters[_metric.SERVICE_DISKCACHE_MISSES] += 1
+            try:
+                path.unlink()
+            except OSError:  # pragma: no cover - already gone / read-only
+                pass
+            return None
+        try:
+            os.utime(path, None)  # LRU recency for the byte-budget sweep
+        except OSError:  # pragma: no cover - concurrent eviction
+            pass
+        self.counters[_metric.SERVICE_DISKCACHE_HITS] += 1
+        return entry
+
+    def _write(self, key: str, entry: CachedPrefix) -> None:
+        """Atomically persist ``entry``; a failed write is silently skipped."""
+        path = self._path(key)
+        if path is None:
             return
-        self.put(key, CachedPrefixEntry(
-            supergraph=supergraph,
-            super_vertices_before=super_vertices_before,
-            super_edges_before=super_edges_before,
-            contractions=contractions,
-        ))
+        try:
+            payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+            fd, tmp_name = tempfile.mkstemp(
+                dir=self.root, prefix=".tmp-", suffix=_SUFFIX
+            )
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(payload)
+                os.replace(tmp_name, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
+        except Exception:  # noqa: BLE001 - disk full etc.: stays memory-only
+            return
+        self.counters[_metric.SERVICE_DISKCACHE_WRITES] += 1
+        self._evict_to_budget(keep=path.name)
 
-    def counters(self) -> dict[str, int]:
-        """Plain-data snapshot of the hit/miss/eviction counters."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-        }
+    def _evict_to_budget(self, keep: str) -> None:
+        """Delete oldest-mtime artifacts until the tier fits ``max_bytes``.
 
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        self._entries.clear()
-        self._key_memo = None
+        The just-written artifact (``keep``) is never evicted — otherwise a
+        single entry larger than the budget would thrash forever.
+        """
+        if self.max_bytes is None:
+            return
+        entries = []
+        total = 0
+        for path in self.root.iterdir():
+            if path.suffix != _SUFFIX or path.name.startswith(".tmp-"):
+                continue
+            try:
+                stat = path.stat()
+            except OSError:  # pragma: no cover - concurrent delete
+                continue
+            entries.append((stat.st_mtime, stat.st_size, path))
+            total += stat.st_size
+        if total <= self.max_bytes:
+            return
+        entries.sort()  # oldest mtime first
+        for _mtime, size, path in entries:
+            if total <= self.max_bytes:
+                break
+            if path.name == keep:
+                continue
+            try:
+                path.unlink()
+            except OSError:  # pragma: no cover - concurrent delete
+                continue
+            total -= size
+            self.counters[_metric.SERVICE_DISKCACHE_EVICTIONS] += 1

@@ -20,17 +20,28 @@ order-free: it scans the graph's vertices and edges in iteration order,
 and that order depends on vertex insertion order and on adjacency-set
 layout.  :func:`scan_order_digest` hashes exactly that sequence, and the
 prefix cache keys continuous prefixes on it instead of on
-:func:`graph_digest` (see :meth:`repro.service.cache.SuperGraphCache.key_of`).
+:func:`graph_digest` (see :meth:`repro.service.cache.SuperGraphCache.key`).
 
 Unsupported vertex types raise :class:`~repro.exceptions.DigestError`, as
 does a ``shuffled`` edge order with a non-reproducible seed — the cache
 treats both as uncacheable and falls through to a fresh computation.
+
+:func:`graph_digest` and :func:`labeling_digest` are memoised per object:
+a repeat call on the same object returns the stored digest without
+hashing.  A graph entry holds for one :attr:`~repro.graph.graph.Graph.
+version` only, so a mutated graph is hashed afresh; labelings are
+immutable.  Entries hold weak references and die with their object, so
+an object allocated at a dead one's address can never inherit its digest.
+The graph registry seeds the memo through :func:`remember_digest` with
+the component digests it stored at upload, so a resolved instance is
+never hashed at all.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Hashable
+import weakref
+from collections.abc import Callable, Hashable
 
 from repro.exceptions import DigestError
 from repro.graph.graph import Graph
@@ -43,8 +54,17 @@ __all__ = [
     "labeling_digest",
     "prefix_digest",
     "prefix_digest_from_parts",
+    "remember_digest",
     "scan_order_digest",
 ]
+
+Labeling = DiscreteLabeling | ContinuousLabeling
+
+# id(obj) -> (weak reference to obj, its Graph.version or None, digest).
+# No lock: two threads digesting one object store the same value, and an
+# entry's weakref callback runs before its object's address can be reused,
+# so it can never drop a newer object's entry.
+_MEMO: dict[int, tuple[weakref.ref, int | None, str]] = {}
 
 
 def encode_vertex(vertex: Hashable) -> str:
@@ -103,13 +123,47 @@ def _hash_lines(kind: str, lines: list[str]) -> str:
     return digest.hexdigest()
 
 
+def _version(obj: Graph | Labeling) -> int | None:
+    return obj.version if isinstance(obj, Graph) else None
+
+
+def remember_digest(obj: Graph | Labeling, digest: str) -> None:
+    """Record ``digest`` as the content digest of ``obj`` as it is now.
+
+    Later :func:`graph_digest`/:func:`labeling_digest` calls on the same
+    object return it without hashing, until a graph is mutated or the
+    object dies.  The caller vouches for the digest: the graph registry
+    seeds it from the digests it computed when the instance was uploaded.
+    """
+    key = id(obj)
+
+    def forget(ref: weakref.ref) -> None:
+        if _MEMO.get(key, (None,))[0] is ref:
+            _MEMO.pop(key, None)
+
+    _MEMO[key] = (weakref.ref(obj, forget), _version(obj), digest)
+
+
+def _memoised(obj: Graph | Labeling, compute: Callable[..., str]) -> str:
+    entry = _MEMO.get(id(obj))
+    if entry is not None and entry[0]() is obj and entry[1] == _version(obj):
+        return entry[2]
+    digest = compute(obj)
+    remember_digest(obj, digest)
+    return digest
+
+
 def graph_digest(graph: Graph) -> str:
-    """Content digest of a graph's vertex and edge sets.
+    """Content digest of a graph's vertex and edge sets (memoised).
 
     Stable across insertion order: vertices and edges are sorted by their
     canonical encodings, and each edge is encoded with its endpoints in
     sorted order (the graphs are undirected).
     """
+    return _memoised(graph, _graph_digest)
+
+
+def _graph_digest(graph: Graph) -> str:
     vertex_codes = sorted(encode_vertex(v) for v in graph.vertices())
     edge_codes = []
     for u, v in graph.edges():
@@ -137,8 +191,15 @@ def scan_order_digest(graph: Graph) -> str:
     return _hash_lines("graph/scan/v1", lines)
 
 
-def labeling_digest(labeling: DiscreteLabeling | ContinuousLabeling) -> str:
-    """Content digest of a labeling (model parameters + full assignment)."""
+def labeling_digest(labeling: Labeling) -> str:
+    """Content digest of a labeling (model parameters + full assignment).
+
+    Memoised like :func:`graph_digest`.
+    """
+    return _memoised(labeling, _labeling_digest)
+
+
+def _labeling_digest(labeling: Labeling) -> str:
     if isinstance(labeling, DiscreteLabeling):
         lines = [
             "probs:" + ",".join(p.hex() for p in labeling.probabilities),

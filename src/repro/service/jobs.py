@@ -29,15 +29,15 @@ every worker's pipe and process sentinel at once, so a death is noticed
 as soon as it happens.
 
 Each worker process owns a private :class:`~repro.service.cache.
-SuperGraphCache`; with a shared ``--cache-dir`` it is composed over a
-:class:`~repro.service.diskcache.DiskPrefixCache` into a two-tier cache,
-so respawned workers and sibling replicas start warm.  Workers ship their
-cache-counter deltas back with every result; the manager sums them into
-one counter dict that ``stats()`` and both ``GET /metricsz`` formats
-read.  Requests that reference a registered graph (``graph_digest``) are
-resolved against the shared :class:`~repro.service.registry.GraphRegistry`
-inside the worker, which primes the prefix cache with the registry's
-precomputed digests — a resolved job never re-hashes its instance.
+SuperGraphCache`; with a shared ``--cache-dir`` its memory LRU sits over
+the shared on-disk tier, so respawned workers and sibling replicas start
+warm.  Workers ship their cache-counter deltas back with every result;
+the manager sums them into one counter dict that ``stats()`` and both
+``GET /metricsz`` formats read.  Requests that reference a registered
+graph (``graph_digest``) are resolved against the shared
+:class:`~repro.service.registry.GraphRegistry` inside the worker, which
+seeds the digest memo with the registry's stored digests — a resolved
+job never re-hashes its instance.
 
 The pool is also the service's distributed-telemetry backbone.  Unless a
 request opts out (``"trace": false``), the worker runs each job under its
@@ -72,9 +72,7 @@ from repro.exceptions import (
     SearchAbortedError,
     ServiceError,
 )
-from repro.service.cache import SuperGraphCache
-from repro.service.digest import prefix_digest_from_parts
-from repro.service.diskcache import DiskPrefixCache, TieredPrefixCache
+from repro.service.cache import COUNTERS as CACHE_COUNTERS, SuperGraphCache
 from repro.service.protocol import build_instance, result_to_payload
 from repro.service.registry import GraphRegistry
 from repro.telemetry import TELEMETRY as _TELEMETRY
@@ -100,20 +98,6 @@ _POLL_SECONDS = 0.2
 _MAX_DISPATCH_ATTEMPTS = 2
 """A job re-dispatched after this many worker deaths fails instead of
 being requeued again (it is probably what is killing the workers)."""
-
-_CACHE_METRICS = {
-    "hits": _metric.SERVICE_CACHE_HITS,
-    "misses": _metric.SERVICE_CACHE_MISSES,
-    "evictions": _metric.SERVICE_CACHE_EVICTIONS,
-    "disk_hits": _metric.SERVICE_DISKCACHE_HITS,
-    "disk_misses": _metric.SERVICE_DISKCACHE_MISSES,
-    "disk_evictions": _metric.SERVICE_DISKCACHE_EVICTIONS,
-    "disk_writes": _metric.SERVICE_DISKCACHE_WRITES,
-    "disk_corrupt": _metric.SERVICE_DISKCACHE_CORRUPT,
-}
-"""Cache ``counters()`` keys whose per-job deltas workers ship, mapped to
-their pool metric names (monotone counters only — gauges like "entries"
-do not difference)."""
 
 
 @dataclass(slots=True)
@@ -178,7 +162,7 @@ class Job:
 
 def _execute_request(
     request: dict[str, Any],
-    cache: Any,
+    cache: SuperGraphCache | None,
     deadline: float | None,
     progress: Any = None,
     registry: GraphRegistry | None = None,
@@ -190,37 +174,13 @@ def _execute_request(
     deadline overrun and :class:`~repro.exceptions.ServiceError` for
     unresolvable ``graph_digest`` references.
     """
-    params = request["params"]
     if request.get("graph_digest"):
         if registry is None:
             raise ServiceError(
                 "this pool has no graph registry — submit the instance "
                 "inline instead of by graph_digest"
             )
-        resolved = registry.resolve(request["graph_digest"])
-        graph, labeling = resolved.graph, resolved.labeling
-        # Only discrete keys follow from the stored content digests: a
-        # continuous key covers the order Algorithm 2 scans the solver's
-        # working copy in, which the solver digests itself.
-        if resolved.discrete and cache is not None and hasattr(cache, "prime"):
-            try:
-                key = prefix_digest_from_parts(
-                    resolved.graph_key,
-                    resolved.labeling_key,
-                    discrete=resolved.discrete,
-                    n_theta=params["n_theta"],
-                    edge_order=params["edge_order"],
-                    seed=params["seed"],
-                )
-            except ReproError:
-                key = None
-            cache.prime(
-                graph, labeling,
-                n_theta=params["n_theta"],
-                edge_order=params["edge_order"],
-                seed=params["seed"],
-                key=key,
-            )
+        graph, labeling = registry.resolve(request["graph_digest"])
     else:
         graph, labeling = build_instance(request)
     check_abort = None
@@ -229,7 +189,7 @@ def _execute_request(
         if check_abort():
             raise SearchAbortedError("the job deadline expired while queued")
     result = mine(
-        graph, labeling, **params,
+        graph, labeling, **request["params"],
         check_abort=check_abort, prefix_cache=cache, progress=progress,
     )
     return result_to_payload(result)
@@ -276,17 +236,13 @@ def _worker_main(
     ``delta`` (keyed by pool metric name) and, for traced jobs, the
     captured ``telemetry`` payload.
     """
-    memory = SuperGraphCache(max_entries=cache_size)
-    if cache_dir is not None:
-        cache: Any = TieredPrefixCache(
-            memory, DiskPrefixCache(cache_dir, max_bytes=cache_bytes)
-        )
-    else:
-        cache = memory
+    cache = SuperGraphCache(
+        cache_size, cache_dir=cache_dir, max_bytes=cache_bytes
+    )
     registry = None if registry_dir is None else GraphRegistry(registry_dir)
     pid = mp.current_process().pid
     publisher = _ProgressPublisher(results)
-    last = cache.counters()
+    last = dict(cache.counters)
     while True:
         item = tasks.get()
         if item is None:
@@ -328,12 +284,8 @@ def _worker_main(
             kind, body = "error", f"{type(exc).__name__}: {exc}"
         except Exception as exc:  # noqa: BLE001 - workers must survive
             kind, body = "error", f"{type(exc).__name__}: {exc}"
-        current = cache.counters()
-        delta = {
-            name: current.get(key, 0) - last.get(key, 0)
-            for key, name in _CACHE_METRICS.items()
-        }
-        last = current
+        delta = {name: cache.counters[name] - last[name] for name in last}
+        last = dict(cache.counters)
         results.send({
             "kind": kind,
             "body": body,
@@ -409,7 +361,7 @@ class JobManager:
         # The pool's counters, by metric name: the sum of every worker's
         # cache deltas, plus respawns.
         self._counters = dict.fromkeys(
-            (*_CACHE_METRICS.values(), _metric.SERVICE_WORKERS_RESPAWNED), 0
+            (*CACHE_COUNTERS, _metric.SERVICE_WORKERS_RESPAWNED), 0
         )
         self._workers = [self._spawn_worker() for _ in range(workers)]
         self._collector = threading.Thread(

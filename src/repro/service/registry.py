@@ -10,15 +10,13 @@ the 64-hex digest; ``POST /mine`` then names the instance with a
 ``{"graph_digest": ...}`` reference.
 
 Stored documents carry the precomputed ``graph``/``labeling`` component
-digests, so a worker resolving a reference to a discretely labeled
-instance derives the prefix-cache key from two 64-character strings via
-:func:`~repro.service.digest.prefix_digest_from_parts` — the instance
-itself is never hashed again.  (Continuous keys also cover the order
-Algorithm 2 scans the solver's working copy in, so the solver hashes
-that itself.)  Workers memoise materialised instances in
-a small LRU keyed by digest, so back-to-back jobs over the same graph
-reuse one object, which also keeps the prefix cache's identity-keyed memo
-hot.
+digests.  Resolving a reference seeds the digest memo of
+:mod:`repro.service.digest` with them, so a worker deriving the
+prefix-cache key of a discretely labeled resolved instance never hashes
+it.  (Continuous keys also cover the order Algorithm 2 scans the solver's
+working copy in, so the solver hashes that itself.)  Workers memoise
+materialised instances in a small LRU keyed by digest, so back-to-back
+jobs over the same graph reuse one object and its memoised digests.
 
 Writes are atomic (same temp-file + ``os.replace`` discipline as the disk
 cache), so replicas sharing a registry directory never observe partial
@@ -44,10 +42,13 @@ from repro.service.digest import (
     _hash_lines,
     graph_digest,
     labeling_digest,
+    remember_digest,
 )
 from repro.service.protocol import build_instance, validate_graph_document
 
-__all__ = ["GraphRegistry", "ResolvedInstance"]
+__all__ = ["GraphRegistry"]
+
+Labeling = DiscreteLabeling | ContinuousLabeling
 
 _FORMAT = "repro-graph/v1"
 _RESOLVE_LRU = 8
@@ -56,33 +57,6 @@ _REQUIRED_KEYS = (
     "graph", "labels", "vertex_type", "graph_key", "labeling_key",
     "vertices", "edges", "labels_type",
 )
-
-
-class ResolvedInstance:
-    """A registry document materialised into live objects.
-
-    Carries the instance plus its precomputed component digests so callers
-    can derive prefix-cache keys without re-hashing.
-    """
-
-    __slots__ = (
-        "digest", "graph", "labeling", "graph_key", "labeling_key", "discrete",
-    )
-
-    def __init__(
-        self,
-        digest: str,
-        graph: Graph,
-        labeling: DiscreteLabeling | ContinuousLabeling,
-        graph_key: str,
-        labeling_key: str,
-    ) -> None:
-        self.digest = digest
-        self.graph = graph
-        self.labeling = labeling
-        self.graph_key = graph_key
-        self.labeling_key = labeling_key
-        self.discrete = isinstance(labeling, DiscreteLabeling)
 
 
 class GraphRegistry:
@@ -99,7 +73,7 @@ class GraphRegistry:
         self.root = Path(root)
         # The registry shares --cache-dir with the pickle-artifact disk
         # tier, so directories it creates get the same owner-only
-        # restriction (see the trust note in repro.service.diskcache).
+        # restriction (see the trust note in repro.service.cache).
         created = [
             p for p in (self.root, *self.root.parents) if not p.exists()
         ]
@@ -107,7 +81,7 @@ class GraphRegistry:
         for path in created:
             os.chmod(path, 0o700)
         self._lock = threading.Lock()
-        self._resolved: OrderedDict[str, ResolvedInstance] = OrderedDict()
+        self._resolved: OrderedDict[str, tuple[Graph, Labeling]] = OrderedDict()
 
     def _path(self, digest: str) -> Path | None:
         # Digests are sha256 hexdigests; anything else — in particular a
@@ -183,13 +157,13 @@ class GraphRegistry:
         }
 
     # -- read side -------------------------------------------------------
-    def contains(self, digest: str) -> bool:
-        """Whether a document is registered under ``digest``."""
-        path = self._path(digest)
-        return path is not None and path.exists()
-
     def info(self, digest: str) -> dict[str, Any] | None:
-        """Document metadata without materialising the instance, or None."""
+        """Document metadata without materialising the instance, or None.
+
+        None for an unknown digest and for a record that is torn, foreign
+        or incomplete — the one validity rule that submission, ``GET
+        /graphs/<digest>`` and :meth:`resolve` all apply.
+        """
         record = self._load(digest)
         if record is None:
             return None
@@ -223,13 +197,14 @@ class GraphRegistry:
             # digest.
             return None
 
-    def resolve(self, digest: str) -> ResolvedInstance:
-        """Materialise the instance registered under ``digest``.
+    def resolve(self, digest: str) -> tuple[Graph, Labeling]:
+        """Materialise the ``(graph, labeling)`` registered under ``digest``.
 
         Raises :class:`~repro.exceptions.ServiceError` for unknown (or
         unreadable) digests.  Resolutions are memoised in a small LRU, so
         back-to-back jobs over one graph share a single materialised
-        instance.
+        instance, and each new one has its stored component digests seeded
+        into the digest memo.
         """
         with self._lock:
             cached = self._resolved.get(digest)
@@ -248,16 +223,14 @@ class GraphRegistry:
             "vertex_type": record["vertex_type"],
             "graph_digest": None,
         })
-        resolved = ResolvedInstance(
-            digest, graph, labeling,
-            record["graph_key"], record["labeling_key"],
-        )
+        remember_digest(graph, record["graph_key"])
+        remember_digest(labeling, record["labeling_key"])
         with self._lock:
-            self._resolved[digest] = resolved
+            self._resolved[digest] = (graph, labeling)
             self._resolved.move_to_end(digest)
             while len(self._resolved) > _RESOLVE_LRU:
                 self._resolved.popitem(last=False)
-        return resolved
+        return graph, labeling
 
     def __len__(self) -> int:
         return sum(

@@ -286,8 +286,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(400, {"error": str(exc)}, trace_id)
                 return
             digest = request.get("graph_digest")
-            if digest is not None and not self.service.registry.contains(digest):
-                # Fail at submission, not inside a worker minutes later.
+            if digest is not None and self.service.registry.info(digest) is None:
+                # Fail at submission, not inside a worker minutes later:
+                # info() applies the same validity rule as resolve().
                 self._send_json(
                     404,
                     {"error": f"unknown graph digest {digest!r} — upload "

@@ -26,6 +26,7 @@ from repro.core.construct_discrete import BlockPartition, build_discrete_supergr
 from repro.graph.generators import gnm_random_graph
 from repro.labels.discrete import DiscreteLabeling
 from repro.service.cache import SuperGraphCache
+from repro.telemetry.names import SERVICE_CACHE_HITS as HITS
 
 pytestmark = pytest.mark.properties
 
@@ -137,7 +138,7 @@ def test_prefix_cache_hits_on_early_rounds(instance, warm_t, extra):
     for forget in (False, True):
         cache = SuperGraphCache()
         solver.mine(graph, labeling, top_t=warm_t, n_theta=6, prefix_cache=cache)
-        hits = cache.hits
+        hits = cache.counters[HITS]
         if forget:
             with rebuilding_every_round():
                 got = solver.mine(
@@ -147,7 +148,7 @@ def test_prefix_cache_hits_on_early_rounds(instance, warm_t, extra):
             got = solver.mine(
                 graph, labeling, top_t=top_t, n_theta=6, prefix_cache=cache
             )
-        assert cache.hits - hits == min(warm_t, got.report.rounds)
+        assert cache.counters[HITS] - hits == min(warm_t, got.report.rounds)
         assert _canonical(got) == _canonical(expected)
 
 

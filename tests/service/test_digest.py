@@ -237,9 +237,9 @@ class TestScanOrderDigest:
         continuous = ContinuousLabeling({v: [float(v)] for v in range(4)})
         discrete = DiscreteLabeling((0.5, 0.5), {v: v % 2 for v in range(4)})
         cache = SuperGraphCache()
-        assert cache.key_of(a, continuous, n_theta=10) != cache.key_of(
+        assert cache.key(a, continuous, n_theta=10) != cache.key(
             b, continuous, n_theta=10
         )
-        assert cache.key_of(a, discrete, n_theta=10) == cache.key_of(
+        assert cache.key(a, discrete, n_theta=10) == cache.key(
             b, discrete, n_theta=10
         ) == prefix_digest(a, discrete, n_theta=10)

@@ -30,12 +30,14 @@ class TestPut:
         assert summary["vertices"] == 4
         assert summary["edges"] == 4
         assert summary["labels_type"] == "discrete"
-        resolved = registry.resolve(summary["graph_digest"])
-        assert resolved.graph.num_vertices == 4
-        assert resolved.labeling.label_of(0) == 1
-        # The stored component digests match a from-scratch hash.
-        assert resolved.graph_key == graph_digest(resolved.graph)
-        assert resolved.labeling_key == labeling_digest(resolved.labeling)
+        graph, labeling = registry.resolve(summary["graph_digest"])
+        assert graph.num_vertices == 4
+        assert labeling.label_of(0) == 1
+        # The digests seeded from the record match a from-scratch hash of
+        # equal but unseeded objects.
+        assert graph_digest(graph) == graph_digest(graph.copy())
+        fresh = labeling.restricted_to(labeling.vertices())
+        assert labeling_digest(labeling) == labeling_digest(fresh)
 
     def test_duplicate_upload_is_idempotent(self, registry):
         first = registry.put_document(DOCUMENT)
@@ -69,16 +71,15 @@ class TestResolve:
     def test_unknown_digest_raises(self, registry):
         with pytest.raises(ServiceError, match="unknown graph digest"):
             registry.resolve("0" * 64)
-        assert registry.contains("0" * 64) is False
         assert registry.info("0" * 64) is None
 
     def test_resolutions_are_memoised_by_identity(self, registry):
         digest = registry.put_document(DOCUMENT)["graph_digest"]
         first = registry.resolve(digest)
         second = registry.resolve(digest)
-        # Same object: back-to-back jobs over one graph share one instance,
-        # which keeps the prefix cache's identity-keyed memo hot.
-        assert first is second
+        # Same objects: back-to-back jobs over one graph share one instance,
+        # which keeps its memoised digests hot.
+        assert first[0] is second[0] and first[1] is second[1]
 
     def test_info_reports_metadata(self, registry):
         digest = registry.put_document(DOCUMENT)["graph_digest"]
@@ -113,12 +114,10 @@ class TestDigestValidation:
             "../foreign", "../../foreign", digest.upper(),
             digest[:-1], digest + "0", "", None,
         ):
-            assert registry.contains(evil) is False
             assert registry.info(evil) is None
             with pytest.raises(ServiceError, match="unknown graph digest"):
                 registry.resolve(evil)
         # The genuine digest keeps working.
-        assert registry.contains(digest) is True
         assert registry.info(digest) is not None
 
     def test_record_missing_fields_reads_as_absent(self, registry, tmp_path):

@@ -237,6 +237,26 @@ class TestGraphRegistryEndpoints:
         assert "PUT /graphs" in body["error"]
         assert http("GET", service + "/graphs/" + "0" * 64)[0] == 404
 
+    def test_invalid_record_is_404_at_submission(self, tmp_path):
+        """Regression: submission only checked that the record file
+        existed, so a record missing a key passed it, and the worker's
+        resolve then failed the request with a 500."""
+        with MiningService(port=0, workers=1, cache_dir=str(tmp_path)) as svc:
+            host, port = svc.address
+            base = f"http://{host}:{port}"
+            digest = http("PUT", base + "/graphs", self.DOCUMENT)[1]["graph_digest"]
+            path = tmp_path / "graphs" / f"{digest}.json"
+            record = json.loads(path.read_text())
+            del record["labeling_key"]
+            path.write_text(json.dumps(record))
+            status, body = http(
+                "POST", base + "/mine",
+                {"graph_digest": digest, "params": REQUEST["params"]},
+            )
+            assert status == 404
+            assert "PUT /graphs" in body["error"]
+            assert http("GET", f"{base}/graphs/{digest}")[0] == 404
+
     def test_invalid_upload_is_400(self, service):
         for doc in (
             {},
