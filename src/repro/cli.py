@@ -49,6 +49,7 @@ from repro.graph.properties import average_degree, density_threshold_edges
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling, uniform_probabilities
 from repro.core.solver import PARAM_CHOICES, PARAM_DEFAULTS, mine
+from repro.service.cache import DEFAULT_MAX_BYTES
 from repro.service.protocol import labeling_from_doc, result_to_payload
 from repro.telemetry import telemetry_session
 
@@ -560,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         "throwaway registry)",
     )
     serve.add_argument(
-        "--cache-bytes", type=int, default=None, metavar="BYTES",
+        "--cache-bytes", type=int, default=DEFAULT_MAX_BYTES, metavar="BYTES",
         help="byte budget for the on-disk prefix cache before LRU eviction "
         "(default: 512 MiB; only meaningful with --cache-dir)",
     )

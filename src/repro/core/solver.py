@@ -705,46 +705,31 @@ def _search_supergraph(
             [(sv.payload.raw_sums, sv.payload.size) for sv in payload_order]
         )
 
-    outcome = exhaustive_best_mask(
-        bitset.adjacency, accumulator, limit=search_limit, prune=prune,
-        backend=backend, testability=testability,
-        check_abort=check_abort, progress=progress,
-    )
-    # Each search call emits per-call cumulative snapshots; banking the
-    # finished call keeps the aggregator's totals monotone across calls.
-    if progress is not None:
-        progress.finish_call()
-    report.explored_subgraphs += outcome.explored
-    if outcome.mask == 0:
-        return None
-
-    winning_ids = [payload_order[i].id for i in iter_bits(outcome.mask)]
-    if min_size > 1:
-        # Enforce the bound on original-vertex count by re-searching with a
-        # super-vertex count floor only when the unconstrained winner is too
-        # small: min_size original vertices need at least ceil(min_size /
-        # max component size) super-vertices, but the simple and correct
-        # approach is to reject undersized winners and retry requiring more
-        # super-vertices.
-        total = sum(supergraph.super_vertex(i).size for i in winning_ids)
-        floor = 1
-        while total < min_size:
-            floor += 1
-            if floor > supergraph.num_super_vertices:
-                return None
-            outcome = exhaustive_best_mask(
-                bitset.adjacency, accumulator, min_size=floor,
-                limit=search_limit, prune=prune, backend=backend,
-                testability=testability,
-                check_abort=check_abort, progress=progress,
-            )
-            if progress is not None:
-                progress.finish_call()
-            report.explored_subgraphs += outcome.explored
-            if outcome.mask == 0:
-                return None
-            winning_ids = [payload_order[i].id for i in iter_bits(outcome.mask)]
-            total = sum(supergraph.super_vertex(i).size for i in winning_ids)
+    # min_size bounds the *original*-vertex count, while the search counts
+    # super-vertices: reject an undersized winner and search again with a
+    # super-vertex floor one higher, until the winner is big enough or no
+    # floor is left.
+    floor = 1
+    while True:
+        outcome = exhaustive_best_mask(
+            bitset.adjacency, accumulator, min_size=floor,
+            limit=search_limit, prune=prune, backend=backend,
+            testability=testability,
+            check_abort=check_abort, progress=progress,
+        )
+        # Each search call emits per-call cumulative snapshots; banking the
+        # finished call keeps the aggregator's totals monotone across calls.
+        if progress is not None:
+            progress.finish_call()
+        report.explored_subgraphs += outcome.explored
+        if outcome.mask == 0:
+            return None
+        winning_ids = [payload_order[i].id for i in iter_bits(outcome.mask)]
+        if sum(supergraph.super_vertex(i).size for i in winning_ids) >= min_size:
+            break
+        floor += 1
+        if floor > supergraph.num_super_vertices:
+            return None
 
     return _build_region(supergraph, labeling, winning_ids, outcome.chi_square)
 

@@ -37,7 +37,6 @@ the pipeline actually recovers the regions.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass

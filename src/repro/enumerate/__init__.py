@@ -13,11 +13,9 @@ from repro.enumerate.accumulators import (
 )
 from repro.enumerate.bitset import BitsetGraph, iter_bits, mask_of, popcount
 from repro.enumerate.bounds import (
-    BoundedAccumulator,
     budget_limited_size,
     continuous_upper_bound,
     discrete_upper_bound,
-    supports_bounds,
 )
 from repro.enumerate.connected import (
     DEFAULT_LIMIT,
@@ -30,10 +28,6 @@ from repro.enumerate.kernel import (
     KERNEL_CHUNK,
     MAX_KERNEL_VERTICES,
     MIN_DECOMPOSE_VERTICES,
-    batch_neighbors_mask,
-    kernel_available,
-    kernel_best_mask,
-    neighborhood_masks,
 )
 from repro.enumerate.search import (
     ABORT_CHECK_MASK,
@@ -41,13 +35,11 @@ from repro.enumerate.search import (
     SEARCH_BACKENDS,
     SearchOutcome,
     exhaustive_best_mask,
-    exhaustive_best_subset,
 )
 
 __all__ = [
     "ABORT_CHECK_MASK",
     "BitsetGraph",
-    "BoundedAccumulator",
     "ChiSquareAccumulator",
     "ContinuousAccumulator",
     "DEFAULT_LIMIT",
@@ -58,7 +50,6 @@ __all__ = [
     "PRUNE_MODES",
     "SEARCH_BACKENDS",
     "SearchOutcome",
-    "batch_neighbors_mask",
     "budget_limited_size",
     "connected_subgraph_masks",
     "continuous_upper_bound",
@@ -66,13 +57,8 @@ __all__ = [
     "discrete_upper_bound",
     "enumerate_connected_subsets",
     "exhaustive_best_mask",
-    "exhaustive_best_subset",
     "iter_bits",
-    "kernel_available",
-    "kernel_best_mask",
     "mask_of",
-    "neighborhood_masks",
     "popcount",
     "reference_connected_subsets",
-    "supports_bounds",
 ]

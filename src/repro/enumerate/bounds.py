@@ -42,50 +42,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Protocol, runtime_checkable
 
 __all__ = [
-    "BoundedAccumulator",
     "budget_limited_size",
     "continuous_upper_bound",
     "discrete_upper_bound",
-    "supports_bounds",
 ]
-
-
-@runtime_checkable
-class BoundedAccumulator(Protocol):
-    """An accumulator that can bound the statistic of its supersets.
-
-    ``prune="bounds"`` requires the accumulator passed to
-    :func:`~repro.enumerate.search.exhaustive_best_mask` to satisfy this
-    protocol; the bundled :class:`~repro.enumerate.accumulators.DiscreteAccumulator`
-    and :class:`~repro.enumerate.accumulators.ContinuousAccumulator` both do.
-    """
-
-    def push(self, index: int) -> None:
-        """Include vertex ``index`` in the current set."""
-
-    def pop(self, index: int) -> None:
-        """Remove vertex ``index`` from the current set (LIFO discipline)."""
-
-    def chi_square(self) -> float:
-        """The statistic of the current set (0.0 when empty)."""
-
-    def upper_bound(self, candidate_mask: int, remaining_budget: int | None) -> float:
-        """Admissible bound over the current set extended within ``candidate_mask``.
-
-        ``candidate_mask`` is a bitmask of vertices that may still join the
-        set; ``remaining_budget`` caps how many of them may be added
-        (``None`` = unlimited).  Must never return less than the statistic
-        of any reachable superset (including the current set itself).
-        """
-        ...
-
-
-def supports_bounds(accumulator: object) -> bool:
-    """Whether ``accumulator`` can drive ``prune="bounds"``."""
-    return callable(getattr(accumulator, "upper_bound", None))
 
 
 def budget_limited_size(payload_sizes: Sequence[int], budget: int | None) -> int:

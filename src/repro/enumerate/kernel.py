@@ -10,8 +10,8 @@ evaluation while *provably* returning the identical
    functions of the *set* of visited states, not of the visit order — every
    visited connected set of size ``< size_cap`` contributes exactly one
    exhausted-frontier frame and every set of size ``== size_cap`` exactly
-   one size-cap prune (see the sibling-chain argument in
-   ``tests/enumerate/test_kernel.py``).  The kernel enumerates exactly the
+   one size-cap prune (a smaller set's chain of sibling frames always
+   ends with an empty extension).  The kernel enumerates exactly the
    same family level-by-level (all states of super-vertex count ``s`` in
    one batch), so ``explored``/``evaluated``/``pruned_size_cap``/
    ``frontier_exhausted`` match the python walk *exactly*.
@@ -52,39 +52,22 @@ walk; per-counter partials at abort are backend-specific.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
-from repro.exceptions import (
-    EnumerationLimitError,
-    KernelError,
-    SearchAbortedError,
-)
-from repro.enumerate.accumulators import (
-    ChiSquareAccumulator,
-    ContinuousAccumulator,
-    DiscreteAccumulator,
-)
+import numpy as _np
+
+from repro.exceptions import EnumerationLimitError, SearchAbortedError
+from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
 from repro.enumerate.bitset import iter_bits
-from repro.telemetry import TELEMETRY as _TELEMETRY
-from repro.telemetry import names as _metric
-from repro.telemetry.progress import ProgressCallback, SearchProgress
+from repro.enumerate.search import (
+    SearchTestability,
+    _incumbent_seed,
+    _reachable_closure,
+    _Tally,
+)
+from repro.telemetry.progress import ProgressCallback
 
-try:  # pragma: no cover - exercised indirectly via kernel_available()
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-__all__ = [
-    "KERNEL_CHUNK",
-    "MAX_KERNEL_VERTICES",
-    "MIN_DECOMPOSE_VERTICES",
-    "batch_neighbors_mask",
-    "kernel_available",
-    "kernel_best_mask",
-    "neighborhood_masks",
-]
+__all__ = ["KERNEL_CHUNK", "MAX_KERNEL_VERTICES", "MIN_DECOMPOSE_VERTICES"]
 
 MAX_KERNEL_VERTICES = 64
 """Hard vertex cap: states are single ``uint64`` machine words."""
@@ -96,52 +79,6 @@ scratch (``KERNEL_CHUNK x 64`` bytes) and ``check_abort`` latency."""
 MIN_DECOMPOSE_VERTICES = 10
 """Components smaller than this are searched whole: an articulation split
 saves nothing once the batch already fits one cache line per state."""
-
-
-def kernel_available() -> bool:
-    """Whether the numpy backend can run at all (numpy importable)."""
-    return _np is not None
-
-
-def _require_numpy() -> None:
-    if _np is None:
-        raise KernelError(
-            "the numpy search backend requires numpy, which is not "
-            "installed; use backend='python'"
-        )
-
-
-def neighborhood_masks(adjacency: Sequence[int]) -> "object":
-    """The adjacency bitmasks as a ``(n,)`` uint64 numpy vector.
-
-    This is the kernel's precomputed neighborhood structure: row ``i`` is
-    ``BitsetGraph.adjacency[i]`` verbatim, so batch frontier expansion is
-    a gather plus a bitwise-or reduction instead of a Python loop.
-    """
-    _require_numpy()
-    n = len(adjacency)
-    if n > MAX_KERNEL_VERTICES:
-        raise KernelError(
-            f"the numpy kernel handles at most {MAX_KERNEL_VERTICES} "
-            f"vertices, got {n}; use backend='python'"
-        )
-    arr = _np.zeros(n, dtype=_np.uint64)
-    for i, mask in enumerate(adjacency):
-        arr[i] = mask
-    return arr
-
-
-def batch_neighbors_mask(adj: "object", masks: "object") -> "object":
-    """Vectorized :meth:`BitsetGraph.neighbors_mask` over many vertex sets.
-
-    ``adj`` is a :func:`neighborhood_masks` vector and ``masks`` a
-    ``(B,)`` uint64 array of vertex sets; returns the union of neighbours
-    of every member, minus the set itself, per row.
-    """
-    _require_numpy()
-    n = adj.shape[0]
-    selected = adj[None, :] * _bits_u64(masks, n)
-    return _np.bitwise_or.reduce(selected, axis=1) & ~masks
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +104,12 @@ def _popcount(masks: "object") -> "object":
     if hasattr(_np, "bitwise_count"):  # numpy >= 2.0: native popcount
         return _np.bitwise_count(masks).astype(_np.int64)
     return _bit_matrix(masks, MAX_KERNEL_VERTICES).sum(axis=1)
+
+
+def _neighborhood_masks(adjacency: Sequence[int]) -> "object":
+    """The adjacency bitmasks as a ``(n,)`` uint64 vector, row ``i`` being
+    ``adjacency[i]`` verbatim; built once per search."""
+    return _np.array(adjacency, dtype=_np.uint64)
 
 
 def _batch_closure(adj: "object", frontier: "object", blocked: "object") -> "object":
@@ -220,18 +163,13 @@ class _DiscreteScorer:
         vertex-set masks is ``sum_k 2**k * popcount(mask & planes[l, k])``
         where ``planes[l, k]`` collects the vertices whose label-``l``
         count has bit ``k`` set.  That replaces the (B, n) membership
-        matrix + matmul of :meth:`chi` with a few popcount ufunc passes
-        over the raw uint64 masks — same integers, so the statistic stays
+        matrix + matmul with a few popcount ufunc passes over the raw
+        uint64 masks — same integers, so the statistic stays
         bit-identical.  Returns ``None`` (disabling the fast path) when
-        the native popcount ufunc is missing, counts are negative, or
-        there are more vertices than mask bits.
+        the native popcount ufunc is missing (numpy 1.x).
         """
         n, n_labels = self.payload_matrix.shape
-        if (
-            not hasattr(_np, "bitwise_count")
-            or n > MAX_KERNEL_VERTICES
-            or (n and int(self.payload_matrix.min()) < 0)
-        ):
+        if not hasattr(_np, "bitwise_count"):
             return None
         depth = max(1, int(self.payload_matrix.max(initial=0)).bit_length())
         planes = _np.zeros((n_labels, depth), dtype=_np.uint64)
@@ -255,19 +193,9 @@ class _DiscreteScorer:
         return (hits.astype(_np.int64) * weights[None, None, :]).sum(axis=2)
 
     def chi_masks(self, masks: "object") -> "object":
-        """:meth:`chi` computed directly from ``(B,)`` uint64 masks."""
+        """Eq. 2 statistic per row of ``(B,)`` uint64 vertex-set masks."""
         counts = self.counts_for_masks(masks)
         mass = counts.sum(axis=1).astype(_np.float64)
-        with _np.errstate(divide="ignore", invalid="ignore"):
-            weighted = (
-                counts.astype(_np.float64) ** 2 / self.probs[None, :]
-            ).sum(axis=1)
-            return _np.where(mass > 0, weighted / mass - mass, 0.0)
-
-    def chi(self, bits: "object") -> "object":
-        """Eq. 2 statistic per row of a ``(B, n)`` membership matrix."""
-        counts = bits @ self.payload_matrix
-        mass = (bits @ self.mass).astype(_np.float64)
         with _np.errstate(divide="ignore", invalid="ignore"):
             weighted = (
                 counts.astype(_np.float64) ** 2 / self.probs[None, :]
@@ -335,12 +263,12 @@ class _ContinuousScorer:
         self.mass = _np.array([size for _, size in payloads], dtype=_np.int64)
 
     def chi_masks(self, masks: "object") -> "object":
-        """:meth:`chi` from raw masks; z sums are floats, so no popcount
-        shortcut exists — expand the membership matrix and delegate."""
-        return self.chi(_bit_matrix(masks, self.z_matrix.shape[0]))
+        """Eq. 8 statistic per row of ``(B,)`` uint64 vertex-set masks.
 
-    def chi(self, bits: "object") -> "object":
-        """Eq. 8 statistic per row of a ``(B, n)`` membership matrix."""
+        z sums are floats, so no popcount shortcut exists: this expands
+        the membership matrix and multiplies.
+        """
+        bits = _bit_matrix(masks, self.z_matrix.shape[0])
         sums = bits @ self.z_matrix
         mass = (bits @ self.mass).astype(_np.float64)
         with _np.errstate(divide="ignore", invalid="ignore"):
@@ -357,16 +285,11 @@ class _ContinuousScorer:
         return (reach * reach).sum(axis=1) / mass
 
 
-def _scorer_for(accumulator: ChiSquareAccumulator):
+def _scorer_for(accumulator: DiscreteAccumulator | ContinuousAccumulator):
     """Build the batch scorer matching a bundled accumulator type."""
     if isinstance(accumulator, DiscreteAccumulator):
         return _DiscreteScorer(accumulator.probabilities, accumulator.payloads)
-    if isinstance(accumulator, ContinuousAccumulator):
-        return _ContinuousScorer(accumulator.payloads)
-    raise KernelError(
-        f"the numpy backend cannot batch {type(accumulator).__name__} "
-        "payloads; use backend='python' for custom accumulators"
-    )
+    return _ContinuousScorer(accumulator.payloads)
 
 
 # ----------------------------------------------------------------------
@@ -377,14 +300,7 @@ def _mask_components(adjacency: Sequence[int], region: int) -> list[int]:
     components: list[int] = []
     remaining = region
     while remaining:
-        component = remaining & -remaining
-        frontier = component
-        while frontier:
-            reach = 0
-            for i in iter_bits(frontier):
-                reach |= adjacency[i]
-            frontier = reach & region & ~component
-            component |= frontier
+        component = _reachable_closure(adjacency, remaining & -remaining, ~region)
         components.append(component)
         remaining &= ~component
     return components
@@ -424,16 +340,15 @@ def _articulation_split(adjacency: Sequence[int], component: int) -> int | None:
     return best
 
 
-def _build_plan(
-    adjacency: Sequence[int], n: int, decompose: bool
-) -> list[tuple[int, int | None]]:
+def _build_plan(adjacency: Sequence[int], n: int) -> list[tuple[int, int | None]]:
     """The subproblem plan: ``(region_mask, forced_root | None)`` entries.
 
     Rooted entries enumerate exactly the connected sets *containing* the
     root within the region; unrooted entries enumerate every connected set
     of the region.  Together the entries partition the connected subsets
     of the whole graph (see the module docstring), so counters and optima
-    sum/compare exactly against a whole-graph walk.
+    sum/compare exactly against a whole-graph walk.  Components of fewer
+    than :data:`MIN_DECOMPOSE_VERTICES` vertices are never split.
     """
     plan: list[tuple[int, int | None]] = []
     pending: list[int] = [(1 << n) - 1] if n else []
@@ -441,7 +356,7 @@ def _build_plan(
         region = pending.pop()
         for component in _mask_components(adjacency, region):
             split: int | None = None
-            if decompose and component.bit_count() >= MIN_DECOMPOSE_VERTICES:
+            if component.bit_count() >= MIN_DECOMPOSE_VERTICES:
                 split = _articulation_split(adjacency, component)
             if split is None:
                 plan.append((component, None))
@@ -454,39 +369,28 @@ def _build_plan(
 # ----------------------------------------------------------------------
 # The level-synchronous batch search
 # ----------------------------------------------------------------------
-@dataclass
-class _Counters:
-    """Mutable outcome accounting shared across subproblems."""
-
-    explored: int = 0
-    pruned_size_cap: int = 0
-    frontier_exhausted: int = 0
-    evaluated: int = 0
-    bound_cuts: int = 0
-    bound_evaluations: int = 0
-    best_updates: int = 0
-    batches: int = 0
-    testability_cuts: int = 0
-
-
 class _KernelRun:
-    """One kernel invocation: global incumbent, counters, and batch loops."""
+    """One kernel invocation: the incumbent and counters (in ``tally``),
+    and the per-level batch loops."""
 
     def __init__(
         self,
         scorer,
-        n: int,
+        adjacency: Sequence[int],
+        tally: _Tally,
         *,
         min_size: int,
         size_cap: int,
         limit: int | None,
         bounded: bool,
         check_abort: Callable[[], bool] | None,
-        progress: ProgressCallback | None = None,
-        testability=None,
+        progress: ProgressCallback | None,
+        testability: SearchTestability | None,
     ) -> None:
         self.scorer = scorer
-        self.n = n
+        self.n = len(adjacency)
+        self.adj = _neighborhood_masks(adjacency)
+        self.tally = tally
         self.min_size = min_size
         self.size_cap = size_cap
         self.limit = limit
@@ -494,51 +398,34 @@ class _KernelRun:
         self.check_abort = check_abort
         self.progress = progress
         self.testability = testability
-        self.counters = _Counters()
-        self.blocks_done = 0
-        self.best_value = float("-inf")
-        self.best_mask = 0
         self.seed_value = float("-inf")
-        self._started = time.perf_counter() if progress is not None else 0.0
-
-    # -- progress -------------------------------------------------------
-    def snapshot(self) -> SearchProgress:
-        """The per-call cumulative progress view of this run."""
-        c = self.counters
-        return SearchProgress(
-            states_visited=c.explored,
-            bound_cuts=c.bound_cuts,
-            best_chi_square=self.best_value if self.best_mask else None,
-            blocks_completed=self.blocks_done,
-            kernel_batches=c.batches,
-            elapsed_seconds=time.perf_counter() - self._started,
-        )
 
     # -- visiting -------------------------------------------------------
     def _visit_chunk(self, subsets: "object", size: int) -> None:
         """Count, score, and fold one batch of newly created states."""
+        tally = self.tally
         batch = int(subsets.shape[0])
-        if self.limit is not None and self.counters.explored + batch > self.limit:
-            self.counters.explored = self.limit + 1
+        if self.limit is not None and tally.explored + batch > self.limit:
+            tally.explored = self.limit + 1
             raise EnumerationLimitError(self.limit)
         if self.check_abort is not None and self.check_abort():
             raise SearchAbortedError()
-        self.counters.explored += batch
-        self.counters.batches += 1
+        tally.explored += batch
+        tally.kernel_batches += 1
         if self.progress is not None:
-            self.progress(self.snapshot())
+            self.progress(tally.snapshot())
         if size < self.min_size:
             return
-        self.counters.evaluated += batch
+        tally.evaluated += batch
         chi = self.scorer.chi_masks(subsets)
         top = float(chi.max())
-        if top < self.best_value:
+        if top < tally.best_value:
             return
         top_mask = int(subsets[chi == top].min())
-        if top > self.best_value or top_mask < self.best_mask:
-            self.best_value = top
-            self.best_mask = top_mask
-            self.counters.best_updates += 1
+        if top > tally.best_value or top_mask < tally.best_mask:
+            tally.best_value = top
+            tally.best_mask = top_mask
+            tally.best_updates += 1
 
     def _visit_level(self, subsets: "object", size: int) -> None:
         """Visit a whole level in ``KERNEL_CHUNK`` batches, then classify.
@@ -551,9 +438,9 @@ class _KernelRun:
         for lo in range(0, subsets.shape[0], KERNEL_CHUNK):
             self._visit_chunk(subsets[lo : lo + KERNEL_CHUNK], size)
         if size >= self.size_cap:
-            self.counters.pruned_size_cap += int(subsets.shape[0])
+            self.tally.pruned_size_cap += int(subsets.shape[0])
         else:
-            self.counters.frontier_exhausted += int(subsets.shape[0])
+            self.tally.frontier_exhausted += int(subsets.shape[0])
 
     # -- pruning --------------------------------------------------------
     def _prune_level(
@@ -573,10 +460,11 @@ class _KernelRun:
         the incumbent taken at batch time — admissible either way because
         pruning is strict and the bound never underestimates.
         """
+        tally = self.tally
         closure = _batch_closure(adj, ext, subsets | forbidden)
         if self.bounded:
             keep = size + _popcount(closure) >= self.min_size
-            self.counters.bound_cuts += int((~keep).sum())
+            tally.bound_cuts += int((~keep).sum())
         else:
             keep = _np.ones(subsets.shape[0], dtype=bool)
         if self.testability is not None:
@@ -585,22 +473,22 @@ class _KernelRun:
                 + _bit_matrix(closure, self.n) @ self.scorer.mass
             )
             short = keep & (reachable_mass < self.testability.min_mass)
-            self.counters.testability_cuts += int(short.sum())
+            tally.testability_cuts += int(short.sum())
             keep &= ~short
         if not self.bounded:
             return keep
-        threshold = max(self.best_value, self.seed_value)
+        threshold = max(tally.best_value, self.seed_value)
         if threshold == float("-inf") or not keep.any():
             return keep
         rows = _np.flatnonzero(keep)
-        self.counters.bound_evaluations += int(rows.shape[0])
+        tally.bound_evaluations += int(rows.shape[0])
         bound = self.scorer.bound(
             _bit_matrix(subsets[rows], self.n),
             _bit_matrix(closure[rows], self.n),
             self.size_cap - size,
         )
         cut = bound < threshold
-        self.counters.bound_cuts += int(cut.sum())
+        tally.bound_cuts += int(cut.sum())
         keep[rows[cut]] = False
         return keep
 
@@ -649,7 +537,7 @@ class _KernelRun:
         self, adjacency: Sequence[int], region: int, root: int | None
     ) -> None:
         """Level-synchronous search of one plan entry."""
-        adj = neighborhood_masks(adjacency) & _np.uint64(region)
+        adj = self.adj & _np.uint64(region)
         if root is None:
             members = list(iter_bits(region))
             subsets = _np.array([1 << v for v in members], dtype=_np.uint64)
@@ -689,129 +577,40 @@ class _KernelRun:
             )
             size += 1
 
-    # -- telemetry ------------------------------------------------------
-    def flush_metrics(self, blocks: int) -> None:
-        """Publish the same counter names the python walk flushes, plus
-        the kernel-specific batch/block counts."""
-        if not _TELEMETRY.enabled:
-            return
-        c = self.counters
-        metrics = _TELEMETRY.metrics
-        metrics.count(_metric.SEARCH_STATES_VISITED, c.explored)
-        metrics.count(
-            _metric.SEARCH_STATES_PRUNED,
-            c.pruned_size_cap + c.frontier_exhausted,
-        )
-        metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, c.pruned_size_cap)
-        metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, c.frontier_exhausted)
-        metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, c.evaluated)
-        metrics.count(_metric.SEARCH_BEST_UPDATES, c.best_updates)
-        if self.bounded:
-            metrics.count(_metric.SEARCH_BOUND_CUTS, c.bound_cuts)
-            metrics.count(_metric.SEARCH_BOUND_EVALUATIONS, c.bound_evaluations)
-        if self.testability is not None:
-            metrics.count(_metric.SEARCH_TESTABILITY_CUTS, c.testability_cuts)
-        metrics.count(_metric.SEARCH_KERNEL_BATCHES, c.batches)
-        metrics.count(_metric.SEARCH_BLOCKS_SEARCHED, blocks)
-        metrics.observe(_metric.SEARCH_STATES_PER_CALL, c.explored)
 
-
-def kernel_best_mask(
+def _kernel_search(
     adjacency: Sequence[int],
-    accumulator: ChiSquareAccumulator,
+    accumulator: DiscreteAccumulator | ContinuousAccumulator,
+    tally: _Tally,
     *,
-    min_size: int = 1,
-    max_size: int | None = None,
-    limit: int | None = None,
-    prune: str = "none",
-    testability=None,
-    check_abort: Callable[[], bool] | None = None,
-    progress: ProgressCallback | None = None,
-    decompose: bool = True,
-):
-    """Numpy-backend equivalent of :func:`~repro.enumerate.search.exhaustive_best_mask`.
+    min_size: int,
+    size_cap: int,
+    limit: int | None,
+    bounded: bool,
+    check_abort: Callable[[], bool] | None,
+    progress: ProgressCallback | None,
+    testability: SearchTestability | None,
+) -> None:
+    """The numpy backend of :func:`~repro.enumerate.search.exhaustive_best_mask`.
 
-    Accepts the same arguments (``progress`` snapshots fire per state
-    batch and additionally report block/batch counts) plus ``decompose``
-    (disable the block-cut split; the equivalence property suite
-    exercises both).  The
-    accumulator must be one of the bundled payload types, passed in its
-    empty state exactly as the python walk expects; the kernel reads its
-    payloads and never mutates it.  Returns the identical
-    :class:`~repro.enumerate.search.SearchOutcome` as ``backend="python"``
-    — bit-identical under ``prune="none"``, identical optimum under
-    ``prune="bounds"`` (see the module docstring for the accounting
-    caveat).  Raises :class:`~repro.exceptions.KernelError` when numpy is
-    missing, the graph exceeds :data:`MAX_KERNEL_VERTICES`, or the
-    accumulator type is not batchable.
+    Called by it with checked arguments on a graph of 1 to
+    :data:`MAX_KERNEL_VERTICES` vertices; counts into ``tally``.  Reads
+    the accumulator's payloads and never mutates it.  ``progress``
+    snapshots fire per state batch and also report block/batch counts.
     """
-    from repro.enumerate.search import SearchOutcome, _check_search_args
-
-    _require_numpy()
-    n = len(adjacency)
-    if n > MAX_KERNEL_VERTICES:
-        raise KernelError(
-            f"the numpy kernel handles at most {MAX_KERNEL_VERTICES} "
-            f"vertices, got {n}; use backend='python'"
-        )
-    _check_search_args(min_size, max_size, prune, testability)
     scorer = _scorer_for(accumulator)
-    if check_abort is not None and check_abort():
-        raise SearchAbortedError()
-    if n == 0:
-        return SearchOutcome(mask=0, chi_square=0.0, explored=0)
-
-    size_cap = n if max_size is None else min(max_size, n)
     run = _KernelRun(
-        scorer,
-        n,
-        min_size=min_size,
-        size_cap=size_cap,
-        limit=limit,
-        bounded=prune == "bounds",
-        testability=testability,
-        check_abort=check_abort,
-        progress=progress,
+        scorer, adjacency, tally,
+        min_size=min_size, size_cap=size_cap, limit=limit, bounded=bounded,
+        check_abort=check_abort, progress=progress, testability=testability,
     )
-    plan = _build_plan(adjacency, n, decompose)
-    try:
-        if run.bounded and min_size <= 1:
-            # Same incumbent seeding as the python walk: singles are valid
-            # results when min_size <= 1, so their maximum is a sound
-            # threshold before any subtree is entered.  Value only — the
-            # seed never selects a mask, exactly like the scalar path.
-            singles = scorer.chi(_np.eye(n, dtype=_np.int64))
-            run.seed_value = float(singles.max())
-        if (
-            run.bounded
-            and testability is not None
-            and testability.statistic_floor > run.seed_value
-        ):
-            # Conservative statistic floor tau: no testable state can pass
-            # the corrected threshold below tau, so it is a sound incumbent
-            # seed (value only, never selects a mask).
-            run.seed_value = testability.statistic_floor
-        for region, root in plan:
-            run.run_subproblem(adjacency, region, root)
-            run.blocks_done += 1
-    finally:
-        # Final snapshot fires even on abort/limit so consumers see the
-        # call's complete counters before the metrics flush.
-        if progress is not None:
-            progress(run.snapshot())
-        run.flush_metrics(len(plan))
-
-    c = run.counters
-    best_value = run.best_value if run.best_mask else 0.0
-    return SearchOutcome(
-        mask=run.best_mask,
-        chi_square=best_value,
-        explored=c.explored,
-        pruned_size_cap=c.pruned_size_cap,
-        frontier_exhausted=c.frontier_exhausted,
-        evaluated=c.evaluated,
-        bound_cuts=c.bound_cuts,
-        bound_evaluations=c.bound_evaluations,
-        testability_cuts=c.testability_cuts,
-    )
-
+    plan = _build_plan(adjacency, run.n)
+    tally.blocks_planned = len(plan)
+    if bounded:
+        singles = _np.uint64(1) << _np.arange(run.n, dtype=_np.uint64)
+        run.seed_value = _incumbent_seed(
+            lambda: float(scorer.chi_masks(singles).max()), min_size, testability
+        )
+    for region, root in plan:
+        run.run_subproblem(adjacency, region, root)
+        tally.blocks_completed += 1

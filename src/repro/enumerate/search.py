@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Sequence
 
 from repro.exceptions import EnumerationLimitError, SearchAbortedError
 from repro.enumerate.accumulators import (
@@ -35,8 +35,7 @@ from repro.enumerate.accumulators import (
     ContinuousAccumulator,
     DiscreteAccumulator,
 )
-from repro.enumerate.bitset import BitsetGraph, iter_bits
-from repro.enumerate.bounds import supports_bounds
+from repro.enumerate.bitset import iter_bits
 from repro.telemetry import TELEMETRY as _TELEMETRY
 from repro.telemetry import names as _metric
 from repro.telemetry.progress import ProgressCallback, SearchProgress
@@ -49,7 +48,6 @@ __all__ = [
     "SearchOutcome",
     "SearchTestability",
     "exhaustive_best_mask",
-    "exhaustive_best_subset",
     "resolve_backend",
 ]
 
@@ -90,35 +88,22 @@ inner loop; every 256 states the abort latency stays far below any
 realistic serving deadline while the overhead disappears into noise."""
 
 
-def resolve_backend(
-    backend: str,
-    *,
-    n: int,
-    accumulator: ChiSquareAccumulator,
-    prune: str = "none",
-) -> str:
+def resolve_backend(backend: str, *, n: int, prune: str = "none") -> str:
     """Resolve ``"auto"`` to a concrete backend for one search instance.
 
     Explicit ``"python"``/``"numpy"`` pass through untouched (the numpy
     path keeps its own transparent >64-vertex fallback).  ``"auto"``
-    picks ``"numpy"`` whenever the kernel can run the instance — numpy
-    importable, ``n`` within the machine-word limit, a bundled
-    accumulator type — except under ``prune="bounds"`` on instances of
-    at most :data:`AUTO_BOUNDS_PYTHON_MAX_VERTICES` vertices, where the
-    bounds cut the state count so far down that the scalar walk is
-    faster than batch setup.
+    picks ``"numpy"`` whenever ``n`` is within the kernel's machine-word
+    limit, except under ``prune="bounds"`` on instances of at most
+    :data:`AUTO_BOUNDS_PYTHON_MAX_VERTICES` vertices, where the bounds
+    cut the state count so far down that the scalar walk is faster than
+    batch setup.
     """
     if backend != "auto":
         return backend
-    from repro.enumerate.kernel import MAX_KERNEL_VERTICES, kernel_available
+    from repro.enumerate.kernel import MAX_KERNEL_VERTICES
 
-    if (
-        not kernel_available()
-        or n > MAX_KERNEL_VERTICES
-        or not isinstance(
-            accumulator, (DiscreteAccumulator, ContinuousAccumulator)
-        )
-    ):
+    if n > MAX_KERNEL_VERTICES:
         return "python"
     if prune == "bounds" and n <= AUTO_BOUNDS_PYTHON_MAX_VERTICES:
         return "python"
@@ -194,28 +179,108 @@ class SearchOutcome:
     testability_cuts: int = 0
 
 
-def _check_search_args(
-    min_size: int,
-    max_size: int | None,
-    prune: str,
-    testability: SearchTestability | None,
-) -> None:
-    """Argument checks shared by both backends' entry points."""
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
-    if max_size is not None and max_size < min_size:
-        raise ValueError(f"max_size ({max_size}) must be >= min_size ({min_size})")
-    if prune not in PRUNE_MODES:
-        raise ValueError(f"prune must be one of {PRUNE_MODES}, got {prune!r}")
-    if testability is not None and testability.min_mass < 1:
-        raise ValueError(
-            f"testability.min_mass must be >= 1, got {testability.min_mass}"
+@dataclass(slots=True)
+class _Tally:
+    """The one counter record of a search call, shared by both backends.
+
+    Each backend counts into it (the python walk from plain locals it
+    copies in, the numpy kernel directly); :meth:`snapshot`,
+    :meth:`outcome` and :meth:`publish` are the only places that turn it
+    into a :class:`SearchProgress`, a :class:`SearchOutcome` and the
+    ``search.*`` metrics.  ``kernel_batches``, ``blocks_completed`` and
+    ``blocks_planned`` stay 0 on the python walk.
+    """
+
+    started: float
+    explored: int = 0
+    pruned_size_cap: int = 0
+    frontier_exhausted: int = 0
+    evaluated: int = 0
+    bound_cuts: int = 0
+    bound_evaluations: int = 0
+    testability_cuts: int = 0
+    best_updates: int = 0
+    best_mask: int = 0
+    best_value: float = float("-inf")
+    kernel_batches: int = 0
+    blocks_completed: int = 0
+    blocks_planned: int = 0
+
+    def snapshot(self) -> SearchProgress:
+        """The per-call cumulative progress view."""
+        return SearchProgress(
+            states_visited=self.explored,
+            bound_cuts=self.bound_cuts,
+            best_chi_square=self.best_value if self.best_mask else None,
+            blocks_completed=self.blocks_completed,
+            kernel_batches=self.kernel_batches,
+            elapsed_seconds=time.perf_counter() - self.started,
         )
+
+    def outcome(self) -> SearchOutcome:
+        """The finished call's result (statistic 0.0 when nothing won)."""
+        return SearchOutcome(
+            mask=self.best_mask,
+            chi_square=self.best_value if self.best_mask else 0.0,
+            explored=self.explored,
+            pruned_size_cap=self.pruned_size_cap,
+            frontier_exhausted=self.frontier_exhausted,
+            evaluated=self.evaluated,
+            bound_cuts=self.bound_cuts,
+            bound_evaluations=self.bound_evaluations,
+            testability_cuts=self.testability_cuts,
+        )
+
+    def publish(self, *, bounded: bool, testability: bool, kernel: bool) -> None:
+        """Count this call into the active telemetry session, if any."""
+        if not _TELEMETRY.enabled:
+            return
+        metrics = _TELEMETRY.metrics
+        metrics.count(_metric.SEARCH_STATES_VISITED, self.explored)
+        metrics.count(
+            _metric.SEARCH_STATES_PRUNED,
+            self.pruned_size_cap + self.frontier_exhausted,
+        )
+        metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, self.pruned_size_cap)
+        metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, self.frontier_exhausted)
+        metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, self.evaluated)
+        metrics.count(_metric.SEARCH_BEST_UPDATES, self.best_updates)
+        if bounded:
+            metrics.count(_metric.SEARCH_BOUND_CUTS, self.bound_cuts)
+            metrics.count(_metric.SEARCH_BOUND_EVALUATIONS, self.bound_evaluations)
+        if testability:
+            metrics.count(_metric.SEARCH_TESTABILITY_CUTS, self.testability_cuts)
+        if kernel:
+            metrics.count(_metric.SEARCH_KERNEL_BATCHES, self.kernel_batches)
+            metrics.count(_metric.SEARCH_BLOCKS_SEARCHED, self.blocks_planned)
+        metrics.observe(_metric.SEARCH_STATES_PER_CALL, self.explored)
+
+
+def _incumbent_seed(
+    best_single: Callable[[], float],
+    min_size: int,
+    testability: SearchTestability | None,
+) -> float:
+    """The bounds-mode pruning threshold in force before any set is scored.
+
+    Singles are evaluable results when ``min_size <= 1``, so the best
+    single-vertex statistic (``best_single()``, computed by the backend)
+    is a sound threshold from the start; with ``min_size > 1`` a single's
+    statistic may exceed every eligible set's, which would prune the true
+    optimum.  The Tarone statistic floor is a threshold no passing
+    subgraph can sit below, so it is a sound seed even when singles are
+    not; its cuts count as ``bound_cuts``.  The seed is a value only: it
+    never selects a mask.
+    """
+    seed = best_single() if min_size <= 1 else float("-inf")
+    if testability is not None and testability.statistic_floor > seed:
+        seed = testability.statistic_floor
+    return seed
 
 
 def exhaustive_best_mask(
     adjacency: Sequence[int],
-    accumulator: ChiSquareAccumulator,
+    accumulator: DiscreteAccumulator | ContinuousAccumulator,
     *,
     min_size: int = 1,
     max_size: int | None = None,
@@ -228,24 +293,27 @@ def exhaustive_best_mask(
 ) -> SearchOutcome:
     """Find the connected vertex set with the maximum accumulator statistic.
 
+    The one search entry point.  ``accumulator`` must be one of the
+    bundled :class:`DiscreteAccumulator` / :class:`ContinuousAccumulator`
+    (anything else raises :class:`TypeError`), passed in its empty state.
+
     Statistic ties break toward the numerically smallest winning bitmask
     (deterministic and enumeration-order independent).  ``min_size``/
     ``max_size`` bound the *vertex count of the set in this graph* (i.e.
     super-vertices count as one).  ``limit`` bounds the number of evaluated
     sets, raising :class:`EnumerationLimitError` beyond.
-    ``prune="bounds"`` enables admissible branch-and-bound cutting (the
-    accumulator must implement ``upper_bound``); the optimum — including
-    tie-breaks — is provably identical to ``prune="none"``.
+    ``prune="bounds"`` enables admissible branch-and-bound cutting; the
+    optimum — including tie-breaks — is provably identical to
+    ``prune="none"``.
 
     ``backend="numpy"`` routes the walk through the vectorized batch
-    kernel (:mod:`repro.enumerate.kernel`), which requires numpy and one
-    of the bundled accumulator types and returns the identical outcome —
-    bit-identical under ``prune="none"``, identical optimum under
-    ``prune="bounds"`` (cut accounting is enumeration-order dependent
-    there).  Graphs above the kernel's 64-vertex machine-word limit fall
-    back to the python walk transparently, so callers can request
-    ``"numpy"`` unconditionally.  ``backend="auto"`` picks per instance
-    via :func:`resolve_backend`.
+    kernel (:mod:`repro.enumerate.kernel`), which returns the identical
+    outcome — bit-identical under ``prune="none"``, identical optimum
+    under ``prune="bounds"`` (cut accounting is enumeration-order
+    dependent there).  Graphs above the kernel's 64-vertex machine-word
+    limit fall back to the python walk transparently, so callers can
+    request ``"numpy"`` unconditionally.  ``backend="auto"`` picks per
+    instance via :func:`resolve_backend`.
 
     ``check_abort`` is polled every ``ABORT_CHECK_MASK + 1`` visited states
     (python walk) or between state batches (numpy kernel) — cooperative
@@ -264,51 +332,59 @@ def exhaustive_best_mask(
     :class:`SearchTestability`): frontier subtrees whose reachable mass
     cannot hit the minimum testable size are cut in every mode and
     backend, and under ``prune="bounds"`` the statistic floor seeds the
-    incumbent threshold.  The accumulator must expose ``payload_sizes``
-    (both bundled accumulators do).  The returned optimum is the true
-    uncorrected optimum whenever that optimum meets the corrected
-    threshold; cut accounting is backend-dependent.
+    incumbent threshold.  The returned optimum is the true uncorrected
+    optimum whenever that optimum meets the corrected threshold; cut
+    accounting is backend-dependent.
     """
-    n = len(adjacency)
-    _check_search_args(min_size, max_size, prune, testability)
+    if min_size < 1:
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
+    if max_size is not None and max_size < min_size:
+        raise ValueError(f"max_size ({max_size}) must be >= min_size ({min_size})")
+    if prune not in PRUNE_MODES:
+        raise ValueError(f"prune must be one of {PRUNE_MODES}, got {prune!r}")
+    if testability is not None and testability.min_mass < 1:
+        raise ValueError(
+            f"testability.min_mass must be >= 1, got {testability.min_mass}"
+        )
     if backend not in SEARCH_BACKENDS:
         raise ValueError(
             f"backend must be one of {SEARCH_BACKENDS}, got {backend!r}"
         )
-    if prune == "bounds" and not supports_bounds(accumulator):
+    if not isinstance(accumulator, (DiscreteAccumulator, ContinuousAccumulator)):
         raise TypeError(
-            f"{type(accumulator).__name__} does not implement upper_bound(); "
-            "prune='bounds' needs a bound-capable accumulator "
-            "(see repro.enumerate.bounds)"
+            f"the search runs on DiscreteAccumulator or ContinuousAccumulator "
+            f"payloads, got {type(accumulator).__name__}"
         )
-    if testability is not None and not hasattr(accumulator, "payload_sizes"):
-        raise TypeError(
-            f"{type(accumulator).__name__} does not expose payload_sizes; "
-            "testability pruning needs per-vertex payload masses"
-        )
-    backend = resolve_backend(backend, n=n, accumulator=accumulator, prune=prune)
-    if backend == "numpy":
-        from repro.enumerate.kernel import MAX_KERNEL_VERTICES, kernel_best_mask
+    n = len(adjacency)
+    backend = resolve_backend(backend, n=n, prune=prune)
+    from repro.enumerate.kernel import MAX_KERNEL_VERTICES, _kernel_search
 
-        if n <= MAX_KERNEL_VERTICES:
-            return kernel_best_mask(
-                adjacency, accumulator,
-                min_size=min_size, max_size=max_size, limit=limit,
-                prune=prune, check_abort=check_abort, progress=progress,
-                testability=testability,
-            )
+    kernel = backend == "numpy" and 0 < n <= MAX_KERNEL_VERTICES
     if check_abort is not None and check_abort():
         raise SearchAbortedError()
-    return _python_walk(
-        adjacency, accumulator,
-        min_size=min_size,
-        size_cap=n if max_size is None else min(max_size, n),
-        limit=limit,
-        bounded=prune == "bounds",
-        check_abort=check_abort,
-        progress=progress,
-        testability=testability,
-    )
+    search = _kernel_search if kernel else _python_walk
+    bounded = prune == "bounds"
+    tally = _Tally(started=time.perf_counter() if progress is not None else 0.0)
+    try:
+        search(
+            adjacency, accumulator, tally,
+            min_size=min_size,
+            size_cap=n if max_size is None else min(max_size, n),
+            limit=limit,
+            bounded=bounded,
+            check_abort=check_abort,
+            progress=progress,
+            testability=testability,
+        )
+    finally:
+        # The final snapshot and the metrics flush happen even on
+        # abort/limit, so consumers see the work done up to that point.
+        if progress is not None:
+            progress(tally.snapshot())
+        tally.publish(
+            bounded=bounded, testability=testability is not None, kernel=kernel
+        )
+    return tally.outcome()
 
 
 def _reachable_closure(
@@ -328,15 +404,16 @@ def _reachable_closure(
 def _python_walk(
     adjacency: Sequence[int],
     accumulator: ChiSquareAccumulator,
+    tally: _Tally,
     *,
     min_size: int,
     size_cap: int,
     limit: int | None,
     bounded: bool,
-    check_abort: Callable[[], bool] | None = None,
-    progress: ProgressCallback | None = None,
-    testability: SearchTestability | None = None,
-) -> SearchOutcome:
+    check_abort: Callable[[], bool] | None,
+    progress: ProgressCallback | None,
+    testability: SearchTestability | None,
+) -> None:
     """The reference DFS; ``bounded`` turns it into the branch-and-bound.
 
     Pruning only removes whole subtrees, never reorders the survivors, so
@@ -353,10 +430,8 @@ def _python_walk(
        over the closure is strictly below the incumbent, nothing below can
        win.
 
-    In bounds mode the incumbent threshold is seeded with the best
-    single-vertex statistic (a valid solution whenever ``min_size <= 1``)
-    and the testability statistic floor, so bounds bite before the first
-    root subtree is explored.
+    Counts into plain locals and copies them into ``tally`` before each
+    progress snapshot and when the walk ends, however it ends.
     """
     n = len(adjacency)
     best_mask = 0
@@ -375,35 +450,33 @@ def _python_walk(
     )
     needs_closure = bounded or testability is not None
     poll = check_abort is not None or progress is not None
-    started = time.perf_counter() if progress is not None else 0.0
 
-    def snapshot() -> SearchProgress:
-        return SearchProgress(
-            states_visited=explored,
-            bound_cuts=bound_cuts,
-            best_chi_square=best_value if best_mask else None,
-            elapsed_seconds=time.perf_counter() - started,
-        )
+    def sync() -> None:
+        tally.explored = explored
+        tally.pruned_size_cap = pruned_size_cap
+        tally.frontier_exhausted = frontier_exhausted
+        tally.evaluated = evaluated
+        tally.best_updates = best_updates
+        tally.bound_cuts = bound_cuts
+        tally.bound_evaluations = bound_evaluations
+        tally.testability_cuts = testability_cuts
+        tally.best_mask = best_mask
+        tally.best_value = best_value
 
-    seed_value = float("-inf")
-    if bounded:
-        # Best-first incumbent seeding: singles are evaluable results when
-        # min_size <= 1, so their maximum is a sound pruning threshold from
-        # the start.  (With min_size > 1 a single's statistic may exceed
-        # every eligible set's, which would prune the true optimum.)
-        if min_size <= 1:
-            for v in range(n):
-                accumulator.push(v)
-                value = accumulator.chi_square()
-                accumulator.pop(v)
-                if value > seed_value:
-                    seed_value = value
-        if testability is not None and testability.statistic_floor > seed_value:
-            # The Tarone statistic floor is a threshold no passing subgraph
-            # can sit below, so it is a sound incumbent seed even when
-            # min_size > 1 forbids singles seeding; its cuts count as
-            # bound_cuts.
-            seed_value = testability.statistic_floor
+    def best_single() -> float:
+        best = float("-inf")
+        for v in range(n):
+            accumulator.push(v)
+            value = accumulator.chi_square()
+            accumulator.pop(v)
+            if value > best:
+                best = value
+        return best
+
+    seed_value = (
+        _incumbent_seed(best_single, min_size, testability)
+        if bounded else float("-inf")
+    )
 
     def consider(mask: int, size: int) -> None:
         nonlocal best_mask, best_value, explored, evaluated, best_updates
@@ -414,7 +487,8 @@ def _python_walk(
             if check_abort is not None and check_abort():
                 raise SearchAbortedError()
             if progress is not None:
-                progress(snapshot())
+                sync()
+                progress(tally.snapshot())
         if size >= min_size:
             evaluated += 1
             value = accumulator.chi_square()
@@ -430,8 +504,6 @@ def _python_walk(
     # of the current set, which can reach n (e.g. a path graph) and blow
     # Python's recursion limit.  Each frame is a *pending action*: either
     # expand a state or pop a vertex from the accumulator on backtrack.
-    # Metrics flush in the finally block so an EnumerationLimitError abort
-    # still reports the work done up to the budget.
     POP = -1
     try:
         for root in range(n):
@@ -501,70 +573,4 @@ def _python_walk(
                 stack.append((child_subset, size + 1, child_ext, fb))
             accumulator.pop(root)
     finally:
-        # Final snapshot fires even on abort/limit so consumers see the
-        # call's complete counters before the metrics flush below.
-        if progress is not None:
-            progress(snapshot())
-        if _TELEMETRY.enabled:
-            metrics = _TELEMETRY.metrics
-            metrics.count(_metric.SEARCH_STATES_VISITED, explored)
-            metrics.count(
-                _metric.SEARCH_STATES_PRUNED,
-                pruned_size_cap + frontier_exhausted,
-            )
-            metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, pruned_size_cap)
-            metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, frontier_exhausted)
-            metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, evaluated)
-            metrics.count(_metric.SEARCH_BEST_UPDATES, best_updates)
-            if bounded:
-                metrics.count(_metric.SEARCH_BOUND_CUTS, bound_cuts)
-                metrics.count(_metric.SEARCH_BOUND_EVALUATIONS, bound_evaluations)
-            if testability is not None:
-                metrics.count(_metric.SEARCH_TESTABILITY_CUTS, testability_cuts)
-            metrics.observe(_metric.SEARCH_STATES_PER_CALL, explored)
-
-    if best_mask == 0:
-        best_value = 0.0
-    return SearchOutcome(
-        mask=best_mask, chi_square=best_value, explored=explored,
-        pruned_size_cap=pruned_size_cap, frontier_exhausted=frontier_exhausted,
-        evaluated=evaluated,
-        bound_cuts=bound_cuts, bound_evaluations=bound_evaluations,
-        testability_cuts=testability_cuts,
-    )
-
-
-def exhaustive_best_subset(
-    bitset: BitsetGraph,
-    accumulator: ChiSquareAccumulator,
-    *,
-    min_size: int = 1,
-    max_size: int | None = None,
-    limit: int | None = None,
-    prune: str = "none",
-    check_abort: Callable[[], bool] | None = None,
-    backend: str = "python",
-    progress: ProgressCallback | None = None,
-    testability: SearchTestability | None = None,
-) -> tuple[frozenset[Hashable], float, int]:
-    """Convenience wrapper returning original vertex objects.
-
-    Returns ``(vertex_set, chi_square, explored)``; the vertex set is empty
-    when the graph has no vertices.  All keyword arguments — including
-    ``backend`` and ``progress`` — are forwarded to
-    :func:`exhaustive_best_mask`.
-    """
-    outcome = exhaustive_best_mask(
-        bitset.adjacency,
-        accumulator,
-        min_size=min_size,
-        max_size=max_size,
-        limit=limit,
-        prune=prune,
-        check_abort=check_abort,
-        backend=backend,
-        progress=progress,
-        testability=testability,
-    )
-    return bitset.vertex_set(outcome.mask), outcome.chi_square, outcome.explored
-
+        sync()

@@ -88,16 +88,6 @@ class SearchAbortedError(ReproError, RuntimeError):
         super().__init__(message)
 
 
-class KernelError(ReproError, RuntimeError):
-    """The vectorized search kernel cannot run this instance.
-
-    Raised by :mod:`repro.enumerate.kernel` when numpy is unavailable, the
-    graph exceeds the 64-vertex machine-word limit, or the accumulator is
-    not one of the bundled payload types the kernel knows how to batch.
-    The python backend (``backend="python"``) handles every such instance.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for errors raised by the :mod:`repro.service` subsystem."""
 

@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.exceptions import ExperimentError
-from repro.experiments.harness import RepeatedMeasurement, repeat_measurements
+from repro.experiments.harness import RepeatedMeasurement
 
 __all__ = ["SweepPoint", "edge_count_range", "run_sweep"]
 

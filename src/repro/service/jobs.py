@@ -72,7 +72,11 @@ from repro.exceptions import (
     SearchAbortedError,
     ServiceError,
 )
-from repro.service.cache import COUNTERS as CACHE_COUNTERS, SuperGraphCache
+from repro.service.cache import (
+    COUNTERS as CACHE_COUNTERS,
+    DEFAULT_MAX_BYTES,
+    SuperGraphCache,
+)
 from repro.service.protocol import build_instance, result_to_payload
 from repro.service.registry import GraphRegistry
 from repro.telemetry import TELEMETRY as _TELEMETRY
@@ -219,7 +223,7 @@ def _worker_main(
     results: Connection,
     cache_size: int,
     cache_dir: str | None = None,
-    cache_bytes: int | None = None,
+    cache_bytes: int | None = DEFAULT_MAX_BYTES,
     registry_dir: str | None = None,
 ) -> None:
     """Worker process loop: announce, execute, report, repeat.
@@ -338,7 +342,7 @@ class JobManager:
         default_deadline: float | None = None,
         trace_dir: str | Path | None = None,
         cache_dir: str | Path | None = None,
-        cache_bytes: int | None = None,
+        cache_bytes: int | None = DEFAULT_MAX_BYTES,
         registry_dir: str | Path | None = None,
     ) -> None:
         if workers < 1:

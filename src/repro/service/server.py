@@ -52,7 +52,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import BackpressureError, RequestValidationError
 from repro.service.jobs import DEFAULT_QUEUE_SIZE, JobManager
-from repro.service.protocol import validate_graph_document, validate_request
+from repro.service.cache import DEFAULT_MAX_BYTES
+from repro.service.protocol import validate_request
 from repro.service.registry import GraphRegistry
 from repro.telemetry import TELEMETRY as _TELEMETRY
 from repro.telemetry import names as _metric
@@ -353,7 +354,7 @@ class MiningService:
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
         trace_dir: str | None = None,
         cache_dir: str | None = None,
-        cache_bytes: int | None = None,
+        cache_bytes: int | None = DEFAULT_MAX_BYTES,
     ) -> None:
         # The registry always exists (PUT /graphs works on every service);
         # without --cache-dir it lives in a throwaway directory and the

@@ -136,7 +136,7 @@ SEARCH_STATES_PER_CALL = "search.states_per_call"
 
 SEARCH_KERNEL_BATCHES = "search.kernel_batches"
 """Counter: state batches evaluated by the vectorized numpy kernel
-(``backend="numpy"`` only; the python walk records 0)."""
+(``backend="numpy"`` only)."""
 
 SEARCH_BLOCKS_SEARCHED = "search.blocks_searched"
 """Counter: independent subproblems run by the kernel's block-cut

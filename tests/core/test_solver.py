@@ -6,10 +6,8 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graph.components import is_connected_subset
-from repro.graph.generators import gnp_random_graph
 from repro.graph.graph import Graph
-from repro.labels.continuous import ContinuousLabeling
-from repro.labels.discrete import DiscreteLabeling, uniform_probabilities
+from repro.labels.discrete import DiscreteLabeling
 from repro.core.construct_discrete import BlockPartition
 from repro.core.solver import find_mscs, mine
 

@@ -140,6 +140,37 @@ class TestMinSizeFloorEscalation:
         assert result.best.size >= 4
         assert frozenset({0, 1, 2}) <= result.best.vertices
 
+    @pytest.mark.parametrize(
+        ("min_size", "floors", "region"),
+        [(3, [1, 2, 3], frozenset({0, 1, 2})), (6, [1, 2, 3, 4, 5], None)],
+    )
+    def test_search_calls_and_explored_pinned(
+        self, monkeypatch, min_size, floors, region
+    ):
+        # A path of 5 has 15 connected sets.  The rare-label end vertex
+        # wins alone, then with one neighbour, so min_size=3 takes three
+        # searches; min_size=6 runs out of floors after five.
+        from repro.core import solver
+
+        calls = []
+        search = solver.exhaustive_best_mask
+
+        def recording(*args, **kwargs):
+            outcome = search(*args, **kwargs)
+            calls.append((kwargs.get("min_size", 1), outcome.explored))
+            return outcome
+
+        monkeypatch.setattr(solver, "exhaustive_best_mask", recording)
+        graph = Graph.path(5)
+        labeling = DiscreteLabeling((0.9, 0.1), {0: 1, 1: 0, 2: 0, 3: 0, 4: 0})
+        result = mine(graph, labeling, method="naive", min_size=min_size)
+        assert calls == [(floor, 15) for floor in floors]
+        assert result.report.explored_subgraphs == 15 * len(floors)
+        if region is None:
+            assert len(result) == 0
+        else:
+            assert result.best.vertices == region
+
     def test_unreachable_floor_yields_no_subgraphs(self, small_labeled):
         graph, labeling = small_labeled
         result = mine(graph, labeling, min_size=len(list(graph.vertices())) + 1)

@@ -15,11 +15,9 @@ import pytest
 
 from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
 from repro.enumerate.bounds import (
-    BoundedAccumulator,
     budget_limited_size,
     continuous_upper_bound,
     discrete_upper_bound,
-    supports_bounds,
 )
 from repro.enumerate.bitset import mask_of
 from repro.labels.discrete import DiscreteLabeling, uniform_probabilities
@@ -52,18 +50,6 @@ class TestBudgetLimitedSize:
     def test_zero_budget(self):
         assert budget_limited_size([3, 1, 2], 0) == 0
         assert budget_limited_size([], None) == 0
-
-
-class TestProtocol:
-    def test_bundled_accumulators_support_bounds(self):
-        disc = DiscreteAccumulator(PROBS, unit_payloads([0, 1, 2]))
-        cont = ContinuousAccumulator([((1.0,), 1), ((-2.0,), 1)])
-        for acc in (disc, cont):
-            assert supports_bounds(acc)
-            assert isinstance(acc, BoundedAccumulator)
-
-    def test_plain_object_does_not(self):
-        assert not supports_bounds(object())
 
 
 class TestDiscreteAdmissibility:

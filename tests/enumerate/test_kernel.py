@@ -2,10 +2,10 @@
 
 The differential property suites (``tests/properties/``) prove end-to-end
 outcome equality; these tests pin the kernel's *pieces* against their
-scalar references — batch statistics and bounds against the incremental
-accumulators elementwise, the neighborhood-mask precomputation against
-:class:`BitsetGraph`, and the edge semantics (abort, limit, fallback,
-degenerate graphs) the integration layers rely on.
+scalar references — batch statistics, bounds and closures against the
+incremental accumulators and the python walk's closure elementwise — and
+the edge semantics (abort, limit, fallback, degenerate graphs) of
+``exhaustive_best_mask(backend="numpy")`` the integration layers rely on.
 """
 
 from __future__ import annotations
@@ -20,26 +20,24 @@ from repro.enumerate.accumulators import (
     DiscreteAccumulator,
 )
 from repro.enumerate.bitset import BitsetGraph, iter_bits
+from repro.enumerate import kernel
 from repro.enumerate.kernel import (
     MAX_KERNEL_VERTICES,
+    _batch_closure,
     _bit_matrix,
     _build_plan,
     _ContinuousScorer,
     _DiscreteScorer,
     _mask_components,
-    batch_neighbors_mask,
-    kernel_available,
-    kernel_best_mask,
-    neighborhood_masks,
+    _neighborhood_masks,
 )
-from repro.enumerate.search import SearchOutcome, exhaustive_best_mask
-from repro.exceptions import (
-    EnumerationLimitError,
-    KernelError,
-    SearchAbortedError,
+from repro.enumerate.search import (
+    SearchOutcome,
+    _reachable_closure,
+    exhaustive_best_mask,
 )
+from repro.exceptions import EnumerationLimitError, SearchAbortedError
 from repro.graph.generators import gnp_random_graph
-from repro.labels.discrete import DiscreteLabeling
 
 DYADIC_PROBS = (0.5, 0.25, 0.25)
 
@@ -87,30 +85,37 @@ def _random_connected_masks(bitset, seed, count=40):
     return masks
 
 
-class TestKernelAvailability:
-    def test_numpy_is_baked_in(self):
-        assert kernel_available()
-
-
 class TestNeighborhoodMasks:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_bitset_adjacency(self, seed):
         bitset = _random_adjacency(seed)
-        arr = neighborhood_masks(bitset.adjacency)
+        arr = _neighborhood_masks(bitset.adjacency)
         assert [int(m) for m in arr] == list(bitset.adjacency)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_batch_neighbors_mask_matches_scalar(self, seed):
-        bitset = _random_adjacency(seed)
-        adj = neighborhood_masks(bitset.adjacency)
-        masks = _random_connected_masks(bitset, seed)
-        batch = batch_neighbors_mask(adj, np.array(masks, dtype=np.uint64))
-        for mask, got in zip(masks, batch):
-            assert int(got) == bitset.neighbors_mask(mask)
+    def test_keeps_the_top_bit(self):
+        # Vertex 63 sets the sign bit of a 64-bit word; uint64 keeps it.
+        adjacency = [0] * MAX_KERNEL_VERTICES
+        adjacency[0] = 1 << 63
+        adjacency[63] = 1
+        assert int(_neighborhood_masks(adjacency)[0]) == 1 << 63
 
-    def test_rejects_oversized_graphs(self):
-        with pytest.raises(KernelError):
-            neighborhood_masks([0] * (MAX_KERNEL_VERTICES + 1))
+
+class TestBatchClosure:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_scalar_closure(self, seed):
+        bitset = _random_adjacency(seed)
+        adj = _neighborhood_masks(bitset.adjacency)
+        masks = _random_connected_masks(bitset, seed)
+        frontiers = [bitset.neighbors_mask(mask) for mask in masks]
+        batch = _batch_closure(
+            adj,
+            np.array(frontiers, dtype=np.uint64),
+            np.array(masks, dtype=np.uint64),
+        )
+        for mask, frontier, got in zip(masks, frontiers, batch):
+            assert int(got) == _reachable_closure(
+                bitset.adjacency, frontier, mask
+            )
 
 
 class TestBatchScorersMatchScalar:
@@ -125,7 +130,7 @@ class TestBatchScorersMatchScalar:
         acc = DiscreteAccumulator(DYADIC_PROBS, payloads)
         scorer = _DiscreteScorer(acc.probabilities, acc.payloads)
         masks = _random_connected_masks(bitset, seed + 500)
-        chi = scorer.chi(_bit_matrix(np.array(masks, dtype=np.uint64), n))
+        chi = scorer.chi_masks(np.array(masks, dtype=np.uint64))
         for mask, got in zip(masks, chi):
             for i in iter_bits(mask):
                 acc.push(i)
@@ -141,7 +146,7 @@ class TestBatchScorersMatchScalar:
         acc = ContinuousAccumulator(_continuous_payloads(seed, n))
         scorer = _ContinuousScorer(acc.payloads)
         masks = _random_connected_masks(bitset, seed + 500)
-        chi = scorer.chi(_bit_matrix(np.array(masks, dtype=np.uint64), n))
+        chi = scorer.chi_masks(np.array(masks, dtype=np.uint64))
         for mask, got in zip(masks, chi):
             for i in iter_bits(mask):
                 acc.push(i)
@@ -247,7 +252,7 @@ class TestDecompositionHelpers:
 
     def test_build_plan_partitions_every_component(self):
         adjacency = [0b10, 0b01, 0b11000, 0b10100, 0b01100]
-        plan = _build_plan(adjacency, 5, True)
+        plan = _build_plan(adjacency, 5)
         union = 0
         for region, root in plan:
             union |= region
@@ -263,7 +268,7 @@ class TestDecompositionHelpers:
                 for v in members:
                     if u != v:
                         adjacency[u] |= 1 << v
-        plan = _build_plan(adjacency, n, True)
+        plan = _build_plan(adjacency, n)
         roots = [root for _, root in plan if root is not None]
         assert roots == [5]
         # The recursion splits the remainder into the two clique bodies
@@ -271,9 +276,19 @@ class TestDecompositionHelpers:
         regions = sorted(region for region, root in plan if root is None)
         assert regions == [0b00000011111, 0b11111000000]
 
-    def test_build_plan_decompose_off(self):
-        adjacency = [0b10, 0b01]
-        assert _build_plan(adjacency, 2, False) == [(0b11, None)]
+    def test_build_plan_decompose_off(self, monkeypatch):
+        # With the split threshold above the kernel's vertex cap the plan
+        # is one whole-component entry per component.
+        monkeypatch.setattr(
+            kernel, "MIN_DECOMPOSE_VERTICES", MAX_KERNEL_VERTICES + 1
+        )
+        adjacency = [0] * 11
+        for members in (range(0, 6), range(5, 11)):
+            for u in members:
+                for v in members:
+                    if u != v:
+                        adjacency[u] |= 1 << v
+        assert _build_plan(adjacency, 11) == [((1 << 11) - 1, None)]
 
 
 def _instance(seed, n=10, p=0.32):
@@ -284,31 +299,35 @@ def _instance(seed, n=10, p=0.32):
     return bitset.adjacency, acc
 
 
+def _numpy_search(adjacency, acc, **kwargs):
+    return exhaustive_best_mask(adjacency, acc, backend="numpy", **kwargs)
+
+
 class TestKernelEdgeSemantics:
     def test_empty_graph(self):
         acc = DiscreteAccumulator(DYADIC_PROBS, [])
-        assert kernel_best_mask([], acc) == SearchOutcome(
+        assert _numpy_search([], acc) == SearchOutcome(
             mask=0, chi_square=0.0, explored=0
         )
 
     def test_single_vertex(self):
         acc = DiscreteAccumulator(DYADIC_PROBS, [(0, 1, 0)])
-        outcome = kernel_best_mask([0], acc)
+        outcome = _numpy_search([0], acc)
         assert outcome.mask == 1
         assert outcome.explored == 1
 
     def test_limit_raises_with_python_semantics(self):
         adjacency, acc = _instance(3)
-        full = kernel_best_mask(adjacency, acc)
+        full = _numpy_search(adjacency, acc)
         with pytest.raises(EnumerationLimitError):
-            kernel_best_mask(adjacency, acc, limit=full.explored // 2)
+            _numpy_search(adjacency, acc, limit=full.explored // 2)
         # A limit the search fits under changes nothing.
-        assert kernel_best_mask(adjacency, acc, limit=full.explored) == full
+        assert _numpy_search(adjacency, acc, limit=full.explored) == full
 
     def test_check_abort_before_start(self):
         adjacency, acc = _instance(4)
         with pytest.raises(SearchAbortedError):
-            kernel_best_mask(adjacency, acc, check_abort=lambda: True)
+            _numpy_search(adjacency, acc, check_abort=lambda: True)
 
     def test_check_abort_mid_batch_leaves_no_partial_state(self):
         adjacency, acc = _instance(5)
@@ -319,63 +338,41 @@ class TestKernelEdgeSemantics:
             return calls["n"] > 3
 
         with pytest.raises(SearchAbortedError):
-            kernel_best_mask(adjacency, acc, check_abort=abort_later)
+            _numpy_search(adjacency, acc, check_abort=abort_later)
         # The kernel never mutates the accumulator, so an aborted run
         # leaves it empty and a rerun is bit-identical to a fresh one.
         assert acc.size == 0
-        rerun = kernel_best_mask(adjacency, acc)
+        rerun = _numpy_search(adjacency, acc)
         fresh = DiscreteAccumulator(
             DYADIC_PROBS, _discrete_payloads(5, len(adjacency))
         )
-        assert rerun == kernel_best_mask(adjacency, fresh)
-
-    def test_oversized_graph_raises_kernel_error(self):
-        n = MAX_KERNEL_VERTICES + 1
-        acc = DiscreteAccumulator(DYADIC_PROBS, [(1, 0, 0)] * n)
-        with pytest.raises(KernelError):
-            kernel_best_mask([0] * n, acc)
+        assert rerun == _numpy_search(adjacency, fresh)
 
     def test_oversized_graph_falls_back_via_search_dispatch(self):
-        # Through exhaustive_best_mask the same instance silently runs on
-        # the python walk instead.
+        # Above the kernel's vertex cap the search silently runs on the
+        # python walk instead.
         n = MAX_KERNEL_VERTICES + 1
         adjacency = [0] * n
         adjacency[0] = 0b10
         adjacency[1] = 0b01
         acc = DiscreteAccumulator(DYADIC_PROBS, [(1, 0, 0)] * n)
-        outcome = exhaustive_best_mask(adjacency, acc, backend="numpy")
+        outcome = _numpy_search(adjacency, acc)
         assert outcome.explored == n + 1  # n singles + the one edge pair
-
-    def test_unknown_accumulator_raises_kernel_error(self):
-        class Opaque:
-            def push(self, index):  # pragma: no cover - never called
-                pass
-
-            def pop(self, index):  # pragma: no cover - never called
-                pass
-
-            def chi_square(self):  # pragma: no cover - never called
-                return 0.0
-
-            def upper_bound(self, candidate_mask, remaining_budget):
-                return 0.0  # pragma: no cover - never called
-
-        with pytest.raises(KernelError):
-            kernel_best_mask([0b10, 0b01], Opaque())
 
     def test_invalid_arguments_match_python_contract(self):
         adjacency, acc = _instance(6)
         with pytest.raises(ValueError):
-            kernel_best_mask(adjacency, acc, min_size=0)
+            _numpy_search(adjacency, acc, min_size=0)
         with pytest.raises(ValueError):
-            kernel_best_mask(adjacency, acc, min_size=3, max_size=2)
+            _numpy_search(adjacency, acc, min_size=3, max_size=2)
         with pytest.raises(ValueError):
-            kernel_best_mask(adjacency, acc, prune="aggressive")
+            _numpy_search(adjacency, acc, prune="aggressive")
 
     def test_backend_argument_validated(self):
         adjacency, acc = _instance(7)
         with pytest.raises(ValueError):
             exhaustive_best_mask(adjacency, acc, backend="fortran")
+
 
 class TestKernelTelemetry:
     """Both backends flush the same metric names with comparable meaning."""
@@ -428,7 +425,7 @@ class TestKernelMatchesPythonWalk:
     @pytest.mark.parametrize("seed", range(8))
     def test_min_size_floor_filters_evaluations(self, seed):
         adjacency, acc = _instance(seed)
-        outcome = kernel_best_mask(adjacency, acc, min_size=3)
+        outcome = _numpy_search(adjacency, acc, min_size=3)
         reference = exhaustive_best_mask(
             adjacency, acc, min_size=3, backend="python"
         )

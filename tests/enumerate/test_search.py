@@ -8,7 +8,11 @@ from repro.exceptions import EnumerationLimitError
 from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
 from repro.enumerate.bitset import BitsetGraph
 from repro.enumerate.connected import enumerate_connected_subsets
-from repro.enumerate.search import exhaustive_best_mask, exhaustive_best_subset
+from repro.enumerate.search import (
+    PRUNE_MODES,
+    SEARCH_BACKENDS,
+    exhaustive_best_mask,
+)
 from repro.graph.generators import gnp_random_graph
 from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
@@ -23,6 +27,12 @@ def brute_force_best_discrete(graph, labeling):
         if value > best_value:
             best_value, best_set = value, subset
     return best_set, best_value
+
+
+def best_subset(bitset, accumulator):
+    """``(vertex_set, chi_square, explored)`` of the search's winner."""
+    outcome = exhaustive_best_mask(bitset.adjacency, accumulator)
+    return bitset.vertex_set(outcome.mask), outcome.chi_square, outcome.explored
 
 
 def discrete_accumulator_for(graph, labeling):
@@ -41,7 +51,7 @@ class TestDiscreteSearch:
         g = gnp_random_graph(10, 0.35, seed=seed)
         lab = DiscreteLabeling.random(g, uniform_probabilities(3), seed=seed + 50)
         bitset, acc = discrete_accumulator_for(g, lab)
-        subset, value, _ = exhaustive_best_subset(bitset, acc)
+        subset, value, _ = best_subset(bitset, acc)
         _, oracle_value = brute_force_best_discrete(g, lab)
         assert value == pytest.approx(oracle_value)
         assert lab.chi_square(subset) == pytest.approx(oracle_value)
@@ -49,7 +59,7 @@ class TestDiscreteSearch:
     def test_known_instance(self, small_labeled):
         graph, labeling = small_labeled
         bitset, acc = discrete_accumulator_for(graph, labeling)
-        subset, value, _ = exhaustive_best_subset(bitset, acc)
+        subset, value, _ = best_subset(bitset, acc)
         # The rare-label triangle is the most significant region.
         assert subset == frozenset({0, 1, 2})
         assert value == pytest.approx(labeling.chi_square([0, 1, 2]))
@@ -64,7 +74,7 @@ class TestDiscreteSearch:
         bitset, acc = discrete_accumulator_for(
             Graph(), DiscreteLabeling((0.5, 0.5), {})
         )
-        subset, value, explored = exhaustive_best_subset(bitset, acc)
+        subset, value, explored = best_subset(bitset, acc)
         assert subset == frozenset()
         assert value == 0.0
         assert explored == 0
@@ -106,7 +116,7 @@ class TestContinuousSearch:
         acc = ContinuousAccumulator(
             [(lab.z_score_of(v), 1) for v in bitset.vertices]
         )
-        subset, value, _ = exhaustive_best_subset(bitset, acc)
+        subset, value, _ = best_subset(bitset, acc)
         best_value = max(
             lab.chi_square(s) for s in enumerate_connected_subsets(g)
         )
@@ -120,7 +130,7 @@ class TestContinuousSearch:
         acc = ContinuousAccumulator(
             [(lab.z_score_of(v), 1) for v in bitset.vertices]
         )
-        subset, value, _ = exhaustive_best_subset(bitset, acc)
+        subset, value, _ = best_subset(bitset, acc)
         assert subset == frozenset({0})
         assert value == pytest.approx(100.0)
 
@@ -133,7 +143,7 @@ class TestDeepGraphs:
         g = Graph.path(n)
         lab = DiscreteLabeling((0.5, 0.5), {v: v % 2 for v in range(n)})
         bitset, acc = discrete_accumulator_for(g, lab)
-        subset, value, explored = exhaustive_best_subset(bitset, acc)
+        subset, value, explored = best_subset(bitset, acc)
         # A path on n vertices has n(n+1)/2 connected subsets.
         assert explored == n * (n + 1) // 2
         assert value == pytest.approx(1.0)
@@ -142,26 +152,41 @@ class TestDeepGraphs:
         g = gnp_random_graph(12, 0.4, seed=77)
         lab = DiscreteLabeling.random(g, uniform_probabilities(2), seed=78)
         bitset, acc = discrete_accumulator_for(g, lab)
-        exhaustive_best_subset(bitset, acc)
+        best_subset(bitset, acc)
         # The accumulator must end exactly where it started: empty.
         assert acc.chi_square() == 0.0
         assert acc.size == 0
 
 
-class _UnboundedAccumulator:
-    """Minimal accumulator with no ``upper_bound`` — valid for prune="none"."""
+class _CountingAccumulator:
+    """A well-formed accumulator that is not one of the bundled types."""
 
     def __init__(self):
         self._n = 0
 
-    def push(self, index):
+    def push(self, index):  # pragma: no cover - never called
         self._n += 1
 
-    def pop(self, index):
+    def pop(self, index):  # pragma: no cover - never called
         self._n -= 1
 
-    def chi_square(self):
+    def chi_square(self):  # pragma: no cover - never called
         return float(self._n)
+
+    def upper_bound(self, candidate_mask, remaining_budget):
+        return float("inf")  # pragma: no cover - never called
+
+
+class TestAccumulatorContract:
+    @pytest.mark.parametrize("prune", PRUNE_MODES)
+    @pytest.mark.parametrize("backend", SEARCH_BACKENDS)
+    def test_non_bundled_accumulator_rejected(self, triangle, backend, prune):
+        bitset = BitsetGraph(triangle)
+        with pytest.raises(TypeError, match="_CountingAccumulator"):
+            exhaustive_best_mask(
+                bitset.adjacency, _CountingAccumulator(),
+                backend=backend, prune=prune,
+            )
 
 
 @pytest.mark.bounds
@@ -183,16 +208,6 @@ class TestPruneModes:
         bitset, acc = discrete_accumulator_for(graph, labeling)
         with pytest.raises(ValueError, match="prune"):
             exhaustive_best_mask(bitset.adjacency, acc, prune="aggressive")
-
-    def test_unbounded_accumulator_rejected(self, triangle):
-        bitset = BitsetGraph(triangle)
-        acc = _UnboundedAccumulator()
-        # Fine without bounds...
-        outcome = exhaustive_best_mask(bitset.adjacency, acc, prune="none")
-        assert outcome.explored == 7
-        # ...but prune="bounds" needs upper_bound().
-        with pytest.raises(TypeError, match="upper_bound"):
-            exhaustive_best_mask(bitset.adjacency, acc, prune="bounds")
 
     def test_split_prune_counters(self, small_labeled):
         graph, labeling = small_labeled

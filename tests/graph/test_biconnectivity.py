@@ -6,7 +6,8 @@ at an articulation point — rooted search through the cut vertex plus
 recursion into the remaining components — must reproduce the whole-region
 search exactly (optimum and every counter), because the split partitions
 the family of connected vertex sets.  :mod:`repro.enumerate.kernel` relies
-on exactly this property.
+on exactly this property; the whole-region side of the comparison patches
+its split threshold ``MIN_DECOMPOSE_VERTICES`` above the vertex cap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 
 from repro.enumerate.accumulators import DiscreteAccumulator
 from repro.enumerate.bitset import BitsetGraph
-from repro.enumerate.kernel import kernel_best_mask
+from repro.enumerate import kernel
 from repro.enumerate.search import exhaustive_best_mask
 from repro.graph.biconnectivity import (
     articulation_points,
@@ -236,12 +237,22 @@ class TestDecompositionSearchEquivalence:
     """Block-decomposed search == whole-graph search, counters included."""
 
     @pytest.mark.parametrize("seed", range(15))
-    def test_kernel_decomposition_exact(self, seed):
+    def test_kernel_decomposition_exact(self, seed, monkeypatch):
         graph = _articulated_graph(seed)
         assert articulation_points(graph), "fixture must have cut vertices"
         bitset, acc = _dyadic_accumulator(graph, seed)
-        whole = kernel_best_mask(bitset.adjacency, acc, decompose=False)
-        split = kernel_best_mask(bitset.adjacency, acc, decompose=True)
+        n = len(bitset.adjacency)
+        assert any(root is not None for _, root in kernel._build_plan(
+            bitset.adjacency, n
+        )), "fixture must be split"
+        split = exhaustive_best_mask(bitset.adjacency, acc, backend="numpy")
+        monkeypatch.setattr(
+            kernel, "MIN_DECOMPOSE_VERTICES", kernel.MAX_KERNEL_VERTICES + 1
+        )
+        assert all(root is None for _, root in kernel._build_plan(
+            bitset.adjacency, n
+        ))
+        whole = exhaustive_best_mask(bitset.adjacency, acc, backend="numpy")
         assert split == whole
 
     @pytest.mark.parametrize("seed", range(15))
@@ -249,7 +260,7 @@ class TestDecompositionSearchEquivalence:
         graph = _articulated_graph(seed)
         bitset, acc = _dyadic_accumulator(graph, seed)
         python = exhaustive_best_mask(bitset.adjacency, acc, backend="python")
-        split = kernel_best_mask(bitset.adjacency, acc, decompose=True)
+        split = exhaustive_best_mask(bitset.adjacency, acc, backend="numpy")
         assert split == python
 
     @pytest.mark.parametrize("seed", range(8))
@@ -260,9 +271,9 @@ class TestDecompositionSearchEquivalence:
             bitset.adjacency, acc, min_size=2, max_size=6,
             prune="bounds", backend="python",
         )
-        split = kernel_best_mask(
+        split = exhaustive_best_mask(
             bitset.adjacency, acc, min_size=2, max_size=6,
-            prune="bounds", decompose=True,
+            prune="bounds", backend="numpy",
         )
         assert split.mask == python.mask
         assert split.chi_square == python.chi_square

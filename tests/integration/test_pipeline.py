@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.graph.components import is_connected_subset
 from repro.graph.generators import (
     barabasi_albert_graph,

@@ -6,7 +6,7 @@ import pytest
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.stats.chi_square import CountVector, chi_square_statistic

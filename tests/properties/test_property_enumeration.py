@@ -4,11 +4,14 @@ Besides the enumeration-vs-oracle checks, this module runs the search
 *differentially across backends* on hypothesis-generated graphs: the
 vectorized numpy kernel must return the bit-identical
 :class:`SearchOutcome` as the reference python DFS, with and without the
-block-cut decomposition.  Labelings use dyadic probabilities so the
+block-cut decomposition (switched by patching the kernel's split
+threshold ``MIN_DECOMPOSE_VERTICES``).  Labelings use dyadic probabilities so the
 statistics are exact in floating point and the equality can be ``==``.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 
@@ -22,7 +25,7 @@ from repro.enumerate.connected import (
     enumerate_connected_subsets,
     reference_connected_subsets,
 )
-from repro.enumerate.kernel import kernel_best_mask
+from repro.enumerate import kernel
 from repro.enumerate.search import exhaustive_best_mask
 from repro.graph.components import is_connected_subset
 from repro.graph.graph import Graph
@@ -126,8 +129,14 @@ class TestBackendDifferentialProperties:
     def test_decomposition_changes_nothing(self, instance):
         graph, labels = instance
         adjacency, acc = _dyadic_instance(graph, labels)
-        whole = kernel_best_mask(adjacency, acc, decompose=False)
-        split = kernel_best_mask(adjacency, acc, decompose=True)
+        # Split every component of 3+ vertices that has a cut vertex, then
+        # compare with one whole-component search per component.
+        with mock.patch.object(kernel, "MIN_DECOMPOSE_VERTICES", 3):
+            split = exhaustive_best_mask(adjacency, acc, backend="numpy")
+        with mock.patch.object(
+            kernel, "MIN_DECOMPOSE_VERTICES", kernel.MAX_KERNEL_VERTICES + 1
+        ):
+            whole = exhaustive_best_mask(adjacency, acc, backend="numpy")
         assert split == whole
 
     @settings(max_examples=40, deadline=None)

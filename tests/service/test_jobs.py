@@ -6,6 +6,7 @@ These spin up real ``spawn`` worker processes, so they carry the
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import signal
@@ -17,8 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
 from repro.exceptions import BackpressureError, ServiceError
-from repro.service.jobs import JobManager
+from repro.service.cache import DEFAULT_MAX_BYTES
+from repro.service.jobs import JobManager, _worker_main
+from repro.service.server import MiningService
 from repro.service.protocol import validate_request
 from conftest import service_cache_dir_from_env
 
@@ -287,3 +291,18 @@ class TestShutdown:
             for pid in pids:  # never leak orphans when the test fails
                 if alive(pid):
                     os.kill(pid, signal.SIGKILL)
+
+
+class TestDiskBudgetDefault:
+    """Without ``--cache-bytes`` the disk tier keeps the documented budget."""
+
+    def test_serve_parses_default_budget(self):
+        args = build_parser().parse_args(["serve", "--cache-dir", "X"])
+        assert args.cache_bytes == DEFAULT_MAX_BYTES
+
+    def test_default_manager_and_workers_carry_budget(self):
+        for owner in (MiningService, _worker_main):
+            default = inspect.signature(owner).parameters["cache_bytes"].default
+            assert default == DEFAULT_MAX_BYTES, owner.__name__
+        with JobManager(workers=1) as mgr:
+            assert mgr._cache_bytes == DEFAULT_MAX_BYTES
