@@ -7,8 +7,6 @@ This benchmark measures what the pass buys at aggressive reduction levels
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.harness import timed
 from repro.graph.generators import gnm_random_graph
 from repro.labels.discrete import DiscreteLabeling, uniform_probabilities

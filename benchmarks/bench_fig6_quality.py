@@ -18,7 +18,6 @@ from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling, uniform_probabilities
 from repro.core.construct_continuous import build_continuous_supergraph
 from repro.core.construct_discrete import build_discrete_supergraph
-from repro.core.reduce import reduce_supergraph
 from repro.core.solver import mine
 
 from conftest import emit

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.core.solver import mine
 from repro.enumerate.accumulators import DiscreteAccumulator
 from repro.enumerate.bitset import BitsetGraph

@@ -8,8 +8,6 @@ verify the pipeline returns the very same optimum (Conclusion 2 regime).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.harness import timed
 from repro.graph.generators import gnp_random_graph
 from repro.labels.discrete import DiscreteLabeling, uniform_probabilities

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.wnv import DC_NAME, DC_RING_NAMES, NY_NAMES, wnv_dataset
-from repro.outliers.regions import mine_outlier_regions, rank_outlier_nodes
+from repro.datasets.wnv import DC_NAME, DC_RING_NAMES, wnv_dataset
+from repro.outliers.regions import mine_outlier_regions
 
 from conftest import emit
 

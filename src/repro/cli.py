@@ -138,11 +138,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                 sys.stderr.write("\n")
                 sys.stderr.flush()
 
-    metrics_snapshot = None
+    metrics = None
     if args.trace or args.metrics:
         with telemetry_session() as (tracer, metrics):
             result = run()
-        metrics_snapshot = metrics.snapshot()
         if args.trace:
             tracer.write_jsonl(args.trace, metrics=metrics)
     else:
@@ -156,8 +155,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         payload["report"] = {
             "prune": args.prune, "backend": args.backend, **payload["report"]
         }
-        if metrics_snapshot is not None:
-            payload["metrics"] = metrics_snapshot
+        if metrics is not None:
+            payload["metrics"] = metrics.snapshot()
         if args.trace:
             payload["trace_file"] = args.trace
         print(json.dumps(payload, indent=2))
@@ -190,23 +189,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
           f"{report.reduced_vertices}; {report.total_seconds:.3f}s total "
           f"(construct {report.construction_seconds:.3f}s, reduce "
           f"{report.reduction_seconds:.3f}s, search {report.search_seconds:.3f}s)")
-    if args.metrics and metrics_snapshot:
+    if args.metrics and len(metrics):
         from repro.experiments.tables import format_table
+        from repro.telemetry.summarize import metric_rows
 
-        rows = []
-        for name, value in metrics_snapshot.items():
-            if isinstance(value, dict):  # histogram summary
-                rows.append([
-                    name,
-                    value["count"],
-                    f"mean={value['mean']:.2f} p50={value['p50']:g} "
-                    f"p90={value['p90']:g} max={value['max']:g}",
-                ])
-            else:
-                rows.append([name, value, ""])
+        headers, rows = metric_rows(metrics.to_records())
         print()
-        print(format_table(["metric", "value", "detail"], rows,
-                           title="Pipeline metrics"))
+        print(format_table(headers, rows, title="Pipeline metrics"))
     if args.trace:
         print(f"-- trace written to {args.trace}")
     return 0

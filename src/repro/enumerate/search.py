@@ -504,21 +504,24 @@ def _python_walk(
     # of the current set, which can reach n (e.g. a path graph) and blow
     # Python's recursion limit.  Each frame is a *pending action*: either
     # expand a state or pop a vertex from the accumulator on backtrack.
+    # Every push is paired with its POP frame before anything can raise,
+    # so an aborted walk unwinds the stack's pops and hands the caller's
+    # accumulator back as it came in.
     POP = -1
+    # Stack frames: (POP, vertex) sentinel or (subset, size, ext, fb).
+    stack: list[tuple[int, ...]] = []
     try:
         for root in range(n):
             root_bit = 1 << root
             accumulator.push(root)
+            stack.append((POP, root))
             consider(root_bit, 1)
-            # Stack frames: (POP, vertex) sentinel or (subset, size, ext, fb).
-            stack: list[tuple[int, ...]] = [
-                (
-                    root_bit,
-                    1,
-                    adjacency[root] & ~(root_bit - 1) & ~root_bit,
-                    root_bit - 1,
-                )
-            ]
+            stack.append((
+                root_bit,
+                1,
+                adjacency[root] & ~(root_bit - 1) & ~root_bit,
+                root_bit - 1,
+            ))
             while stack:
                 frame = stack.pop()
                 if frame[0] == POP:
@@ -568,9 +571,12 @@ def _python_walk(
                 child_subset = subset | u_bit
                 child_ext = rest | (adjacency[u] & ~(child_subset | fb | rest))
                 accumulator.push(u)
-                consider(child_subset, size + 1)
                 stack.append((POP, u))
+                consider(child_subset, size + 1)
                 stack.append((child_subset, size + 1, child_ext, fb))
-            accumulator.pop(root)
     finally:
+        while stack:
+            frame = stack.pop()
+            if frame[0] == POP:
+                accumulator.pop(frame[1])
         sync()

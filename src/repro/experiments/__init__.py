@@ -1,15 +1,14 @@
 """Experiment harness: timing, repetition, sweeps, and table rendering.
 
 Shared by every script in ``benchmarks/``; keeping it inside the library
-means the reproduction protocol (seeding, averaging over runs, stage
-accounting) is itself tested code.
+means the reproduction protocol (seeding, averaging over runs) is itself
+tested code.
 """
 
 from repro.experiments.ascii_map import render_point_map, render_region_map
 from repro.experiments.charts import ascii_chart
 from repro.experiments.harness import (
     RepeatedMeasurement,
-    StageClock,
     repeat_measurements,
     timed,
 )
@@ -18,7 +17,6 @@ from repro.experiments.tables import format_cell, format_table, write_csv
 
 __all__ = [
     "RepeatedMeasurement",
-    "StageClock",
     "SweepPoint",
     "ascii_chart",
     "edge_count_range",

@@ -3,12 +3,8 @@
 The paper averages synthetic results over 10 runs and reports per-stage
 wall times (super-graph conversion / reduction / naïve search).  This
 module provides the small, deterministic utilities those experiments need:
-a timing wrapper, a repetition aggregator, and a stage-accounting record.
-
-:class:`StageClock` is a thin wrapper over the telemetry tracer
-(:class:`repro.telemetry.Tracer`) rather than a parallel timing
-implementation: ``measure`` records a real span, so benchmark stage
-accounting and pipeline traces share one code path and one output format.
+a timing wrapper and a repetition aggregator.  Per-stage times come from
+the pipeline's own telemetry spans (:mod:`repro.telemetry`).
 """
 
 from __future__ import annotations
@@ -17,13 +13,12 @@ import math
 import statistics
 import time
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable
 from typing import Any, TypeVar
 
 from repro.exceptions import ExperimentError
-from repro.telemetry.span import Tracer
 
-__all__ = ["RepeatedMeasurement", "StageClock", "repeat_measurements", "timed"]
+__all__ = ["RepeatedMeasurement", "repeat_measurements", "timed"]
 
 T = TypeVar("T")
 
@@ -83,48 +78,3 @@ def repeat_measurements(
     values = tuple(float(fn(i)) for i in range(repetitions))
     return RepeatedMeasurement(values)
 
-
-class StageClock:
-    """Accumulates named stage durations (Figure 2's stacked bars).
-
-    Backed by a :class:`~repro.telemetry.span.Tracer`: every ``measure``
-    call records a span named after the stage, so a clock used inside a
-    benchmark doubles as a trace producer (``clock.tracer.write_jsonl``).
-    Manually-reported durations (``add``) have no span to attach and are
-    kept in a side ledger merged into :attr:`stages`.
-    """
-
-    __slots__ = ("tracer", "_manual")
-
-    def __init__(self, tracer: Tracer | None = None) -> None:
-        self.tracer = tracer if tracer is not None else Tracer()
-        self._manual: dict[str, float] = {}
-
-    def add(self, stage: str, seconds: float) -> None:
-        """Accumulate an externally measured duration into a named stage."""
-        if seconds < 0:
-            raise ExperimentError(f"negative duration {seconds} for {stage!r}")
-        self._manual[stage] = self._manual.get(stage, 0.0) + seconds
-
-    def measure(self, stage: str, fn: Callable[..., T], *args: Any, **kwargs: Any) -> T:
-        """Run ``fn`` inside a span, accumulating its wall time into ``stage``."""
-        with self.tracer.span(stage):
-            return fn(*args, **kwargs)
-
-    @property
-    def stages(self) -> dict[str, float]:
-        """Accumulated seconds per stage (spans plus manual additions)."""
-        out = dict(self._manual)
-        for span in self.tracer.spans:
-            out[span.name] = out.get(span.name, 0.0) + span.wall_seconds
-        return out
-
-    @property
-    def total(self) -> float:
-        """Total time across all stages."""
-        return math.fsum(self.stages.values())
-
-    def as_row(self, order: Sequence[str] | Iterable[str]) -> list[float]:
-        """Stage durations in a fixed column order (0.0 when absent)."""
-        stages = self.stages
-        return [stages.get(stage, 0.0) for stage in order]

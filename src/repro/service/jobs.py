@@ -84,12 +84,11 @@ from repro.telemetry import names as _metric
 from repro.telemetry import telemetry_session
 from repro.telemetry.context import (
     capture_session,
-    merge_payload_metrics,
     new_trace_id,
     payload_records,
-    write_job_trace,
 )
 from repro.telemetry.progress import SearchProgress
+from repro.telemetry.span import write_trace_records
 
 __all__ = ["DEFAULT_QUEUE_SIZE", "Job", "JobManager"]
 
@@ -598,20 +597,21 @@ class JobManager:
     def _absorb_telemetry(self, job: Job, payload: dict[str, Any]) -> None:
         """Persist a job's captured telemetry and fold it into the parent.
 
-        The trace artifact and in-memory records are built whether or not
-        telemetry is enabled in the *parent* process — the worker already
-        paid for them, and ``GET /jobs/<id>/trace`` should work either
-        way.  The registry merge is gated on the parent's telemetry state.
+        The job's trace records are built once, kept in memory and written
+        as its artifact, whether or not telemetry is enabled in the
+        *parent* process — the worker already paid for them, and ``GET
+        /jobs/<id>/trace`` should work either way.  The registry merge is
+        gated on the parent's telemetry state.
         """
+        job.trace_records = payload_records(payload, job_id=job.id)
         try:
-            job.trace_records = payload_records(payload, job_id=job.id)
             path = self.trace_dir() / f"{job.id}.jsonl"
-            job.trace_path = str(write_job_trace(path, payload, job_id=job.id))
+            job.trace_path = str(write_trace_records(path, job.trace_records))
             self._count(_metric.SERVICE_TRACES_PERSISTED)
         except ReproError:  # pragma: no cover - disk full etc.
             job.trace_path = None
         if _TELEMETRY.enabled:
-            merge_payload_metrics(_TELEMETRY.metrics, payload)
+            _TELEMETRY.metrics.merge_records(payload["metrics"])
             self._count(_metric.TELEMETRY_REGISTRY_MERGES)
             self._count(
                 _metric.TELEMETRY_SPANS_MERGED, len(payload.get("spans", ()))

@@ -408,16 +408,16 @@ class MiningService:
     def prometheus_metrics(self) -> str:
         """``GET /metricsz?format=prometheus`` — the text exposition format.
 
-        Exports the full registry state (which, thanks to the collector's
+        Exports every registry record (which, thanks to the collector's
         cross-process merge, aggregates the workers' ``search.*`` and
         ``solver.*`` metrics) plus the pool statistics; pool-level series
         win over registry entries of the same name so aggregated values
         are never exported twice.
         """
         stats = self.manager.stats()
-        state = _TELEMETRY.metrics.to_state() if _TELEMETRY.enabled else None
+        records = _TELEMETRY.metrics.to_records() if _TELEMETRY.enabled else None
         return render_prometheus(
-            state,
+            records,
             counters=stats["counters"],
             gauges={
                 "service.jobs_in_flight": stats["jobs_in_flight"],

@@ -5,7 +5,8 @@ optimising it requires measuring it.  This package provides the three
 pieces the rest of the library instruments against:
 
 ``repro.telemetry.span``
-    Nested :class:`Span`/:class:`Tracer` wall/CPU tracing with JSONL export.
+    Nested :class:`Span`/:class:`Tracer` wall-time tracing and the one
+    JSONL trace writer/reader pair.
 ``repro.telemetry.metrics``
     A :class:`MetricsRegistry` of counters, gauges, and fixed-bucket
     histograms keyed by the stable names in :mod:`repro.telemetry.names`.
@@ -14,12 +15,12 @@ pieces the rest of the library instruments against:
     summarize`` subcommand), merging multiple files without double-counting.
 ``repro.telemetry.context``
     Cross-process trace context: capture a worker session into a shippable
-    payload, merge it into a parent registry, persist per-job artifacts.
+    payload and lay it out as per-job trace records.
 ``repro.telemetry.progress``
     Live :class:`SearchProgress` heartbeats published by both search
     backends at the ``check_abort`` cadence, aggregated per job.
 ``repro.telemetry.exposition``
-    Prometheus text-format rendering of a metrics state
+    Prometheus text-format rendering of metric records
     (``GET /metricsz?format=prometheus``).
 
 Telemetry is **off by default** and gated by the module-level
@@ -55,9 +56,8 @@ from collections.abc import Iterator
 
 from repro.telemetry.context import (
     capture_session,
-    merge_payload_metrics,
     new_trace_id,
-    write_job_trace,
+    payload_records,
 )
 from repro.telemetry.exposition import (
     PROMETHEUS_CONTENT_TYPE,
@@ -78,8 +78,8 @@ from repro.telemetry.span import (
     SCHEMA_VERSION,
     Span,
     Tracer,
-    read_trace,
     read_trace_records,
+    write_trace_records,
 )
 
 __all__ = [
@@ -97,13 +97,12 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "capture_session",
-    "merge_payload_metrics",
     "new_trace_id",
-    "read_trace",
+    "payload_records",
     "read_trace_records",
     "render_prometheus",
     "telemetry_session",
-    "write_job_trace",
+    "write_trace_records",
 ]
 
 
@@ -111,7 +110,8 @@ class Telemetry:
     """Global on/off gate holding the active tracer and metrics registry.
 
     ``enabled`` is the only attribute hot paths ever read; ``tracer`` and
-    ``metrics`` are non-None exactly while enabled.
+    ``metrics`` are non-None exactly while enabled.  Switch it with
+    :func:`telemetry_session`.
     """
 
     __slots__ = ("enabled", "tracer", "metrics")
@@ -121,45 +121,23 @@ class Telemetry:
         self.tracer: Tracer | None = None
         self.metrics: MetricsRegistry | None = None
 
-    def enable(
-        self,
-        *,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        cpu_time: bool = False,
-    ) -> tuple[Tracer, MetricsRegistry]:
-        """Switch collection on, creating fresh sinks unless provided."""
-        self.tracer = tracer if tracer is not None else Tracer(cpu_time=cpu_time)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.enabled = True
-        return self.tracer, self.metrics
-
-    def disable(self) -> None:
-        """Switch collection off and drop the sinks."""
-        self.enabled = False
-        self.tracer = None
-        self.metrics = None
-
 
 TELEMETRY = Telemetry()
 """The process-wide telemetry gate (disabled by default)."""
 
 
 @contextmanager
-def telemetry_session(
-    *,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    cpu_time: bool = False,
-) -> Iterator[tuple[Tracer, MetricsRegistry]]:
+def telemetry_session() -> Iterator[tuple[Tracer, MetricsRegistry]]:
     """Enable global telemetry for a block, restoring the prior state after.
 
-    Yields ``(tracer, metrics)``.  Sessions nest: an inner session swaps in
-    its own sinks and the outer session's sinks come back on exit.
+    Yields a fresh ``(tracer, metrics)`` pair.  Sessions nest: an inner
+    session swaps in its own sinks and the outer session's sinks come back
+    on exit.
     """
     previous = (TELEMETRY.enabled, TELEMETRY.tracer, TELEMETRY.metrics)
-    pair = TELEMETRY.enable(tracer=tracer, metrics=metrics, cpu_time=cpu_time)
+    tracer, metrics = Tracer(), MetricsRegistry()
+    TELEMETRY.enabled, TELEMETRY.tracer, TELEMETRY.metrics = True, tracer, metrics
     try:
-        yield pair
+        yield tracer, metrics
     finally:
         TELEMETRY.enabled, TELEMETRY.tracer, TELEMETRY.metrics = previous

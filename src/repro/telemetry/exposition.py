@@ -5,20 +5,21 @@ prometheus`` serves, and what a stock Prometheus scraper ingests without
 adapters).  Dotted registry names are mangled to legal Prometheus names —
 ``search.states_visited`` becomes ``repro_search_states_visited`` — and
 histograms are exported with the conventional cumulative ``_bucket{le=}``
-series plus ``_sum``/``_count``, recomputed from the registry's raw
+series plus ``_sum``/``_count``, recomputed from the records' raw
 per-bucket counts so scraped quantiles are exact, not re-derived from the
 JSONL summary approximations.
 
-The renderer consumes the lossless :meth:`~repro.telemetry.metrics.
-MetricsRegistry.to_state` shape rather than live metric objects, so the
-same function serves a local registry, a worker payload, or a merged
-pool-wide aggregate.
+The renderer consumes :meth:`~repro.telemetry.metrics.MetricsRegistry.
+to_records` records rather than live metric objects, so the same function
+serves a local registry, a worker payload, or a merged pool-wide
+aggregate.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from typing import Any
 
 __all__ = [
@@ -59,26 +60,26 @@ def _escape_label(value: str) -> str:
 
 
 def render_prometheus(
-    state: dict[str, Any] | None = None,
+    records: Iterable[dict[str, Any]] | None = None,
     *,
     counters: dict[str, float] | None = None,
     gauges: dict[str, float] | None = None,
     labeled: dict[str, tuple[str, dict[str, float]]] | None = None,
 ) -> str:
-    """Render a metrics state (plus ad-hoc series) as Prometheus text.
+    """Render metric records (plus ad-hoc series) as Prometheus text.
 
-    ``state`` is a :meth:`~repro.telemetry.metrics.MetricsRegistry.to_state`
-    dump (may be None/empty).  ``counters``/``gauges`` add scalar series
-    kept outside any registry (pool statistics); they win over same-named
-    state entries so an aggregated value is never exported twice.
-    ``labeled`` maps a metric name to ``(label_key, {label_value: value})``
-    and renders one gauge family with one sample per label value — e.g.
-    job counts by status.  Families are emitted sorted by exported name.
+    ``records`` are :meth:`~repro.telemetry.metrics.MetricsRegistry.
+    to_records` records (may be None/empty).  ``counters``/``gauges`` add
+    scalar series kept outside any registry (pool statistics); they win
+    over same-named records so an aggregated value is never exported
+    twice.  ``labeled`` maps a metric name to ``(label_key, {label_value:
+    value})`` and renders one gauge family with one sample per label
+    value — e.g. job counts by status.  Families are emitted sorted by
+    exported name.
     """
     counters = dict(counters or {})
     gauges = dict(gauges or {})
     labeled = dict(labeled or {})
-    state = state or {}
 
     families: dict[str, tuple[str, list[str]]] = {}
 
@@ -99,28 +100,24 @@ def render_prometheus(
         add(name, "gauge", [f"{prometheus_name(name)} {_format_value(value)}"])
 
     overridden = set(families)
-    for name, value in state.get("counters", {}).items():
-        if prometheus_name(name) in overridden:
-            continue
-        add(name, "counter", [f"{prometheus_name(name)} {_format_value(value)}"])
-    for name, value in state.get("gauges", {}).items():
-        if prometheus_name(name) in overridden:
-            continue
-        add(name, "gauge", [f"{prometheus_name(name)} {_format_value(value)}"])
-    for name, dump in state.get("histograms", {}).items():
+    for record in records or ():
+        name, kind = record["name"], record["kind"]
         exported = prometheus_name(name)
         if exported in overridden:
             continue
+        if kind != "histogram":
+            add(name, kind, [f"{exported} {_format_value(record['value'])}"])
+            continue
         lines = []
         cumulative = 0
-        for bound, count in zip(dump["buckets"], dump["counts"]):
+        for bound, count in record["buckets"]:
             cumulative += count
             lines.append(
                 f'{exported}_bucket{{le="{_format_value(float(bound))}"}} '
                 f"{cumulative}"
             )
-        lines.append(f"{exported}_sum {_format_value(float(dump['total']))}")
-        lines.append(f"{exported}_count {dump['count']}")
+        lines.append(f"{exported}_sum {_format_value(float(record['sum']))}")
+        lines.append(f"{exported}_count {record['count']}")
         add(name, "histogram", lines)
 
     out: list[str] = []

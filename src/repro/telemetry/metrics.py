@@ -20,18 +20,20 @@ hold a metric directly own its synchronisation — and the disabled-telemetry
 hot path never reaches the registry at all, so the gate stays a bare
 attribute check.
 
-Registries also serialise losslessly: :meth:`MetricsRegistry.to_state`
-captures every counter value and full histogram bucket vector, and
-:meth:`MetricsRegistry.merge_state` folds such a state from another process
-into this registry (counters add, gauges last-write-wins, histograms merge
-bucket-wise) — the mechanism the mining service uses to aggregate worker
-telemetry into the parent process.
+Registries ship and store in one format, the JSONL ``metric`` record of
+:meth:`MetricsRegistry.to_records` (every histogram record carries its raw
+per-bucket counts), and :meth:`MetricsRegistry.merge_records` folds such
+records back in losslessly (counters add, gauges last-write-wins,
+histograms merge bucket-wise) — the mechanism the mining service uses to
+aggregate worker telemetry and ``repro trace summarize`` uses to merge
+trace files.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterable
 from typing import Any
 
 from repro.exceptions import TelemetryError
@@ -189,9 +191,8 @@ class Histogram:
 
         The ``buckets`` entry carries the per-bucket (non-cumulative)
         counts as ``[upper_bound, count]`` pairs so that histograms from
-        several trace files can be merged *exactly* (quantiles are then
+        several processes or trace files merge *exactly* (quantiles are
         recomputed from the merged counts instead of being averaged).
-        Readers that predate the field ignore it.
         """
         record: dict[str, Any] = {
             "type": "metric",
@@ -203,6 +204,30 @@ class Histogram:
             [bound, count] for bound, count in zip(self.buckets, self.counts)
         ]
         return record
+
+    @classmethod
+    def from_record(cls, record: dict[str, Any]) -> "Histogram":
+        """Rebuild a histogram from its :meth:`to_record` record."""
+        name = record["name"]
+        raw = record.get("buckets")
+        if not raw:
+            raise TelemetryError(
+                f"histogram {name!r} record has no raw buckets to merge"
+            )
+        histogram = cls(name, tuple(bound for bound, _ in raw))
+        if len(histogram.buckets) != len(raw):
+            raise TelemetryError(
+                f"histogram {name!r} record buckets lack the inf bound"
+            )
+        histogram.counts = [count for _, count in raw]
+        histogram.count = record["count"]
+        histogram.total = record["sum"]
+        # An empty record reports min/max as 0.0; keep the +-inf identities
+        # so merging it never drags a non-empty histogram's extremes.
+        if histogram.count:
+            histogram.minimum = record["min"]
+            histogram.maximum = record["max"]
+        return histogram
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram with identical buckets into this one."""
@@ -227,7 +252,7 @@ class MetricsRegistry:
     (silent kind drift would corrupt dashboards built on the namespace).
 
     All public methods are thread-safe: a single internal lock serialises
-    registration, the convenience one-shots, state merges, and snapshots,
+    registration, the convenience one-shots, record merges, and snapshots,
     so a concurrent ``snapshot()`` can never observe a torn histogram
     (bucket counts that do not sum to ``count``) or lose a counter
     increment.  Metric objects handed out by :meth:`counter` /
@@ -322,54 +347,27 @@ class MetricsRegistry:
                 self._metrics[name].to_record() for name in sorted(self._metrics)
             ]
 
-    # -- cross-process serialisation -----------------------------------
-    def to_state(self) -> dict[str, Any]:
-        """Lossless plain-data dump of the registry.
-
-        Unlike :meth:`snapshot` (which flattens histograms into quantile
-        summaries) the state keeps full bucket vectors, so a registry
-        rebuilt from it via :meth:`merge_state` is value-identical.  The
-        result is picklable and JSON-serialisable — it is what mining
-        workers ship back to the service parent with each job result.
-        """
-        with self._lock:
-            state: dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
-            for name, metric in self._metrics.items():
-                if isinstance(metric, Counter):
-                    state["counters"][name] = metric.value
-                elif isinstance(metric, Gauge):
-                    state["gauges"][name] = metric.value
-                else:
-                    state["histograms"][name] = {
-                        "buckets": list(metric.buckets),
-                        "counts": list(metric.counts),
-                        "count": metric.count,
-                        "total": metric.total,
-                        "min": metric.minimum,
-                        "max": metric.maximum,
-                    }
-            return state
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold a :meth:`to_state` dump from another registry into this one.
+    def merge_records(self, records: Iterable[dict[str, Any]]) -> None:
+        """Fold :meth:`to_records`-shaped ``metric`` records into this registry.
 
         Counters add, gauges take the incoming value, histograms merge
-        bucket-wise (requiring identical bucket bounds).  Kind collisions
-        with existing names raise :class:`TelemetryError`, exactly like
-        live registration would.
+        bucket-wise.  A name that clashes with an existing metric's kind or
+        bucket bounds, or a histogram record without raw ``buckets``,
+        raises :class:`TelemetryError`, exactly like live registration.
         """
         with self._lock:
-            for name, value in state.get("counters", {}).items():
-                self._get_or_create_locked(name, Counter).add(value)
-            for name, value in state.get("gauges", {}).items():
-                self._get_or_create_locked(name, Gauge).set(value)
-            for name, dump in state.get("histograms", {}).items():
-                incoming = Histogram(name, tuple(dump["buckets"]))
-                incoming.counts = list(dump["counts"])
-                incoming.count = dump["count"]
-                incoming.total = dump["total"]
-                incoming.minimum = dump["min"]
-                incoming.maximum = dump["max"]
-                self._get_or_create_locked(
-                    name, Histogram, incoming.buckets
-                ).merge(incoming)
+            for record in records:
+                name, kind = record["name"], record.get("kind")
+                if kind == "counter":
+                    self._get_or_create_locked(name, Counter).add(record["value"])
+                elif kind == "gauge":
+                    self._get_or_create_locked(name, Gauge).set(record["value"])
+                elif kind == "histogram":
+                    incoming = Histogram.from_record(record)
+                    self._get_or_create_locked(
+                        name, Histogram, incoming.buckets
+                    ).merge(incoming)
+                else:
+                    raise TelemetryError(
+                        f"metric {name!r} has unknown kind {kind!r}"
+                    )

@@ -1,26 +1,27 @@
-"""Structured tracing: nested spans with wall/CPU time and JSONL export.
+"""Structured tracing: nested wall-time spans and the JSONL trace format.
 
 A :class:`Span` measures one named region of the pipeline (a stage, a
 round, a search call); a :class:`Tracer` maintains the active-span stack so
-nesting is recorded as a parent/child tree.  Spans always measure wall time
-with :func:`time.perf_counter`; CPU time (:func:`time.process_time`) is
-opt-in because it costs a second syscall pair per span.
+nesting is recorded as a parent/child tree.  Spans measure wall time with
+:func:`time.perf_counter`.
 
 The tracer is deliberately dependency-free and single-threaded — the
 pipeline it instruments is single-threaded, and the global telemetry gate
 (:data:`repro.telemetry.TELEMETRY`) keeps the disabled path down to one
 attribute check.
 
-Trace files are JSON Lines: one record per span (plus optional metric
-records appended by :meth:`Tracer.write_jsonl`), so traces stream and
-partial files from aborted runs stay parseable.
+Trace files are JSON Lines: a meta record, one record per span, then any
+metric records, so partial files from aborted runs stay parseable.
+:func:`write_trace_records` is the one writer of that format and
+:func:`read_trace_records` the one reader; the CLI's ``--trace`` file and
+the service's per-job artifacts both go through them.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
@@ -30,8 +31,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "Span",
     "Tracer",
-    "read_trace",
     "read_trace_records",
+    "write_trace_records",
 ]
 
 SCHEMA_VERSION = 1
@@ -53,10 +54,8 @@ class Span:
         "attributes",
         "start_offset",
         "wall_seconds",
-        "cpu_seconds",
         "_tracer",
         "_start_wall",
-        "_start_cpu",
     )
 
     def __init__(
@@ -73,10 +72,8 @@ class Span:
         self.attributes = attributes
         self.start_offset: float = 0.0
         self.wall_seconds: float = 0.0
-        self.cpu_seconds: float | None = None
         self._tracer = tracer
         self._start_wall: float = 0.0
-        self._start_cpu: float = 0.0
 
     def set(self, **attributes: Any) -> "Span":
         """Attach extra attributes; returns the span for chaining."""
@@ -86,8 +83,6 @@ class Span:
     def __enter__(self) -> "Span":
         tracer = self._tracer
         tracer._stack.append(self)
-        if tracer.cpu_time:
-            self._start_cpu = time.process_time()
         self._start_wall = time.perf_counter()
         self.start_offset = self._start_wall - tracer._epoch
         return self
@@ -95,8 +90,6 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> None:
         end_wall = time.perf_counter()
         tracer = self._tracer
-        if tracer.cpu_time:
-            self.cpu_seconds = time.process_time() - self._start_cpu
         self.wall_seconds = end_wall - self._start_wall
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
@@ -117,8 +110,6 @@ class Span:
             "start_s": round(self.start_offset, 9),
             "wall_s": round(self.wall_seconds, 9),
         }
-        if self.cpu_seconds is not None:
-            record["cpu_s"] = round(self.cpu_seconds, 9)
         if self.attributes:
             record["attrs"] = self.attributes
         return record
@@ -138,11 +129,10 @@ class Tracer:
     successive roots simply become siblings.
     """
 
-    __slots__ = ("spans", "cpu_time", "_stack", "_next_id", "_epoch")
+    __slots__ = ("spans", "_stack", "_next_id", "_epoch")
 
-    def __init__(self, *, cpu_time: bool = False) -> None:
+    def __init__(self) -> None:
         self.spans: list[Span] = []
-        self.cpu_time = cpu_time
         self._stack: list[Span] = []
         self._next_id = 1
         self._epoch = time.perf_counter()
@@ -163,25 +153,13 @@ class Tracer:
         """The innermost open span, or None outside any span."""
         return self._stack[-1] if self._stack else None
 
-    def root_spans(self) -> list[Span]:
-        """Finished spans with no parent."""
-        return [s for s in self.spans if s.parent_id is None]
-
-    def children_of(self, span: Span) -> list[Span]:
-        """Finished direct children of ``span``."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def to_records(self) -> list[dict[str, Any]]:
         """All finished spans as JSONL records, preceded by a meta record."""
-        meta = {
-            "type": "meta",
-            "schema": SCHEMA_VERSION,
-            "cpu_time": self.cpu_time,
-        }
+        meta = {"type": "meta", "schema": SCHEMA_VERSION}
         return [meta] + [s.to_record() for s in self.spans]
 
     def write_jsonl(self, path: str | Path, *, metrics=None) -> None:
-        """Write the trace (and optionally a metrics snapshot) as JSONL.
+        """Write the trace (and optionally a metrics registry) as JSONL.
 
         ``metrics`` may be a :class:`~repro.telemetry.metrics.MetricsRegistry`;
         its records are appended after the span records so one file carries
@@ -190,46 +168,36 @@ class Tracer:
         records = self.to_records()
         if metrics is not None:
             records.extend(metrics.to_records())
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise TelemetryError(
-                f"cannot write trace file {path}: {exc}"
-            ) from None
+        write_trace_records(path, records)
 
 
-def read_trace(path: str | Path) -> tuple[list[dict], list[dict]]:
-    """Parse a JSONL trace into ``(span_records, metric_records)``.
-
-    Unknown record types are ignored so the schema can grow; malformed
-    lines raise :class:`TelemetryError` with the offending line number.
-    """
-    spans: list[dict] = []
-    metrics: list[dict] = []
-    for record in read_trace_records(path):
-        kind = record.get("type")
-        if kind == "span":
-            spans.append(record)
-        elif kind == "metric":
-            metrics.append(record)
-    return spans, metrics
+def write_trace_records(path: str | Path, records: Iterable[dict]) -> Path:
+    """Write ``records`` to ``path`` as JSONL, one sorted-key object a line."""
+    path = Path(path)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise TelemetryError(f"cannot write trace file {path}: {exc}") from None
+    return path
 
 
 def read_trace_records(path: str | Path) -> list[dict]:
     """Every record of a JSONL trace, in file order, meta included.
 
-    The raw form :func:`read_trace` filters; consumers that need the meta
-    record (per-job artifacts carry ``trace_id``/``pid``/``job_id`` there)
-    read this instead.
+    Blank lines and non-object lines are skipped; malformed lines raise
+    :class:`TelemetryError` with the offending line number.
     """
     records: list[dict] = []
     try:
-        lines = list(_iter_lines(path))
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
     except OSError as exc:
         raise TelemetryError(f"cannot read trace file {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -239,11 +207,3 @@ def read_trace_records(path: str | Path) -> list[dict]:
         if isinstance(record, dict):
             records.append(record)
     return records
-
-
-def _iter_lines(path: str | Path) -> Iterator[str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield line

@@ -1,20 +1,19 @@
 """Render per-stage breakdowns from persisted JSONL traces.
 
 Backs the ``repro trace summarize`` CLI subcommand: reads one or more
-traces written by :meth:`~repro.telemetry.span.Tracer.write_jsonl` or the
-service's per-job artifact writer (:func:`~repro.telemetry.context.
-write_job_trace`), aggregates spans by name into a per-stage wall-time
-table, rolls spans up by originating process, and merges every recorded
-metric.  All aggregation here is over the *records* (plain dicts), so the
-summarizer works on traces from other processes and older runs.
+traces (``repro mine --trace`` files or the service's per-job artifacts)
+with :func:`~repro.telemetry.span.read_trace_records`, aggregates spans by
+name into a per-stage wall-time table, rolls spans up by originating
+process, and merges every recorded metric.  All aggregation here is over
+the *records* (plain dicts), so the summarizer works on traces from other
+processes and older runs.
 
 Merging across files never double-counts: each file's records contribute
-exactly once, counters add, gauges keep the last file's value, and
-histograms whose records carry the raw ``buckets`` field (schema 1 with
-the per-bucket counts added by this repo) merge bucket-wise so the
-re-derived quantiles are exact.  Legacy histogram records without raw
-buckets fall back to an approximate merge (counts and sums add, min/max
-combine, quantiles take the per-file maximum — an upper bound).
+exactly once, folded into one fresh
+:class:`~repro.telemetry.metrics.MetricsRegistry` with
+:meth:`~repro.telemetry.metrics.MetricsRegistry.merge_records` — counters
+add, gauges keep the last file's value, and histograms merge bucket-wise
+from their raw ``buckets`` so the re-derived quantiles are exact.
 """
 
 from __future__ import annotations
@@ -24,14 +23,14 @@ from pathlib import Path
 from typing import Any
 
 from repro.exceptions import TelemetryError
-from repro.telemetry.metrics import Histogram
+from repro.experiments.tables import format_table
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.span import read_trace_records
 
 __all__ = [
     "metric_rows",
     "stage_rows",
     "process_rows",
-    "summarize_trace",
     "summarize_traces",
     "render_summary",
 ]
@@ -51,16 +50,12 @@ def stage_rows(span_records: list[dict]) -> tuple[list[str], list[list[Any]]]:
         name = record.get("name", "?")
         wall = float(record.get("wall_s", 0.0))
         agg = by_name.setdefault(
-            name, {"calls": 0, "total": 0.0, "min": wall, "max": wall, "cpu": 0.0,
-                   "has_cpu": 0}
+            name, {"calls": 0, "total": 0.0, "min": wall, "max": wall}
         )
         agg["calls"] += 1
         agg["total"] += wall
         agg["min"] = min(agg["min"], wall)
         agg["max"] = max(agg["max"], wall)
-        if "cpu_s" in record:
-            agg["cpu"] += float(record["cpu_s"])
-            agg["has_cpu"] = 1
         if record.get("parent") is None:
             root_total += wall
 
@@ -137,99 +132,24 @@ def metric_rows(metric_records: list[dict]) -> tuple[list[str], list[list[Any]]]
     return headers, rows
 
 
-def _rebuild_histogram(record: dict) -> Histogram | None:
-    """A live :class:`Histogram` from a record's raw buckets, if present."""
-    raw = record.get("buckets")
-    if not raw:
-        return None
-    bounds = tuple(float(bound) for bound, _ in raw)
-    histogram = Histogram(record.get("name", "?"), bounds)
-    if len(histogram.buckets) != len(raw):
-        return None  # bounds lacked the inf terminator the record implies
-    histogram.counts = [int(count) for _, count in raw]
-    histogram.count = int(record.get("count", sum(histogram.counts)))
-    histogram.total = float(record.get("sum", 0.0))
-    if histogram.count:
-        histogram.minimum = float(record.get("min", 0.0))
-        histogram.maximum = float(record.get("max", 0.0))
-    return histogram
-
-
-def _merge_metric_records(metric_records: list[dict]) -> list[dict]:
-    """Collapse same-named metric records from several files into one each."""
-    merged: dict[str, dict] = {}
-    exact: dict[str, Histogram] = {}
-    for record in metric_records:
-        name = record.get("name", "?")
-        kind = record.get("kind", "?")
-        previous = merged.get(name)
-        if previous is None:
-            merged[name] = dict(record)
-            if kind == "histogram":
-                histogram = _rebuild_histogram(record)
-                if histogram is not None:
-                    exact[name] = histogram
-            continue
-        if previous.get("kind") != kind:
-            raise TelemetryError(
-                f"metric {name!r} is a {previous.get('kind')} in one trace "
-                f"and a {kind} in another"
-            )
-        if kind == "counter":
-            previous["value"] = previous.get("value", 0) + record.get("value", 0)
-        elif kind == "gauge":
-            previous["value"] = record.get("value", previous.get("value", 0))
-        else:
-            histogram = exact.pop(name, None)
-            incoming = _rebuild_histogram(record)
-            if histogram is not None and incoming is not None:
-                histogram.merge(incoming)
-                replacement = histogram.to_record()
-                replacement["name"] = name
-                merged[name] = replacement
-                exact[name] = histogram
-            else:
-                # Approximate: additive fields add, extrema combine, and
-                # quantiles take the per-file maximum (an upper bound).
-                previous["count"] = previous.get("count", 0) + record.get(
-                    "count", 0
-                )
-                previous["sum"] = previous.get("sum", 0.0) + record.get(
-                    "sum", 0.0
-                )
-                previous["min"] = min(
-                    previous.get("min", 0.0), record.get("min", 0.0)
-                )
-                previous["max"] = max(
-                    previous.get("max", 0.0), record.get("max", 0.0)
-                )
-                previous["mean"] = (
-                    previous["sum"] / previous["count"] if previous["count"]
-                    else 0.0
-                )
-                for quantile in ("p50", "p90", "p99"):
-                    previous[quantile] = max(
-                        previous.get(quantile, 0.0), record.get(quantile, 0.0)
-                    )
-                previous.pop("buckets", None)
-    return [merged[name] for name in sorted(merged)]
-
-
 def summarize_traces(paths: Sequence[str | Path]) -> dict[str, Any]:
     """Structured summary of one or more trace files, merged.
 
     Spans from every file are pooled (each file counted exactly once) for
-    the per-stage and per-process tables; metric records are merged by
-    name as described in the module docstring.  Span records that lack a
+    the per-stage and per-process tables; metric records are merged as
+    described in the module docstring, and a record that cannot merge (a
+    kind or bucket clash, or a histogram without raw ``buckets``) raises
+    :class:`TelemetryError` naming its file.  Span records that lack a
     ``pid`` inherit their file's meta-record pid, so artifacts written
     before pid-stamping still attribute correctly.
     """
     if not paths:
         raise TelemetryError("no trace files given")
     span_records: list[dict] = []
-    metric_records: list[dict] = []
+    registry = MetricsRegistry()
     for path in paths:
         file_pid: Any = None
+        metric_records: list[dict] = []
         for record in read_trace_records(path):
             kind = record.get("type")
             if kind == "meta":
@@ -240,7 +160,15 @@ def summarize_traces(paths: Sequence[str | Path]) -> dict[str, Any]:
                 span_records.append(record)
             elif kind == "metric":
                 metric_records.append(record)
-    merged_metrics = _merge_metric_records(metric_records)
+        try:
+            registry.merge_records(metric_records)
+        except TelemetryError as exc:
+            raise TelemetryError(f"{path}: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TelemetryError(
+                f"{path}: malformed metric record: {exc!r}"
+            ) from None
+    merged_metrics = registry.to_records()
     stage_headers, stages = stage_rows(span_records)
     process_headers, processes = process_rows(span_records)
     metric_headers, metrics = metric_rows(merged_metrics)
@@ -257,11 +185,6 @@ def summarize_traces(paths: Sequence[str | Path]) -> dict[str, Any]:
     }
 
 
-def summarize_trace(path: str | Path) -> dict[str, Any]:
-    """Structured summary of a single trace file (back-compat wrapper)."""
-    return summarize_traces([path])
-
-
 def render_summary(paths: str | Path | Sequence[str | Path]) -> str:
     """Human-readable per-stage + per-process + metrics summary.
 
@@ -269,11 +192,6 @@ def render_summary(paths: str | Path | Sequence[str | Path]) -> str:
     as one logical trace.  The per-process table appears only when more
     than one process contributed spans.
     """
-    # Imported lazily: experiments.harness depends on telemetry, so a
-    # module-level import here would risk an import cycle through the
-    # experiments package.
-    from repro.experiments.tables import format_table
-
     if isinstance(paths, (str, Path)):
         paths = [paths]
     summary = summarize_traces(paths)

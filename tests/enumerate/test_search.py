@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import EnumerationLimitError
+from repro.exceptions import EnumerationLimitError, SearchAbortedError
 from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
 from repro.enumerate.bitset import BitsetGraph
 from repro.enumerate.connected import enumerate_connected_subsets
@@ -85,6 +85,25 @@ class TestDiscreteSearch:
         bitset, acc = discrete_accumulator_for(g, lab)
         with pytest.raises(EnumerationLimitError):
             exhaustive_best_mask(bitset.adjacency, acc, limit=50)
+
+    @pytest.mark.parametrize("abort", ["limit", "check_abort"])
+    def test_aborted_walk_leaves_accumulator_clean(self, abort):
+        # Regression: an aborted walk used to leave its partial set pushed,
+        # so the next search on the same accumulator found a wrong winner.
+        g = Graph.complete(12)
+        lab = DiscreteLabeling.random(g, (0.5, 0.2, 0.3), seed=3)
+        bitset, acc = discrete_accumulator_for(g, lab)
+        fresh = exhaustive_best_mask(bitset.adjacency, acc)
+        polls = iter([False])  # pass the up-front poll, fire inside the walk
+        kwargs = (
+            {"limit": 300} if abort == "limit"
+            else {"check_abort": lambda: next(polls, True)}
+        )
+        error = EnumerationLimitError if abort == "limit" else SearchAbortedError
+        with pytest.raises(error):
+            exhaustive_best_mask(bitset.adjacency, acc, **kwargs)
+        assert acc.size == 0
+        assert exhaustive_best_mask(bitset.adjacency, acc) == fresh
 
     def test_min_size_respected(self, small_labeled):
         graph, labeling = small_labeled

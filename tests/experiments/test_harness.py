@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.experiments.harness import (
     RepeatedMeasurement,
-    StageClock,
     repeat_measurements,
     timed,
 )
@@ -53,28 +52,3 @@ class TestRepeatMeasurements:
         with pytest.raises(ExperimentError):
             repeat_measurements(lambda i: 0.0, 0)
 
-
-class TestStageClock:
-    def test_accumulates(self):
-        clock = StageClock()
-        clock.add("construct", 1.0)
-        clock.add("construct", 0.5)
-        clock.add("reduce", 2.0)
-        assert clock.stages["construct"] == 1.5
-        assert clock.total == 3.5
-
-    def test_measure_wraps_call(self):
-        clock = StageClock()
-        result = clock.measure("stage", lambda: 99)
-        assert result == 99
-        assert clock.stages["stage"] >= 0.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ExperimentError):
-            StageClock().add("x", -1.0)
-
-    def test_as_row_ordering(self):
-        clock = StageClock()
-        clock.add("b", 2.0)
-        clock.add("a", 1.0)
-        assert clock.as_row(["a", "b", "missing"]) == [1.0, 2.0, 0.0]

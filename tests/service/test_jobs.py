@@ -24,6 +24,7 @@ from repro.service.cache import DEFAULT_MAX_BYTES
 from repro.service.jobs import JobManager, _worker_main
 from repro.service.server import MiningService
 from repro.service.protocol import validate_request
+from repro.telemetry import read_trace_records
 from conftest import service_cache_dir_from_env
 
 pytestmark = pytest.mark.service
@@ -125,6 +126,8 @@ class TestLifecycle:
             assert job.wait(60)
             assert job.status == "done"
             assert (job.trace_records is not None) == trace
+            if trace:  # the records served are the artifact's records
+                assert read_trace_records(job.trace_path) == job.trace_records
         assert lookups() >= before + 4
         # 4 identical jobs over 2 workers: pigeonhole guarantees a repeat
         # on some worker, hence at least one cache hit.

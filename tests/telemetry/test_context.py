@@ -10,13 +10,11 @@ import pytest
 from repro.exceptions import TelemetryError
 from repro.telemetry.context import (
     capture_session,
-    merge_payload_metrics,
     new_trace_id,
     payload_records,
-    write_job_trace,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.span import Tracer, read_trace_records
+from repro.telemetry.span import Tracer, read_trace_records, write_trace_records
 
 pytestmark = pytest.mark.telemetry
 
@@ -40,7 +38,7 @@ class TestCaptureSession:
         assert payload["pid"] == os.getpid()
         assert len(payload["spans"]) == 2
         assert all(span["pid"] == os.getpid() for span in payload["spans"])
-        assert payload["metrics"]["counters"]["search.states_visited"] == 100
+        assert payload["metrics"][-1]["value"] == 100  # search.states_visited
 
     def test_payload_is_json_serializable(self):
         payload = session_payload()
@@ -57,28 +55,28 @@ class TestMergePayloadMetrics:
     def test_merges_counters_gauges_histograms(self):
         registry = MetricsRegistry()
         registry.count("search.states_visited", 11)
-        merged = merge_payload_metrics(registry, session_payload())
-        assert merged == 3
+        registry.merge_records(session_payload()["metrics"])
         snapshot = registry.snapshot()
+        assert len(registry) == 3
         assert snapshot["search.states_visited"] == 111
         assert snapshot["construct.super_vertices"] == 4
         assert snapshot["search.states_per_call"]["count"] == 1
 
     def test_empty_payload_merges_nothing(self):
         registry = MetricsRegistry()
-        assert merge_payload_metrics(registry, {"metrics": {}}) == 0
+        registry.merge_records([])
         assert len(registry) == 0
 
 
 class TestPayloadRecords:
     def test_meta_then_spans_then_metrics(self):
         records = payload_records(session_payload(), job_id="j1")
-        assert records[0]["type"] == "meta"
-        assert records[0]["trace_id"] == "abc123"
-        assert records[0]["job_id"] == "j1"
+        assert records[0] == {
+            "type": "meta", "schema": 1, "trace_id": "abc123",
+            "pid": os.getpid(), "job_id": "j1",
+        }
         kinds = [r.get("type") for r in records]
-        assert kinds.count("span") == 2
-        assert any(k == "metric" for k in kinds)
+        assert kinds == ["meta", "span", "span", "metric", "metric", "metric"]
 
     def test_metric_records_carry_raw_buckets(self):
         records = payload_records(session_payload())
@@ -91,11 +89,11 @@ class TestPayloadRecords:
 
 class TestWriteJobTrace:
     def test_round_trips_through_read_trace_records(self, tmp_path):
-        payload = session_payload()
-        path = write_job_trace(tmp_path / "job.jsonl", payload, job_id="j9")
-        records = read_trace_records(path)
-        assert records == payload_records(payload, job_id="j9")
+        records = payload_records(session_payload(), job_id="j9")
+        path = write_trace_records(tmp_path / "job.jsonl", records)
+        assert read_trace_records(path) == records
 
     def test_unwritable_path_raises_telemetry_error(self, tmp_path):
         with pytest.raises(TelemetryError):
-            write_job_trace(tmp_path / "missing" / "x.jsonl", session_payload())
+            write_trace_records(tmp_path / "missing" / "x.jsonl", [])
+

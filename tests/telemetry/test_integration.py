@@ -9,9 +9,14 @@ from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
 from repro.telemetry import TELEMETRY, telemetry_session
 from repro.telemetry import names as metric
-from repro.telemetry.summarize import summarize_trace
+from repro.telemetry.summarize import summarize_traces
 
 pytestmark = pytest.mark.telemetry
+
+
+def children(tracer, parent=None):
+    """Finished spans under ``parent`` (the roots when None)."""
+    return [s for s in tracer.spans if s.parent_id == (parent and parent.span_id)]
 
 
 class TestGlobalGate:
@@ -47,11 +52,11 @@ class TestMinePipelineTelemetry:
             result = mine(graph, labeling)
         assert result.subgraphs
 
-        roots = tracer.root_spans()
+        roots = children(tracer)
         assert [s.name for s in roots] == ["solver.mine"]
-        rounds = tracer.children_of(roots[0])
+        rounds = children(tracer, roots[0])
         assert [s.name for s in rounds] == ["solver.round"]
-        stages = [s.name for s in tracer.children_of(rounds[0])]
+        stages = [s.name for s in children(tracer, rounds[0])]
         assert stages == ["solver.construct", "solver.reduce", "solver.search"]
 
         snap = metrics.snapshot()
@@ -142,7 +147,7 @@ class TestTraceExportAndSummary:
         path = tmp_path / "trace.jsonl"
         tracer.write_jsonl(path, metrics=metrics)
 
-        summary = summarize_trace(path)
+        summary = summarize_traces([path])
         stage_names = {row[0] for row in summary["stages"]}
         assert {"solver.mine", "solver.construct",
                 "solver.reduce", "solver.search"} <= stage_names
@@ -166,11 +171,11 @@ class TestTraceExportAndSummary:
 
 class TestSearchSpanAccounting:
     def _search_spans(self, tracer):
-        root = tracer.root_spans()[0]
+        (root,) = children(tracer)
         return [
             stage
-            for round_span in tracer.children_of(root)
-            for stage in tracer.children_of(round_span)
+            for round_span in children(tracer, root)
+            for stage in children(tracer, round_span)
             if stage.name == "solver.search"
         ]
 

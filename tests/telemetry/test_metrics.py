@@ -135,3 +135,38 @@ class TestMetricsRegistry:
         records = r.to_records()
         assert [rec["kind"] for rec in records] == ["counter", "histogram"]
         assert all(rec["type"] == "metric" for rec in records)
+
+
+def mixed_registry(values):
+    """A counter, a gauge, a histogram fed ``values`` and an empty one."""
+    r = MetricsRegistry()
+    r.histogram("h.empty", (1, 10))
+    h = r.histogram("h", (1, 10))
+    for v in values:
+        r.count("c")
+        r.set_gauge("g", v)
+        h.observe(v)
+    return r
+
+
+class TestMergeRecords:
+    def test_round_trip(self):
+        source = mixed_registry([0.5, 7.0, 1e9])  # 1e9: the inf bucket
+        target = MetricsRegistry()
+        target.merge_records(source.to_records())
+        assert target.to_records() == source.to_records()
+
+    @pytest.mark.parametrize("a, b", [([0.5, 1e9], [7.0, 0.25]), ([5.0], [])])
+    def test_merge_equals_observing_both_streams(self, a, b):
+        # ([5.0], []): an empty histogram's 0.0 min/max must not leak in.
+        merged = MetricsRegistry()
+        merged.merge_records(mixed_registry(a).to_records())
+        merged.merge_records(mixed_registry(b).to_records())
+        assert merged.to_records() == mixed_registry(a + b).to_records()
+
+    def test_kind_and_bucket_clashes_rejected(self):
+        r = mixed_registry([1.0])
+        with pytest.raises(TelemetryError, match="Counter"):
+            r.merge_records([{"kind": "gauge", "name": "c", "value": 1}])
+        with pytest.raises(TelemetryError, match="buckets"):
+            r.merge_records([Histogram("h", (2, 20)).to_record()])

@@ -58,7 +58,6 @@ class TestConcurrentRegistry:
                 while not stop.is_set():
                     registry.snapshot()
                     registry.to_records()
-                    registry.to_state()
                     registry.names()
             except Exception as exc:  # pragma: no cover - the regression
                 errors.append(exc)
@@ -74,11 +73,11 @@ class TestConcurrentRegistry:
         timer.cancel()
         assert not errors
 
-    def test_merge_state_while_counting(self):
+    def test_merge_records_while_counting(self):
         source = MetricsRegistry()
         source.count("search.states_visited", 10)
         source.observe("search.states_per_call", 10.0)
-        state = source.to_state()
+        records = source.to_records()
 
         target = MetricsRegistry()
         barrier = threading.Barrier(2)
@@ -86,7 +85,7 @@ class TestConcurrentRegistry:
         def merge():
             barrier.wait()
             for _ in range(200):
-                target.merge_state(state)
+                target.merge_records(records)
 
         def count():
             barrier.wait()

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.exceptions import TelemetryError
-from repro.telemetry.span import SCHEMA_VERSION, Tracer, read_trace
+from repro.telemetry.span import SCHEMA_VERSION, Tracer, read_trace_records
+from repro.telemetry.summarize import summarize_traces
 
 pytestmark = pytest.mark.telemetry
 
@@ -32,8 +33,7 @@ class TestSpanNesting:
                 pass
         assert a.parent_id == root.span_id
         assert b.parent_id == root.span_id
-        assert tracer.children_of(root) == [a, b]
-        assert tracer.root_spans() == [root]
+        assert root.parent_id is None
 
     def test_successive_roots_are_siblings(self):
         tracer = Tracer()
@@ -41,7 +41,7 @@ class TestSpanNesting:
             pass
         with tracer.span("second"):
             pass
-        assert len(tracer.root_spans()) == 2
+        assert [s.parent_id for s in tracer.spans] == [None, None]
 
     def test_active_span_tracks_stack(self):
         tracer = Tracer()
@@ -60,14 +60,6 @@ class TestSpanTiming:
         with tracer.span("work") as span:
             sum(range(1000))
         assert span.wall_seconds > 0.0
-        assert span.cpu_seconds is None  # cpu_time off by default
-
-    def test_cpu_time_optional(self):
-        tracer = Tracer(cpu_time=True)
-        with tracer.span("work") as span:
-            sum(range(10_000))
-        assert span.cpu_seconds is not None
-        assert span.cpu_seconds >= 0.0
 
     def test_nested_span_within_parent_window(self):
         tracer = Tracer()
@@ -105,11 +97,9 @@ class TestJsonlRoundTrip:
         tracer.write_jsonl(path)
 
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0] == {
-            "type": "meta", "schema": SCHEMA_VERSION, "cpu_time": False,
-        }
-        spans, metrics = read_trace(path)
-        assert metrics == []
+        assert lines[0] == {"type": "meta", "schema": SCHEMA_VERSION}
+        assert read_trace_records(path) == lines
+        spans = lines[1:]
         assert {s["name"] for s in spans} == {"root", "child"}
         by_name = {s["name"]: s for s in spans}
         assert by_name["child"]["parent"] == by_name["root"]["id"]
@@ -127,8 +117,8 @@ class TestJsonlRoundTrip:
         registry.count("x.count", 3)
         path = tmp_path / "trace.jsonl"
         tracer.write_jsonl(path, metrics=registry)
-        spans, metrics = read_trace(path)
-        assert len(spans) == 1
+        meta, span, *metrics = read_trace_records(path)
+        assert span["name"] == "s"
         assert metrics == [
             {"type": "metric", "kind": "counter", "name": "x.count", "value": 3}
         ]
@@ -137,18 +127,17 @@ class TestJsonlRoundTrip:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "span"}\nnot json\n')
         with pytest.raises(TelemetryError, match="invalid JSON"):
-            read_trace(path)
+            read_trace_records(path)
 
     def test_unknown_record_types_ignored(self, tmp_path):
         path = tmp_path / "future.jsonl"
         path.write_text('{"type": "exotic", "x": 1}\n{"type": "span", "name": "s"}\n')
-        spans, metrics = read_trace(path)
-        assert len(spans) == 1
-        assert metrics == []
+        summary = summarize_traces([path])
+        assert (summary["num_spans"], summary["num_metrics"]) == (1, 0)
 
     def test_missing_trace_file_raises(self, tmp_path):
         with pytest.raises(TelemetryError, match="cannot read"):
-            read_trace(tmp_path / "absent.jsonl")
+            read_trace_records(tmp_path / "absent.jsonl")
 
     def test_unwritable_trace_path_raises(self, tmp_path):
         tracer = Tracer()

@@ -7,14 +7,10 @@ import json
 import pytest
 
 from repro.exceptions import TelemetryError
-from repro.telemetry.context import capture_session, write_job_trace
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.span import Tracer
-from repro.telemetry.summarize import (
-    render_summary,
-    summarize_trace,
-    summarize_traces,
-)
+from repro.telemetry.context import capture_session, payload_records
+from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.span import Tracer, write_trace_records
+from repro.telemetry.summarize import render_summary, summarize_traces
 
 pytestmark = pytest.mark.telemetry
 
@@ -32,8 +28,7 @@ def write_trace(path, *, pid, states, per_call):
     payload["pid"] = pid
     for span in payload["spans"]:
         span["pid"] = pid
-    write_job_trace(path, payload)
-    return path
+    return write_trace_records(path, payload_records(payload))
 
 
 class TestSummarizeTraces:
@@ -72,7 +67,7 @@ class TestSummarizeTraces:
 
     def test_single_file_equivalence(self, tmp_path):
         a = write_trace(tmp_path / "a.jsonl", pid=1, states=5, per_call=[5])
-        assert summarize_trace(a) == summarize_traces([a])
+        assert render_summary(a) == render_summary([a])
 
     def test_empty_input_rejected(self):
         with pytest.raises(TelemetryError):
@@ -103,25 +98,11 @@ class TestRenderSummary:
 
 
 class TestLegacyRecords:
-    def test_approximate_merge_without_raw_buckets(self, tmp_path):
-        # Traces written before the buckets field: summary-only records.
-        paths = []
-        for index, value in enumerate([4.0, 9.0]):
-            registry = MetricsRegistry()
-            registry.observe("search.states_per_call", value)
-            records = []
-            for record in registry.to_records():
-                record.pop("buckets", None)
-                records.append(record)
-            path = tmp_path / f"legacy{index}.jsonl"
-            with open(path, "w") as handle:
-                handle.write(json.dumps({"type": "meta", "schema": 1}) + "\n")
-                for record in records:
-                    handle.write(json.dumps(record) + "\n")
-            paths.append(path)
-        summary = summarize_traces(paths)
-        histogram = next(
-            row for row in summary["metrics"]
-            if row[0] == "search.states_per_call"
-        )
-        assert histogram[2] == 2  # counts still add in the fallback path
+    def test_bucketless_histogram_rejected(self, tmp_path):
+        # A summary-only record cannot merge exactly: an error, not a guess.
+        record = Histogram("search.states_per_call").to_record()
+        del record["buckets"]
+        path = tmp_path / "legacy.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(TelemetryError, match="legacy.jsonl.*states_per_call"):
+            summarize_traces([path])

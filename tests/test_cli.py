@@ -186,19 +186,21 @@ class TestMineTelemetry:
         assert payload["metrics"]["search.states_visited"] > 0
         assert payload["metrics"]["construct.edges_contracted"] > 0
 
-        from repro.telemetry import read_trace
+        from repro.telemetry import read_trace_records
 
-        spans, metrics = read_trace(trace_path)
-        span_names = {record["name"] for record in spans}
+        records = read_trace_records(trace_path)
+        names = {kind: {r["name"] for r in records if r["type"] == kind}
+                 for kind in ("span", "metric")}
         assert {"solver.mine", "solver.construct",
-                "solver.reduce", "solver.search"} <= span_names
-        assert len({record["name"] for record in metrics}) >= 6
+                "solver.reduce", "solver.search"} <= names["span"]
+        assert len(names["metric"]) >= 6
 
     def test_metrics_table_in_text_mode(self, instance_files, capsys):
         graph_path, labels_path = instance_files
         assert main(["mine", graph_path, labels_path, "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "Pipeline metrics" in out
+        assert "| kind" in out
         assert "search.states_visited" in out
 
     def test_telemetry_disabled_after_run(self, instance_files, capsys):
@@ -260,6 +262,18 @@ class TestTraceSummarize:
         empty.write_text("")
         assert main(["trace", "summarize", str(empty)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        {"type": "metric", "kind": "counter"},
+        {"type": "metric", "kind": "counter", "name": "c", "value": "x"},
+    ])
+    def test_summarize_malformed_metric_fails_cleanly(
+        self, tmp_path, capsys, record
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["trace", "summarize", str(bad)]) == 2
+        assert "bad.jsonl" in capsys.readouterr().err
 
 
 class TestServeParser:
