@@ -16,7 +16,6 @@ Public surface:
 
 from repro.core.construct_continuous import build_continuous_supergraph
 from repro.core.construct_discrete import build_discrete_supergraph
-from repro.core.directed import mine_directed
 from repro.core.contracting import (
     continuous_merge_if_contracting,
     is_contracting_continuous,
@@ -69,7 +68,6 @@ __all__ = [
     "lmcs_local_search",
     "mine",
     "mine_above_threshold",
-    "mine_directed",
     "mine_significant_at_level",
     "mine_with_min_size",
     "permutation_test",

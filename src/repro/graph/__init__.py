@@ -3,16 +3,14 @@
 This package is self-contained (no dependency on the statistics or mining
 layers) and provides everything the paper's algorithms need from a graph
 library: an adjacency-set :class:`~repro.graph.graph.Graph`, connected
-components and bi-connectivity, quotient (contraction) graphs, the paper's
-Algorithm 3 / Algorithm 4 random-graph constructions plus spatial
+components and bi-connectivity, partition checks for contraction, the
+paper's Algorithm 3 / Algorithm 4 random-graph constructions plus spatial
 generators, and edge-list / JSON persistence.
 """
 
 from repro.graph.biconnectivity import (
-    BlockCutTree,
     articulation_points,
     biconnected_components,
-    block_cut_tree,
     is_biconnected,
     is_biconnected_subset,
 )
@@ -24,7 +22,7 @@ from repro.graph.components import (
     is_connected_subset,
     number_of_components,
 )
-from repro.graph.contraction import quotient_graph, validate_partition
+from repro.graph.contraction import validate_partition
 from repro.graph.generators import (
     barabasi_albert_graph,
     connect_components,
@@ -34,11 +32,8 @@ from repro.graph.generators import (
     grid_graph,
     holme_kim_graph,
     knn_geometric_graph,
-    random_geometric_graph,
     resolve_rng,
-    watts_strogatz_graph,
 )
-from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
 from repro.graph.io import (
     graph_from_json_dict,
@@ -58,15 +53,12 @@ from repro.graph.properties import (
 )
 
 __all__ = [
-    "BlockCutTree",
-    "DiGraph",
     "Graph",
     "articulation_points",
     "average_degree",
     "barabasi_albert_graph",
     "bfs_order",
     "biconnected_components",
-    "block_cut_tree",
     "connect_components",
     "connected_component",
     "connected_components",
@@ -88,13 +80,10 @@ __all__ = [
     "knn_geometric_graph",
     "max_degree",
     "number_of_components",
-    "quotient_graph",
-    "random_geometric_graph",
     "read_edge_list",
     "read_json_graph",
     "resolve_rng",
     "validate_partition",
-    "watts_strogatz_graph",
     "write_edge_list",
     "write_json_graph",
 ]

@@ -9,16 +9,13 @@ the solver's exactness diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Hashable, Iterable
 
 from repro.graph.graph import Graph
 
 __all__ = [
-    "BlockCutTree",
     "articulation_points",
     "biconnected_components",
-    "block_cut_tree",
     "is_biconnected",
     "is_biconnected_subset",
 ]
@@ -139,94 +136,6 @@ def biconnected_components(graph: Graph) -> list[frozenset[Hashable]]:
             components.append(frozenset(vertices))
             edge_stack.clear()
     return components
-
-
-@dataclass(frozen=True)
-class BlockCutTree:
-    """The block-cut tree of a graph.
-
-    Nodes of the tree are the bi-connected *blocks* plus the articulation
-    (*cut*) vertices; a block is adjacent to every cut vertex it contains.
-    Isolated vertices, which span no edge and therefore belong to no
-    bi-connected component, are included as singleton blocks so the tree
-    covers every vertex of the graph.
-
-    Attributes
-    ----------
-    blocks:
-        Vertex sets of the blocks, in discovery order.
-    cut_vertices:
-        The articulation points of the graph.
-    edges:
-        ``(block_index, cut_vertex)`` pairs — the tree's edges.
-    """
-
-    blocks: tuple[frozenset[Hashable], ...]
-    cut_vertices: frozenset[Hashable]
-    edges: tuple[tuple[int, Hashable], ...]
-    _membership: dict[Hashable, tuple[int, ...]] = field(
-        repr=False, compare=False, default_factory=dict
-    )
-
-    def blocks_of(self, vertex: Hashable) -> tuple[int, ...]:
-        """Indices of the blocks containing ``vertex``.
-
-        Non-cut vertices belong to exactly one block; cut vertices to two
-        or more (that multiplicity is what makes them cuts).
-        """
-        return self._membership.get(vertex, ())
-
-    def leaf_blocks(self) -> tuple[int, ...]:
-        """Indices of blocks adjacent to at most one cut vertex.
-
-        Every finite tree has at least one leaf, so a non-empty graph
-        always yields at least one — the natural place to start a
-        decomposition that peels the tree inward.
-        """
-        degree = [0] * len(self.blocks)
-        for index, _ in self.edges:
-            degree[index] += 1
-        return tuple(i for i, d in enumerate(degree) if d <= 1)
-
-    @property
-    def num_blocks(self) -> int:
-        """Number of blocks (tree nodes that are not cut vertices)."""
-        return len(self.blocks)
-
-
-def block_cut_tree(graph: Graph) -> BlockCutTree:
-    """Build the block-cut tree of ``graph``.
-
-    Combines :func:`biconnected_components` with
-    :func:`articulation_points`: each component becomes a block node, each
-    articulation point a cut node, and a block is linked to every cut
-    vertex it contains.  Isolated vertices become singleton blocks with no
-    tree edges.  The tree licenses divide-and-conquer search: Lemma 2 of
-    the paper guarantees maximal significant subgraphs are bi-connected,
-    and any connected set spans a connected subtree of this tree — see
-    :mod:`repro.enumerate.kernel` for the exact decomposition built on it.
-    """
-    cuts = articulation_points(graph)
-    blocks = list(biconnected_components(graph))
-    covered: set[Hashable] = set()
-    for block in blocks:
-        covered.update(block)
-    for v in graph.vertices():
-        if v not in covered:
-            blocks.append(frozenset({v}))
-    membership: dict[Hashable, list[int]] = {}
-    edges: list[tuple[int, Hashable]] = []
-    for index, block in enumerate(blocks):
-        for v in block:
-            membership.setdefault(v, []).append(index)
-            if v in cuts:
-                edges.append((index, v))
-    return BlockCutTree(
-        blocks=tuple(blocks),
-        cut_vertices=cuts,
-        edges=tuple(edges),
-        _membership={v: tuple(ids) for v, ids in membership.items()},
-    )
 
 
 def is_biconnected(graph: Graph) -> bool:

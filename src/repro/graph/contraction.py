@@ -1,9 +1,10 @@
-"""Quotient-graph (edge contraction) machinery.
+"""Partition checks for edge contraction.
 
 The paper's central device is merging vertices into *super-vertices* and
 keeping a super-edge wherever any original edge crossed between two groups.
-This module provides the topology-level quotient operation; statistic
-bookkeeping for super-vertices lives in :mod:`repro.core.supergraph`.
+This module checks that a vertex partition is a valid set of super-vertices;
+the contraction itself and the statistic bookkeeping live in
+:mod:`repro.core.supergraph`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections.abc import Hashable, Iterable
 from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.graph import Graph
 
-__all__ = ["quotient_graph", "validate_partition"]
+__all__ = ["validate_partition"]
 
 
 def validate_partition(
@@ -46,36 +47,3 @@ def validate_partition(
             f"{graph.num_vertices}; super-vertices must be exhaustive"
         )
     return blocks
-
-
-def quotient_graph(
-    graph: Graph,
-    partition: Iterable[Iterable[Hashable]],
-    *,
-    validate: bool = True,
-) -> tuple[Graph, dict[Hashable, int]]:
-    """Contract each partition block into a single vertex.
-
-    Returns ``(quotient, membership)`` where the quotient graph has integer
-    vertices ``0..len(partition)-1`` (block order preserved) and
-    ``membership`` maps each original vertex to its block index.  A quotient
-    edge ``(i, j)`` exists iff some original edge joins block ``i`` to block
-    ``j``; intra-block edges disappear, exactly as in the paper's super-graph
-    definition.
-    """
-    blocks = (
-        validate_partition(graph, partition)
-        if validate
-        else [frozenset(block) for block in partition]
-    )
-    membership: dict[Hashable, int] = {}
-    for index, block in enumerate(blocks):
-        for v in block:
-            membership[v] = index
-
-    quotient = Graph(range(len(blocks)))
-    for u, v in graph.edges():
-        bu, bv = membership[u], membership[v]
-        if bu != bv:
-            quotient.add_edge(bu, bv, exist_ok=True)
-    return quotient, membership

@@ -9,9 +9,8 @@ The paper's synthetic evaluation (Section 5.4) uses two random-graph models:
 * **Barabási–Albert** preferential attachment, built exactly as the paper's
   Algorithm 4 (:func:`barabasi_albert_graph`).
 
-We also provide Watts–Strogatz small-world graphs (discussed in the related
-work), 2-D grids and random geometric graphs (the spatial substrates behind
-the North-East and WNV datasets).
+We also provide 2-D grids and symmetrised k-nearest-neighbour graphs over
+points (the spatial substrate behind the North-East and WNV datasets).
 
 All generators take an explicit ``seed``/``rng`` and are deterministic given
 one, which the experiment harness relies on.
@@ -36,9 +35,7 @@ __all__ = [
     "grid_graph",
     "holme_kim_graph",
     "knn_geometric_graph",
-    "random_geometric_graph",
     "resolve_rng",
-    "watts_strogatz_graph",
 ]
 
 
@@ -256,40 +253,6 @@ def holme_kim_graph(
     return graph
 
 
-def watts_strogatz_graph(
-    n: int, k: int, beta: float, *, seed: int | random.Random | None = None
-) -> Graph:
-    """Watts–Strogatz small-world graph: ring lattice with rewiring.
-
-    ``k`` must be even; each vertex starts connected to its ``k`` nearest
-    ring neighbours and each clockwise edge is rewired with probability
-    ``beta`` to a uniform non-duplicate target.
-    """
-    _check_n(n)
-    if k % 2 != 0 or k < 0:
-        raise GraphError(f"k must be even and non-negative, got k={k}")
-    if k >= n:
-        raise GraphError(f"need k < n, got k={k}, n={n}")
-    if not 0.0 <= beta <= 1.0:
-        raise GraphError(f"rewiring probability must be in [0, 1], got {beta}")
-    rng = resolve_rng(seed)
-    graph = Graph(range(n))
-    for u in range(n):
-        for offset in range(1, k // 2 + 1):
-            graph.add_edge(u, (u + offset) % n, exist_ok=True)
-    for u in range(n):
-        for offset in range(1, k // 2 + 1):
-            v = (u + offset) % n
-            if rng.random() < beta and graph.has_edge(u, v):
-                candidates = [
-                    w for w in range(n) if w != u and not graph.has_edge(u, w)
-                ]
-                if candidates:
-                    graph.remove_edge(u, v)
-                    graph.add_edge(u, rng.choice(candidates))
-    return graph
-
-
 def grid_graph(rows: int, cols: int) -> Graph:
     """A ``rows x cols`` 4-neighbour grid with vertices ``(r, c)``."""
     if rows < 1 or cols < 1:
@@ -301,39 +264,6 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 graph.add_edge((r, c), (r + 1, c))
             if c + 1 < cols:
                 graph.add_edge((r, c), (r, c + 1))
-    return graph
-
-
-def random_geometric_graph(
-    points: Sequence[tuple[float, float]], radius: float
-) -> Graph:
-    """Connect every pair of 2-D points within Euclidean ``radius``.
-
-    This is the "Euclidean distance threshold" neighbourhood relationship
-    the paper suggests for spatial graphs (Section 2.1).  Uses a uniform
-    grid bucket index so the cost is near-linear for well-spread points.
-    """
-    if radius <= 0:
-        raise GraphError(f"radius must be positive, got {radius}")
-    graph = Graph(range(len(points)))
-    cell = radius
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (x, y) in enumerate(points):
-        buckets.setdefault((int(x // cell), int(y // cell)), []).append(i)
-    r2 = radius * radius
-    for (cx, cy), members in buckets.items():
-        neighbour_cells = [
-            (cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-        ]
-        for i in members:
-            xi, yi = points[i]
-            for ncell in neighbour_cells:
-                for j in buckets.get(ncell, ()):
-                    if j <= i:
-                        continue
-                    xj, yj = points[j]
-                    if (xi - xj) ** 2 + (yi - yj) ** 2 <= r2:
-                        graph.add_edge(i, j, exist_ok=True)
     return graph
 
 

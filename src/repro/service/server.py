@@ -128,7 +128,8 @@ class _Handler(BaseHTTPRequestHandler):
         """The request body decoded as JSON (an empty body reads as null).
 
         Raises :class:`_BodyError`: 400 for a ``Content-Length`` that is
-        not a non-negative integer or a body that is not JSON, 413 for one
+        not a non-negative integer or a body that is not JSON (not UTF-8,
+        malformed, or nested past the recursion limit), 413 for one
         over the size limit.  The connection is closed after such an error,
         since any unread body would otherwise be parsed as the next request.
         """
@@ -147,7 +148,11 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             return json.loads(raw or b"null")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError (a
+            # body that is not UTF-8); RecursionError a body nested deeper
+            # than the interpreter's recursion limit.
+            self.close_connection = True
             raise _BodyError(400, f"request body is not JSON: {exc}") from None
 
     def _observe(self, started: float, trace_id: str) -> None:

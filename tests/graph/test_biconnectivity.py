@@ -1,7 +1,7 @@
-"""Unit and property tests for bi-connectivity and the block-cut tree.
+"""Unit and property tests for bi-connectivity.
 
 Besides the structural checks, this module verifies the *search-level*
-guarantee the block-cut tree exists to provide: splitting a search region
+guarantee the kernel's block split relies on: splitting a search region
 at an articulation point — rooted search through the cut vertex plus
 recursion into the remaining components — must reproduce the whole-region
 search exactly (optimum and every counter), because the split partitions
@@ -23,7 +23,6 @@ from repro.enumerate.search import exhaustive_best_mask
 from repro.graph.biconnectivity import (
     articulation_points,
     biconnected_components,
-    block_cut_tree,
     is_biconnected,
     is_biconnected_subset,
 )
@@ -107,65 +106,6 @@ class TestBiconnectedComponents:
         )
         comps = {frozenset(c) for c in biconnected_components(g)}
         assert comps == {frozenset({0, 1, 2}), frozenset({2, 3, 4})}
-
-
-class TestBlockCutTree:
-    def test_two_triangles_and_pendant(self):
-        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-        tree = block_cut_tree(g)
-        assert set(tree.blocks) == {
-            frozenset({0, 1, 2}),
-            frozenset({2, 3}),
-            frozenset({3, 4}),
-        }
-        assert tree.cut_vertices == frozenset({2, 3})
-        assert tree.num_blocks == 3
-        # Cut vertex 2 sits in two blocks, interior vertex 0 in one.
-        assert len(tree.blocks_of(2)) == 2
-        assert len(tree.blocks_of(0)) == 1
-        # The tree has 3 blocks in a path: the two ends are leaves.
-        leaves = {tree.blocks[i] for i in tree.leaf_blocks()}
-        assert leaves == {frozenset({0, 1, 2}), frozenset({3, 4})}
-
-    def test_biconnected_graph_single_block(self):
-        tree = block_cut_tree(Graph.cycle(6))
-        assert tree.num_blocks == 1
-        assert tree.cut_vertices == frozenset()
-        assert tree.edges == ()
-
-    def test_isolated_vertices_become_singleton_blocks(self):
-        g = Graph.from_edges([(0, 1)], vertices=[2, 3])
-        tree = block_cut_tree(g)
-        assert set(tree.blocks) == {
-            frozenset({0, 1}), frozenset({2}), frozenset({3})
-        }
-        assert tree.blocks_of(2) != ()
-
-    def test_empty_graph(self):
-        tree = block_cut_tree(Graph())
-        assert tree.num_blocks == 0
-        assert tree.cut_vertices == frozenset()
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_every_vertex_covered_and_edges_consistent(self, seed):
-        g = gnm_random_graph(20, 26, seed=seed)
-        tree = block_cut_tree(g)
-        covered = set()
-        for block in tree.blocks:
-            covered.update(block)
-        assert covered == set(g.vertices())
-        # Tree edges are exactly (block, cut-vertex) containments.
-        expected = {
-            (i, v)
-            for i, block in enumerate(tree.blocks)
-            for v in block
-            if v in tree.cut_vertices
-        }
-        assert set(tree.edges) == expected
-        # A graph-and-forest identity: with b blocks and c cut vertices the
-        # block-cut tree is a forest, so it has at most b + c - 1 edges.
-        if tree.num_blocks:
-            assert len(tree.edges) <= tree.num_blocks + len(tree.cut_vertices) - 1
 
 
 class TestArticulationBruteForce:

@@ -1,12 +1,11 @@
-"""Unit tests for quotient-graph machinery."""
+"""Unit tests for the super-vertex partition check."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import GraphError, VertexNotFoundError
-from repro.graph.contraction import quotient_graph, validate_partition
-from repro.graph.graph import Graph
+from repro.graph.contraction import validate_partition
 
 
 class TestValidatePartition:
@@ -29,45 +28,3 @@ class TestValidatePartition:
     def test_unknown_vertex_rejected(self, path4):
         with pytest.raises(VertexNotFoundError):
             validate_partition(path4, [[0, 1, 2, 3, 99]])
-
-
-class TestQuotientGraph:
-    def test_identity_partition(self, triangle):
-        q, membership = quotient_graph(triangle, [[0], [1], [2]])
-        assert q.num_vertices == 3
-        assert q.num_edges == 3
-        assert membership == {0: 0, 1: 1, 2: 2}
-
-    def test_full_contraction(self, triangle):
-        q, membership = quotient_graph(triangle, [[0, 1, 2]])
-        assert q.num_vertices == 1
-        assert q.num_edges == 0
-
-    def test_intra_block_edges_disappear(self, path4):
-        q, _ = quotient_graph(path4, [[0, 1], [2, 3]])
-        assert q.num_vertices == 2
-        assert q.num_edges == 1
-
-    def test_parallel_cross_edges_collapse(self):
-        # Two blocks connected by two original edges -> one super-edge.
-        g = Graph.from_edges([(0, 2), (1, 3), (0, 1), (2, 3)])
-        q, _ = quotient_graph(g, [[0, 1], [2, 3]])
-        assert q.num_edges == 1
-
-    def test_membership_mapping(self):
-        g = Graph.from_edges([("a", "b"), ("b", "c")])
-        q, membership = quotient_graph(g, [["a", "b"], ["c"]])
-        assert membership["a"] == membership["b"] == 0
-        assert membership["c"] == 1
-        assert q.has_edge(0, 1)
-
-    def test_quotient_of_disconnected_blocks(self):
-        # A block need not be internally connected for the quotient itself.
-        g = Graph.from_edges([(0, 1), (2, 3)])
-        q, _ = quotient_graph(g, [[0, 2], [1, 3]])
-        assert q.num_vertices == 2
-        assert q.num_edges == 1
-
-    def test_skip_validation_flag(self, path4):
-        q, _ = quotient_graph(path4, [[0, 1], [2], [3]], validate=False)
-        assert q.num_vertices == 3

@@ -17,9 +17,7 @@ from repro.graph.generators import (
     gnp_random_graph,
     grid_graph,
     knn_geometric_graph,
-    random_geometric_graph,
     resolve_rng,
-    watts_strogatz_graph,
 )
 from repro.graph.graph import Graph
 
@@ -132,26 +130,6 @@ class TestBarabasiAlbert:
             barabasi_albert_graph(3, 3)
 
 
-class TestWattsStrogatz:
-    def test_zero_beta_is_ring_lattice(self):
-        g = watts_strogatz_graph(12, 4, 0.0, seed=1)
-        assert all(g.degree(v) == 4 for v in g.vertices())
-        assert g.has_edge(0, 1)
-        assert g.has_edge(0, 2)
-
-    def test_edge_count_preserved_under_rewiring(self):
-        g = watts_strogatz_graph(20, 4, 0.5, seed=2)
-        assert g.num_edges == 40
-
-    def test_odd_k_rejected(self):
-        with pytest.raises(GraphError):
-            watts_strogatz_graph(10, 3, 0.1)
-
-    def test_k_too_large_rejected(self):
-        with pytest.raises(GraphError):
-            watts_strogatz_graph(4, 4, 0.1)
-
-
 class TestSpatialGraphs:
     def test_grid_counts(self):
         g = grid_graph(3, 4)
@@ -161,24 +139,6 @@ class TestSpatialGraphs:
     def test_grid_invalid(self):
         with pytest.raises(GraphError):
             grid_graph(0, 3)
-
-    def test_random_geometric_connects_close_points(self):
-        points = [(0.0, 0.0), (0.05, 0.0), (0.9, 0.9)]
-        g = random_geometric_graph(points, 0.1)
-        assert g.has_edge(0, 1)
-        assert not g.has_edge(0, 2)
-
-    def test_random_geometric_matches_bruteforce(self):
-        rng = random.Random(1)
-        points = [(rng.random(), rng.random()) for _ in range(60)]
-        r = 0.2
-        g = random_geometric_graph(points, r)
-        for i in range(60):
-            for j in range(i + 1, 60):
-                d2 = (points[i][0] - points[j][0]) ** 2 + (
-                    points[i][1] - points[j][1]
-                ) ** 2
-                assert g.has_edge(i, j) == (d2 <= r * r)
 
     def test_knn_graph_min_degree(self):
         rng = random.Random(2)

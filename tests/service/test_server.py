@@ -115,13 +115,22 @@ class TestMineEndpoint:
 
 
 class TestValidation:
-    def test_non_json_body_is_400(self, service):
-        request = urllib.request.Request(
-            service + "/mine", data=b"this is not json", method="POST"
+    def test_non_json_body_is_400(self, service, capsys):
+        bodies = (
+            b"this is not json",
+            b'{"graph": "\xff"}',  # not UTF-8
+            b"[" * 200_000,  # nested past the recursion limit
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        for method, route in (("POST", "/mine"), ("PUT", "/graphs")):
+            for body in bodies:
+                request = urllib.request.Request(
+                    service + route, data=body, method=method
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=10)
+                assert excinfo.value.code == 400, (route, body[:20])
+                assert "error" in json.loads(excinfo.value.read())
+        assert capsys.readouterr().err == ""
 
     def test_schema_violations_are_400(self, service):
         for doc in (

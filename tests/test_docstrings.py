@@ -10,35 +10,31 @@ import pytest
 
 import repro
 
-PACKAGES = [
-    "repro",
-    "repro.graph",
-    "repro.stats",
-    "repro.labels",
-    "repro.enumerate",
-    "repro.core",
-    "repro.colocation",
-    "repro.outliers",
-    "repro.datasets",
-    "repro.experiments",
-    "repro.community",
-    "repro.service",
-]
+
+def _public(name):
+    return not name.rpartition(".")[2].startswith("_")  # __main__ runs the CLI
 
 
 def iter_modules():
+    """Yield each package of ``repro``, then the modules directly inside it.
+
+    A subpackage is yielded once as a child of its parent and once at the head
+    of its own group, so pytest ids it with a suffix: ``[repro.graph0]`` and
+    ``[repro.graph1]``.
+    """
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg and _public(info.name)
+    ]
     seen = set()
-    for package_name in PACKAGES:
-        package = importlib.import_module(package_name)
+    for package in packages:
         yield package
-        if hasattr(package, "__path__"):
-            for info in pkgutil.iter_modules(package.__path__):
-                if info.name.startswith("_"):
-                    continue  # __main__ runs the CLI on import
-                full = f"{package_name}.{info.name}"
-                if full not in seen:
-                    seen.add(full)
-                    yield importlib.import_module(full)
+        prefix = package.__name__ + "."
+        for info in pkgutil.iter_modules(package.__path__, prefix):
+            if _public(info.name) and info.name not in seen:
+                seen.add(info.name)
+                yield importlib.import_module(info.name)
 
 
 ALL_MODULES = list(iter_modules())

@@ -2,10 +2,39 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
 from repro import exceptions
+
+SUBPACKAGES = [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+]
+
+# Each entry is (module, name): a deleted module when name is None,
+# otherwise a name deleted from that module.
+REMOVED = [
+    ("repro.community", None),
+    ("repro.core.directed", None),
+    ("repro.graph.digraph", None),
+    ("repro.graph", "DiGraph"),
+    ("repro.core", "mine_directed"),
+    ("repro.graph", "block_cut_tree"),
+    ("repro.graph", "BlockCutTree"),
+    ("repro.graph.biconnectivity", "block_cut_tree"),
+    ("repro.graph.biconnectivity", "BlockCutTree"),
+    ("repro.graph", "quotient_graph"),
+    ("repro.graph.contraction", "quotient_graph"),
+    ("repro.graph", "watts_strogatz_graph"),
+    ("repro.graph", "random_geometric_graph"),
+    ("repro.graph.generators", "watts_strogatz_graph"),
+    ("repro.graph.generators", "random_geometric_graph"),
+]
 
 
 class TestTopLevelExports:
@@ -29,29 +58,24 @@ class TestTopLevelExports:
         result = mine(g, labels)
         assert sorted(result.best.vertices) == [0, 1, 3]
 
-    @pytest.mark.parametrize(
-        "subpackage",
-        [
-            "repro.graph",
-            "repro.stats",
-            "repro.labels",
-            "repro.enumerate",
-            "repro.core",
-            "repro.colocation",
-            "repro.outliers",
-            "repro.datasets",
-            "repro.experiments",
-            "repro.community",
-            "repro.telemetry",
-            "repro.service",
-        ],
-    )
+    @pytest.mark.parametrize("subpackage", SUBPACKAGES)
     def test_subpackage_all_resolves(self, subpackage):
-        import importlib
-
         module = importlib.import_module(subpackage)
         for name in module.__all__:
             assert getattr(module, name) is not None, f"{subpackage}.{name}"
+
+    @pytest.mark.parametrize(
+        ("module", "name"),
+        REMOVED,
+        ids=[f"{m}.{n}" if n else m for m, n in REMOVED],
+    )
+    def test_removed_name_is_gone(self, module, name):
+        """The §6 extensions and uncalled graph helpers stay deleted."""
+        if name is None:
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        else:
+            assert not hasattr(importlib.import_module(module), name)
 
 
 class TestExceptionHierarchy:
@@ -113,8 +137,6 @@ class TestExamplesAreRunnable:
             "outlier_regions.py",
             "scalability.py",
             "significance_analysis.py",
-            "community_analysis.py",
-            "directed_mining.py",
         ],
     )
     def test_other_examples_compile(self, script):
