@@ -97,7 +97,6 @@ def _progress_ticker(stream):
         stream.write(
             f"\r  {snapshot.states_visited:>10} states"
             f" | {snapshot.bound_cuts:>8} cuts"
-            f" | blocks {snapshot.blocks_completed}"
             f" | best X^2 {best}"
             f" | {snapshot.elapsed_seconds:6.1f}s "
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import inspect
 import random
 from collections import deque
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, replace
 from typing import Any, Protocol, runtime_checkable
 
@@ -230,7 +230,7 @@ def mine(
         (the python walk for small bounds-pruned instances where kernel
         batching overhead dominates, the kernel otherwise);
         ``"python"`` — the reference DFS; ``"numpy"`` — the vectorized
-        batch kernel with block-cut decomposition
+        level-synchronous batch kernel
         (:mod:`repro.enumerate.kernel`), much faster on reduced
         super-graphs.  The backends pick the same regions, but sum the
         statistic in a different order, so chi-square values can differ
@@ -734,31 +734,32 @@ def _search_supergraph(
     return _build_region(supergraph, labeling, winning_ids, outcome.chi_square)
 
 
-def _bfs_component_order(supergraph: SuperGraph, ids: list[int]) -> list[int]:
-    """Order winning super-vertices by BFS from a minimum-degree member.
+def _bfs_order(
+    nodes: list[int], neighbors: Callable[[int], Iterable[int]]
+) -> list[int]:
+    """Order ``nodes`` by BFS from a minimum-degree member.
 
-    Starting at an extremal (lowest within-subset degree) vertex makes
-    chain-shaped winners render as region-bridge-region, matching the
-    presentation of Table 2.
+    Degrees and BFS edges count only neighbours inside ``nodes``; ties
+    and each node's successors go in increasing id order, and nodes the
+    BFS cannot reach follow in their given order.  Starting at an
+    extremal (lowest within-subset degree) node makes chain-shaped
+    regions render as region-bridge-region, matching the presentation of
+    Table 2.
     """
-    id_set = set(ids)
-    start = min(
-        ids,
-        key=lambda i: (
-            sum(1 for w in supergraph.topology.neighbors(i) if w in id_set),
-            i,
-        ),
-    )
+    members = set(nodes)
+    inside = {u: sorted(w for w in neighbors(u) if w in members) for u in nodes}
+    start = min(nodes, key=lambda u: (len(inside[u]), u))
     order: list[int] = []
     seen = {start}
     queue: deque[int] = deque([start])
     while queue:
         u = queue.popleft()
         order.append(u)
-        for w in sorted(supergraph.topology.neighbors(u)):
-            if w in id_set and w not in seen:
+        for w in inside[u]:
+            if w not in seen:
                 seen.add(w)
                 queue.append(w)
+    order.extend(u for u in nodes if u not in seen)
     return order
 
 
@@ -768,7 +769,7 @@ def _build_region(
     winning_ids: list[int],
     chi_square: float,
 ) -> SignificantSubgraph:
-    ordered = _bfs_component_order(supergraph, winning_ids)
+    ordered = _bfs_order(winning_ids, supergraph.topology.neighbors)
     components = []
     for sid in ordered:
         sv = supergraph.super_vertex(sid)
@@ -841,8 +842,8 @@ def _polished_components(
 
     A discrete region decomposes into its maximal same-label connected
     blocks — exactly the super-vertices Algorithm 1 would construct on the
-    polished vertex set — listed in the same BFS-from-an-endpoint order as
-    :func:`_bfs_component_order`, so Table-2-style rendering keeps its
+    polished vertex set — listed in the same :func:`_bfs_order` as the
+    super-graph path, so Table-2-style rendering keeps its
     region-bridge-region shape.  Continuous regions have no canonical
     decomposition (Algorithm 2 blocks are edge-order-dependent), so they
     report a single component covering the whole set.
@@ -878,8 +879,7 @@ def _polished_components(
                     queue.append(w)
         blocks.append((label, members))
 
-    # Block-level adjacency, then the BFS-from-minimum-degree ordering the
-    # super-graph path uses.
+    # Block-level adjacency, then the ordering the super-graph path uses.
     adjacency: list[set[int]] = [set() for _ in blocks]
     for u in vertices:
         i = block_index[u]
@@ -887,20 +887,7 @@ def _polished_components(
             j = block_index.get(w)
             if j is not None and j != i:
                 adjacency[i].add(j)
-    start_block = min(
-        range(len(blocks)), key=lambda i: (len(adjacency[i]), i)
-    )
-    ordered: list[int] = []
-    seen = {start_block}
-    queue_b: deque[int] = deque([start_block])
-    while queue_b:
-        i = queue_b.popleft()
-        ordered.append(i)
-        for j in sorted(adjacency[i]):
-            if j not in seen:
-                seen.add(j)
-                queue_b.append(j)
-    ordered.extend(i for i in range(len(blocks)) if i not in seen)
+    ordered = _bfs_order(list(range(len(blocks))), adjacency.__getitem__)
 
     return tuple(
         SubgraphComponent(

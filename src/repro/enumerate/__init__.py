@@ -27,7 +27,6 @@ from repro.enumerate.connected import (
 from repro.enumerate.kernel import (
     KERNEL_CHUNK,
     MAX_KERNEL_VERTICES,
-    MIN_DECOMPOSE_VERTICES,
 )
 from repro.enumerate.search import (
     ABORT_CHECK_MASK,
@@ -46,7 +45,6 @@ __all__ = [
     "DiscreteAccumulator",
     "KERNEL_CHUNK",
     "MAX_KERNEL_VERTICES",
-    "MIN_DECOMPOSE_VERTICES",
     "PRUNE_MODES",
     "SEARCH_BACKENDS",
     "SearchOutcome",

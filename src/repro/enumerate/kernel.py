@@ -1,4 +1,4 @@
-"""Vectorized (numpy) search backend with block-cut decomposition.
+"""Vectorized (numpy) search backend: one level-synchronous whole-graph walk.
 
 The python walk in :mod:`repro.enumerate.search` spends its time in
 per-state Python bytecode: one accumulator push/pop pair and one statistic
@@ -17,18 +17,8 @@ evaluation while *provably* returning the identical
    ``frontier_exhausted`` match the python walk *exactly*.
 2. **Order-independent optimum.**  Both backends break statistic ties
    toward the numerically smallest winning bitmask, so the optimum does
-   not depend on enumeration order — which is what licenses batching and
-   decomposition in the first place.
-3. **Block-cut decomposition.**  Lemma 2 of the paper guarantees maximal
-   significant subgraphs are bi-connected, which motivates searching the
-   reduced super-graph through its block-cut structure
-   (:mod:`repro.graph.biconnectivity`).  The exact scheme: pick an
-   articulation point ``a`` of a component ``C``; every connected set
-   either contains ``a`` (enumerated once by a search *rooted at* ``a``
-   over ``C``) or avoids it (enumerated by recursing into the components
-   of ``C - a``).  That partitions the search space, so the union over
-   subproblems is exactly the whole-graph family — counters and optimum
-   included — while each subproblem is a smaller, denser batch.
+   not depend on enumeration order — which is what licenses batching in
+   the first place.
 
 Under ``prune="bounds"`` the kernel batch-evaluates the same admissible
 upper bounds as :mod:`repro.enumerate.bounds` against the incumbent at
@@ -58,16 +48,14 @@ import numpy as _np
 
 from repro.exceptions import EnumerationLimitError, SearchAbortedError
 from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
-from repro.enumerate.bitset import iter_bits
 from repro.enumerate.search import (
     SearchTestability,
     _incumbent_seed,
-    _reachable_closure,
     _Tally,
 )
 from repro.telemetry.progress import ProgressCallback
 
-__all__ = ["KERNEL_CHUNK", "MAX_KERNEL_VERTICES", "MIN_DECOMPOSE_VERTICES"]
+__all__ = ["KERNEL_CHUNK", "MAX_KERNEL_VERTICES"]
 
 MAX_KERNEL_VERTICES = 64
 """Hard vertex cap: states are single ``uint64`` machine words."""
@@ -75,10 +63,6 @@ MAX_KERNEL_VERTICES = 64
 KERNEL_CHUNK = 1 << 15
 """Maximum states per batch: bounds both peak memory for the bit-matrix
 scratch (``KERNEL_CHUNK x 64`` bytes) and ``check_abort`` latency."""
-
-MIN_DECOMPOSE_VERTICES = 10
-"""Components smaller than this are searched whole: an articulation split
-saves nothing once the batch already fits one cache line per state."""
 
 
 # ----------------------------------------------------------------------
@@ -101,9 +85,7 @@ def _bit_matrix(masks: "object", n: int) -> "object":
 
 def _popcount(masks: "object") -> "object":
     """Per-row population count of a uint64 mask array."""
-    if hasattr(_np, "bitwise_count"):  # numpy >= 2.0: native popcount
-        return _np.bitwise_count(masks).astype(_np.int64)
-    return _bit_matrix(masks, MAX_KERNEL_VERTICES).sum(axis=1)
+    return _np.bitwise_count(masks).astype(_np.int64)
 
 
 def _neighborhood_masks(adjacency: Sequence[int]) -> "object":
@@ -137,7 +119,8 @@ def _batch_closure(adj: "object", frontier: "object", blocked: "object") -> "obj
 class _DiscreteScorer:
     """Batch Eq. 2 chi-square and chord-relaxation bound over count payloads.
 
-    Count matrices are integer matmuls (exact); the statistic and bound
+    Counts are exact integers (bit-plane popcounts for the statistic,
+    matmuls for the bound); the statistic and bound
     use the same elementwise expression trees as the scalar
     :class:`~repro.enumerate.accumulators.DiscreteAccumulator` /
     :func:`~repro.enumerate.bounds.discrete_upper_bound`, so with dyadic
@@ -156,7 +139,7 @@ class _DiscreteScorer:
         self.mass = self.payload_matrix.sum(axis=1)
         self.planes = self._build_planes()
 
-    def _build_planes(self) -> "object | None":
+    def _build_planes(self) -> "object":
         """Bit-plane masks enabling popcount-only count extraction.
 
         Writing payload counts in binary, ``counts[:, l]`` over a batch of
@@ -165,12 +148,9 @@ class _DiscreteScorer:
         count has bit ``k`` set.  That replaces the (B, n) membership
         matrix + matmul with a few popcount ufunc passes over the raw
         uint64 masks — same integers, so the statistic stays
-        bit-identical.  Returns ``None`` (disabling the fast path) when
-        the native popcount ufunc is missing (numpy 1.x).
+        bit-identical.
         """
         n, n_labels = self.payload_matrix.shape
-        if not hasattr(_np, "bitwise_count"):
-            return None
         depth = max(1, int(self.payload_matrix.max(initial=0)).bit_length())
         planes = _np.zeros((n_labels, depth), dtype=_np.uint64)
         for label in range(n_labels):
@@ -184,8 +164,6 @@ class _DiscreteScorer:
 
     def counts_for_masks(self, masks: "object") -> "object":
         """Per-row label counts, ``(B, n_labels)`` int64, from raw masks."""
-        if self.planes is None:
-            return _bit_matrix(masks, self.payload_matrix.shape[0]) @ self.payload_matrix
         hits = _np.bitwise_count(masks[:, None, None] & self.planes[None, :, :])
         weights = _np.int64(1) << _np.arange(
             self.planes.shape[1], dtype=_np.int64
@@ -293,80 +271,6 @@ def _scorer_for(accumulator: DiscreteAccumulator | ContinuousAccumulator):
 
 
 # ----------------------------------------------------------------------
-# Block-cut decomposition plan
-# ----------------------------------------------------------------------
-def _mask_components(adjacency: Sequence[int], region: int) -> list[int]:
-    """Connected components of the sub-bitset ``region``, lowest bit first."""
-    components: list[int] = []
-    remaining = region
-    while remaining:
-        component = _reachable_closure(adjacency, remaining & -remaining, ~region)
-        components.append(component)
-        remaining &= ~component
-    return components
-
-
-def _articulation_split(adjacency: Sequence[int], component: int) -> int | None:
-    """The best articulation point to split ``component`` at, or None.
-
-    "Best" minimizes the largest piece of ``component - a`` (a balanced
-    split keeps every subproblem small), ties toward the smallest vertex
-    index for determinism.  Reuses the graph-level Tarjan-Hopcroft pass
-    from :mod:`repro.graph.biconnectivity` on the induced subgraph.
-    """
-    from repro.graph.biconnectivity import articulation_points
-    from repro.graph.graph import Graph
-
-    members = list(iter_bits(component))
-    if len(members) < 3:
-        return None
-    edges = [
-        (u, v)
-        for u in members
-        for v in iter_bits(adjacency[u] & component)
-        if v > u
-    ]
-    points = articulation_points(Graph.from_edges(edges, vertices=members))
-    best: int | None = None
-    best_key: tuple[int, int] | None = None
-    for a in sorted(points):
-        rest = component & ~(1 << a)
-        largest = max(
-            piece.bit_count() for piece in _mask_components(adjacency, rest)
-        )
-        key = (largest, a)
-        if best_key is None or key < best_key:
-            best, best_key = a, key
-    return best
-
-
-def _build_plan(adjacency: Sequence[int], n: int) -> list[tuple[int, int | None]]:
-    """The subproblem plan: ``(region_mask, forced_root | None)`` entries.
-
-    Rooted entries enumerate exactly the connected sets *containing* the
-    root within the region; unrooted entries enumerate every connected set
-    of the region.  Together the entries partition the connected subsets
-    of the whole graph (see the module docstring), so counters and optima
-    sum/compare exactly against a whole-graph walk.  Components of fewer
-    than :data:`MIN_DECOMPOSE_VERTICES` vertices are never split.
-    """
-    plan: list[tuple[int, int | None]] = []
-    pending: list[int] = [(1 << n) - 1] if n else []
-    while pending:
-        region = pending.pop()
-        for component in _mask_components(adjacency, region):
-            split: int | None = None
-            if component.bit_count() >= MIN_DECOMPOSE_VERTICES:
-                split = _articulation_split(adjacency, component)
-            if split is None:
-                plan.append((component, None))
-            else:
-                plan.append((component, split))
-                pending.append(component & ~(1 << split))
-    return plan
-
-
-# ----------------------------------------------------------------------
 # The level-synchronous batch search
 # ----------------------------------------------------------------------
 class _KernelRun:
@@ -445,7 +349,6 @@ class _KernelRun:
     # -- pruning --------------------------------------------------------
     def _prune_level(
         self,
-        adj: "object",
         subsets: "object",
         ext: "object",
         forbidden: "object",
@@ -461,7 +364,7 @@ class _KernelRun:
         pruning is strict and the bound never underestimates.
         """
         tally = self.tally
-        closure = _batch_closure(adj, ext, subsets | forbidden)
+        closure = _batch_closure(self.adj, ext, subsets | forbidden)
         if self.bounded:
             keep = size + _popcount(closure) >= self.min_size
             tally.bound_cuts += int((~keep).sum())
@@ -495,7 +398,6 @@ class _KernelRun:
     # -- expansion ------------------------------------------------------
     def _expand_level(
         self,
-        adj: "object",
         subsets: "object",
         ext: "object",
         forbidden: "object",
@@ -524,7 +426,7 @@ class _KernelRun:
             out_fb.append(parent_fb | (parent_ext & below))
             out_ext.append(
                 (parent_ext & ~(u_bit | below))
-                | (adj[cols] & ~(parent_sub | parent_fb | parent_ext))
+                | (self.adj[cols] & ~(parent_sub | parent_fb | parent_ext))
             )
         return (
             _np.concatenate(out_sub),
@@ -532,32 +434,24 @@ class _KernelRun:
             _np.concatenate(out_fb),
         )
 
-    # -- one subproblem -------------------------------------------------
-    def run_subproblem(
-        self, adjacency: Sequence[int], region: int, root: int | None
-    ) -> None:
-        """Level-synchronous search of one plan entry."""
-        adj = self.adj & _np.uint64(region)
-        if root is None:
-            members = list(iter_bits(region))
-            subsets = _np.array([1 << v for v in members], dtype=_np.uint64)
-            ext = _np.array(
-                [
-                    adjacency[v] & region & ~((1 << (v + 1)) - 1)
-                    for v in members
-                ],
-                dtype=_np.uint64,
-            )
-            forbidden = _np.array(
-                [(1 << v) - 1 for v in members], dtype=_np.uint64
-            )
-        else:
-            subsets = _np.array([1 << root], dtype=_np.uint64)
-            ext = _np.array(
-                [adjacency[root] & region & ~(1 << root)], dtype=_np.uint64
-            )
-            forbidden = _np.array([0], dtype=_np.uint64)
+    # -- the walk -------------------------------------------------------
+    def run(self) -> None:
+        """Level-synchronous search of the whole graph.
 
+        Level 1 holds every singleton ``{v}``, with its larger neighbours
+        as the extension frontier and every smaller vertex forbidden, so
+        each connected set is created exactly once, from its smallest
+        member.
+        """
+        singles = _np.uint64(1) << _np.arange(self.n, dtype=_np.uint64)
+        below = singles - _np.uint64(1)
+        if self.bounded:
+            self.seed_value = _incumbent_seed(
+                lambda: float(self.scorer.chi_masks(singles).max()),
+                self.min_size,
+                self.testability,
+            )
+        subsets, ext, forbidden = singles, self.adj & ~(singles | below), below
         size = 1
         while subsets.shape[0]:
             self._visit_level(subsets, size)
@@ -567,13 +461,13 @@ class _KernelRun:
             if (self.bounded or self.testability is not None) and live.any():
                 rows = _np.flatnonzero(live)
                 keep = self._prune_level(
-                    adj, subsets[rows], ext[rows], forbidden[rows], size
+                    subsets[rows], ext[rows], forbidden[rows], size
                 )
                 live[rows[~keep]] = False
             if not live.any():
                 break
             subsets, ext, forbidden = self._expand_level(
-                adj, subsets[live], ext[live], forbidden[live]
+                subsets[live], ext[live], forbidden[live]
             )
             size += 1
 
@@ -596,21 +490,10 @@ def _kernel_search(
     Called by it with checked arguments on a graph of 1 to
     :data:`MAX_KERNEL_VERTICES` vertices; counts into ``tally``.  Reads
     the accumulator's payloads and never mutates it.  ``progress``
-    snapshots fire per state batch and also report block/batch counts.
+    snapshots fire per state batch and also report batch counts.
     """
-    scorer = _scorer_for(accumulator)
-    run = _KernelRun(
-        scorer, adjacency, tally,
+    _KernelRun(
+        _scorer_for(accumulator), adjacency, tally,
         min_size=min_size, size_cap=size_cap, limit=limit, bounded=bounded,
         check_abort=check_abort, progress=progress, testability=testability,
-    )
-    plan = _build_plan(adjacency, run.n)
-    tally.blocks_planned = len(plan)
-    if bounded:
-        singles = _np.uint64(1) << _np.arange(run.n, dtype=_np.uint64)
-        run.seed_value = _incumbent_seed(
-            lambda: float(scorer.chi_masks(singles).max()), min_size, testability
-        )
-    for region, root in plan:
-        run.run_subproblem(adjacency, region, root)
-        tally.blocks_completed += 1
+    ).run()

@@ -19,7 +19,7 @@ Statistic ties break toward the numerically smallest winning bitmask.
 That makes the optimum a function of the visited *set family* rather than
 of the visit order, which is what lets the vectorized numpy backend
 (:mod:`repro.enumerate.kernel`, selected with ``backend="numpy"``) batch
-and decompose the walk while returning the same winner (its statistic
+the walk while returning the same winner (its statistic
 equal up to a few ulps; see :data:`SEARCH_BACKENDS`).
 """
 
@@ -187,8 +187,8 @@ class _Tally:
     copies in, the numpy kernel directly); :meth:`snapshot`,
     :meth:`outcome` and :meth:`publish` are the only places that turn it
     into a :class:`SearchProgress`, a :class:`SearchOutcome` and the
-    ``search.*`` metrics.  ``kernel_batches``, ``blocks_completed`` and
-    ``blocks_planned`` stay 0 on the python walk.
+    ``search.*`` metrics.  ``kernel_batches`` stays 0 on the python
+    walk.
     """
 
     started: float
@@ -203,8 +203,6 @@ class _Tally:
     best_mask: int = 0
     best_value: float = float("-inf")
     kernel_batches: int = 0
-    blocks_completed: int = 0
-    blocks_planned: int = 0
 
     def snapshot(self) -> SearchProgress:
         """The per-call cumulative progress view."""
@@ -212,7 +210,6 @@ class _Tally:
             states_visited=self.explored,
             bound_cuts=self.bound_cuts,
             best_chi_square=self.best_value if self.best_mask else None,
-            blocks_completed=self.blocks_completed,
             kernel_batches=self.kernel_batches,
             elapsed_seconds=time.perf_counter() - self.started,
         )
@@ -237,10 +234,6 @@ class _Tally:
             return
         metrics = _TELEMETRY.metrics
         metrics.count(_metric.SEARCH_STATES_VISITED, self.explored)
-        metrics.count(
-            _metric.SEARCH_STATES_PRUNED,
-            self.pruned_size_cap + self.frontier_exhausted,
-        )
         metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, self.pruned_size_cap)
         metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, self.frontier_exhausted)
         metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, self.evaluated)
@@ -252,7 +245,6 @@ class _Tally:
             metrics.count(_metric.SEARCH_TESTABILITY_CUTS, self.testability_cuts)
         if kernel:
             metrics.count(_metric.SEARCH_KERNEL_BATCHES, self.kernel_batches)
-            metrics.count(_metric.SEARCH_BLOCKS_SEARCHED, self.blocks_planned)
         metrics.observe(_metric.SEARCH_STATES_PER_CALL, self.explored)
 
 

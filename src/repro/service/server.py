@@ -73,6 +73,10 @@ DEFAULT_MAX_REQUEST_BYTES = 8 * 1024 * 1024
 """Reject request bodies above 8 MiB — far beyond any reasonable instance,
 small enough to stop accidental multi-gigabyte uploads."""
 
+BODY_READ_TIMEOUT_SECONDS = 30.0
+"""Longest wait for an announced request body to arrive in full; a client
+that stalls mid-body past this is disconnected, freeing its thread."""
+
 _SYNC_POLL_SECONDS = 30.0
 
 
@@ -84,6 +88,10 @@ class _BodyError(Exception):
         self.status = status
 
 
+class _ClientGone(Exception):
+    """The client hung up or stalled mid-body: no reply is possible."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler; the owning :class:`MiningService` is ``server.service``."""
 
@@ -93,6 +101,14 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         """Silence the default stderr access log (the service has metrics)."""
+
+    def handle_one_request(self) -> None:
+        """Serve one request; a client that goes away just ends the
+        connection instead of reaching socketserver's traceback printer."""
+        try:
+            super().handle_one_request()
+        except (_ClientGone, ConnectionError):
+            self.close_connection = True
 
     @property
     def service(self) -> "MiningService":
@@ -132,6 +148,8 @@ class _Handler(BaseHTTPRequestHandler):
         malformed, or nested past the recursion limit), 413 for one
         over the size limit.  The connection is closed after such an error,
         since any unread body would otherwise be parsed as the next request.
+        Raises :class:`_ClientGone` for a body that ends early or does not
+        arrive within :data:`BODY_READ_TIMEOUT_SECONDS`.
         """
         header = self.headers.get("Content-Length") or "0"
         try:
@@ -145,7 +163,16 @@ class _Handler(BaseHTTPRequestHandler):
         if length > limit:
             self.close_connection = True
             raise _BodyError(413, f"request body exceeds {limit} bytes")
-        raw = self.rfile.read(length)
+        self.connection.settimeout(BODY_READ_TIMEOUT_SECONDS)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raw = b""
+        finally:
+            self.connection.settimeout(None)
+        if len(raw) < length:
+            self.close_connection = True
+            raise _ClientGone()
         try:
             return json.loads(raw or b"null")
         except (ValueError, RecursionError) as exc:

@@ -30,7 +30,6 @@ __all__ = [
     "REDUCE_VERTICES_AFTER",
     "REDUCE_VERTICES_BEFORE",
     "SEARCH_BEST_UPDATES",
-    "SEARCH_BLOCKS_SEARCHED",
     "SEARCH_BOUND_CUTS",
     "SEARCH_BOUND_EVALUATIONS",
     "SEARCH_CHI_SQUARE_EVALUATIONS",
@@ -38,7 +37,6 @@ __all__ = [
     "SEARCH_KERNEL_BATCHES",
     "SEARCH_PRUNED_SIZE_CAP",
     "SEARCH_STATES_PER_CALL",
-    "SEARCH_STATES_PRUNED",
     "SEARCH_STATES_VISITED",
     "SEARCH_TESTABILITY_CUTS",
     "SERVICE_CACHE_EVICTIONS",
@@ -108,11 +106,6 @@ REDUCE_HEAP_COMPACTIONS = "reduce.heap_compactions"
 SEARCH_STATES_VISITED = "search.states_visited"
 """Counter: connected sets evaluated by the exhaustive search."""
 
-SEARCH_STATES_PRUNED = "search.states_pruned"
-"""Counter: DFS branches cut by the size cap or an empty frontier
-(back-compat sum of ``search.pruned_size_cap`` and
-``search.frontier_exhausted``)."""
-
 SEARCH_PRUNED_SIZE_CAP = "search.pruned_size_cap"
 """Counter: DFS branches abandoned because the ``max_size`` cap was hit."""
 
@@ -136,11 +129,6 @@ SEARCH_STATES_PER_CALL = "search.states_per_call"
 
 SEARCH_KERNEL_BATCHES = "search.kernel_batches"
 """Counter: state batches evaluated by the vectorized numpy kernel
-(``backend="numpy"`` only)."""
-
-SEARCH_BLOCKS_SEARCHED = "search.blocks_searched"
-"""Counter: independent subproblems run by the kernel's block-cut
-decomposition — one per connected component or articulation split
 (``backend="numpy"`` only)."""
 
 SEARCH_TESTABILITY_CUTS = "search.testability_cuts"

@@ -46,14 +46,13 @@ class SearchProgress:
     Counters are cumulative over the scope that produced the snapshot: a
     search backend emits per-call totals, a :class:`ProgressAggregator`
     re-emits job-cumulative ones.  ``best_chi_square`` is None until the
-    first evaluable set has been scored; ``blocks_completed`` and
-    ``kernel_batches`` stay 0 on the python backend.
+    first evaluable set has been scored; ``kernel_batches`` stays 0 on
+    the python backend.
     """
 
     states_visited: int = 0
     bound_cuts: int = 0
     best_chi_square: float | None = None
-    blocks_completed: int = 0
     kernel_batches: int = 0
     elapsed_seconds: float = 0.0
 
@@ -69,7 +68,6 @@ class SearchProgress:
             states_visited=self.states_visited + other.states_visited,
             bound_cuts=self.bound_cuts + other.bound_cuts,
             best_chi_square=best,
-            blocks_completed=self.blocks_completed + other.blocks_completed,
             kernel_batches=self.kernel_batches + other.kernel_batches,
             elapsed_seconds=max(self.elapsed_seconds, other.elapsed_seconds),
         )
@@ -80,7 +78,6 @@ class SearchProgress:
             "states_visited": self.states_visited,
             "bound_cuts": self.bound_cuts,
             "best_chi_square": self.best_chi_square,
-            "blocks_completed": self.blocks_completed,
             "kernel_batches": self.kernel_batches,
             "elapsed_seconds": round(self.elapsed_seconds, 6),
         }
@@ -92,7 +89,6 @@ class SearchProgress:
             states_visited=int(payload.get("states_visited", 0)),
             bound_cuts=int(payload.get("bound_cuts", 0)),
             best_chi_square=payload.get("best_chi_square"),
-            blocks_completed=int(payload.get("blocks_completed", 0)),
             kernel_batches=int(payload.get("kernel_batches", 0)),
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
         )
@@ -166,7 +162,6 @@ class ProgressAggregator:
             states_visited=progress.states_visited,
             bound_cuts=progress.bound_cuts,
             best_chi_square=progress.best_chi_square,
-            blocks_completed=progress.blocks_completed,
             kernel_batches=progress.kernel_batches,
             elapsed_seconds=self._clock() - self._started,
         )

@@ -20,15 +20,12 @@ from repro.enumerate.accumulators import (
     DiscreteAccumulator,
 )
 from repro.enumerate.bitset import BitsetGraph, iter_bits
-from repro.enumerate import kernel
 from repro.enumerate.kernel import (
     MAX_KERNEL_VERTICES,
     _batch_closure,
     _bit_matrix,
-    _build_plan,
     _ContinuousScorer,
     _DiscreteScorer,
-    _mask_components,
     _neighborhood_masks,
 )
 from repro.enumerate.search import (
@@ -238,59 +235,6 @@ class TestBatchScorersMatchScalar:
                 acc.pop(i)
 
 
-class TestDecompositionHelpers:
-    def test_mask_components_path(self):
-        # 0-1  3-4 with an isolated 2.
-        adjacency = [0b00010, 0b00001, 0, 0b10000, 0b01000]
-        comps = _mask_components(adjacency, 0b11111)
-        assert comps == [0b00011, 0b00100, 0b11000]
-
-    def test_mask_components_respects_region(self):
-        adjacency = [0b010, 0b101, 0b010]  # path 0-1-2
-        # Excluding the middle vertex splits the path's endpoints.
-        assert _mask_components(adjacency, 0b101) == [0b001, 0b100]
-
-    def test_build_plan_partitions_every_component(self):
-        adjacency = [0b10, 0b01, 0b11000, 0b10100, 0b01100]
-        plan = _build_plan(adjacency, 5)
-        union = 0
-        for region, root in plan:
-            union |= region
-            assert root is None or (region >> root) & 1
-        assert union == 0b11111
-
-    def test_build_plan_splits_large_articulated_component(self):
-        # Two 6-cliques sharing vertex 5: 11 vertices, one cut vertex.
-        n = 11
-        adjacency = [0] * n
-        for members in (range(0, 6), range(5, 11)):
-            for u in members:
-                for v in members:
-                    if u != v:
-                        adjacency[u] |= 1 << v
-        plan = _build_plan(adjacency, n)
-        roots = [root for _, root in plan if root is not None]
-        assert roots == [5]
-        # The recursion splits the remainder into the two clique bodies
-        # (bits 0-4 and bits 6-10).
-        regions = sorted(region for region, root in plan if root is None)
-        assert regions == [0b00000011111, 0b11111000000]
-
-    def test_build_plan_decompose_off(self, monkeypatch):
-        # With the split threshold above the kernel's vertex cap the plan
-        # is one whole-component entry per component.
-        monkeypatch.setattr(
-            kernel, "MIN_DECOMPOSE_VERTICES", MAX_KERNEL_VERTICES + 1
-        )
-        adjacency = [0] * 11
-        for members in (range(0, 6), range(5, 11)):
-            for u in members:
-                for v in members:
-                    if u != v:
-                        adjacency[u] |= 1 << v
-        assert _build_plan(adjacency, 11) == [((1 << 11) - 1, None)]
-
-
 def _instance(seed, n=10, p=0.32):
     bitset = _random_adjacency(seed, n=n, p=p)
     acc = DiscreteAccumulator(
@@ -392,7 +336,6 @@ class TestKernelTelemetry:
         # Set-family counters are backend-independent and must agree.
         for name in (
             metric.SEARCH_STATES_VISITED,
-            metric.SEARCH_STATES_PRUNED,
             metric.SEARCH_PRUNED_SIZE_CAP,
             metric.SEARCH_FRONTIER_EXHAUSTED,
             metric.SEARCH_CHI_SQUARE_EVALUATIONS,
@@ -400,9 +343,7 @@ class TestKernelTelemetry:
             assert numpy_[name] == python[name]
         # Kernel-specific counters exist only on the numpy side.
         assert numpy_[metric.SEARCH_KERNEL_BATCHES] >= 1
-        assert numpy_[metric.SEARCH_BLOCKS_SEARCHED] >= 1
         assert metric.SEARCH_KERNEL_BATCHES not in python
-        assert metric.SEARCH_BLOCKS_SEARCHED not in python
 
     def test_bound_counters_meaningful_under_prune_bounds(self):
         from repro.telemetry import names as metric

@@ -1,13 +1,10 @@
 """Unit and property tests for bi-connectivity.
 
-Besides the structural checks, this module verifies the *search-level*
-guarantee the kernel's block split relies on: splitting a search region
-at an articulation point — rooted search through the cut vertex plus
-recursion into the remaining components — must reproduce the whole-region
-search exactly (optimum and every counter), because the split partitions
-the family of connected vertex sets.  :mod:`repro.enumerate.kernel` relies
-on exactly this property; the whole-region side of the comparison patches
-its split threshold ``MIN_DECOMPOSE_VERTICES`` above the vertex cap.
+Besides the structural checks, this module runs both search backends on
+graphs with articulation points (two blobs glued at a cut vertex plus a
+pendant path) and requires the same optimum and, under ``prune="none"``,
+the same counters: the shape where a block-cut split of the search would
+matter, checked against the whole-graph walk.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import pytest
 
 from repro.enumerate.accumulators import DiscreteAccumulator
 from repro.enumerate.bitset import BitsetGraph
-from repro.enumerate import kernel
 from repro.enumerate.search import exhaustive_best_mask
 from repro.graph.biconnectivity import (
     articulation_points,
@@ -154,8 +150,8 @@ def _dyadic_accumulator(graph, seed):
 def _articulated_graph(seed):
     """Two random blobs glued at a shared vertex plus a pendant path.
 
-    Guarantees articulation points on a component big enough (>= 10
-    vertices) to cross the kernel's decomposition threshold.
+    Guarantees articulation points (the shared vertex and the path) on
+    one 13-vertex component.
     """
     rng = random.Random(seed)
     edges = []
@@ -174,26 +170,7 @@ def _articulated_graph(seed):
 
 
 class TestDecompositionSearchEquivalence:
-    """Block-decomposed search == whole-graph search, counters included."""
-
-    @pytest.mark.parametrize("seed", range(15))
-    def test_kernel_decomposition_exact(self, seed, monkeypatch):
-        graph = _articulated_graph(seed)
-        assert articulation_points(graph), "fixture must have cut vertices"
-        bitset, acc = _dyadic_accumulator(graph, seed)
-        n = len(bitset.adjacency)
-        assert any(root is not None for _, root in kernel._build_plan(
-            bitset.adjacency, n
-        )), "fixture must be split"
-        split = exhaustive_best_mask(bitset.adjacency, acc, backend="numpy")
-        monkeypatch.setattr(
-            kernel, "MIN_DECOMPOSE_VERTICES", kernel.MAX_KERNEL_VERTICES + 1
-        )
-        assert all(root is None for _, root in kernel._build_plan(
-            bitset.adjacency, n
-        ))
-        whole = exhaustive_best_mask(bitset.adjacency, acc, backend="numpy")
-        assert split == whole
+    """Kernel search == python walk on articulated graphs, counters included."""
 
     @pytest.mark.parametrize("seed", range(15))
     def test_kernel_decomposition_matches_python_walk(self, seed):

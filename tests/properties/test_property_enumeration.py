@@ -3,15 +3,12 @@
 Besides the enumeration-vs-oracle checks, this module runs the search
 *differentially across backends* on hypothesis-generated graphs: the
 vectorized numpy kernel must return the bit-identical
-:class:`SearchOutcome` as the reference python DFS, with and without the
-block-cut decomposition (switched by patching the kernel's split
-threshold ``MIN_DECOMPOSE_VERTICES``).  Labelings use dyadic probabilities so the
-statistics are exact in floating point and the equality can be ``==``.
+:class:`SearchOutcome` as the reference python DFS.  Labelings use dyadic
+probabilities so the statistics are exact in floating point and the
+equality can be ``==``.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import pytest
 
@@ -25,7 +22,6 @@ from repro.enumerate.connected import (
     enumerate_connected_subsets,
     reference_connected_subsets,
 )
-from repro.enumerate import kernel
 from repro.enumerate.search import exhaustive_best_mask
 from repro.graph.components import is_connected_subset
 from repro.graph.graph import Graph
@@ -123,21 +119,6 @@ class TestBackendDifferentialProperties:
             backend="numpy",
         )
         assert numpy_ == python
-
-    @settings(max_examples=60, deadline=None)
-    @given(labeled_graphs())
-    def test_decomposition_changes_nothing(self, instance):
-        graph, labels = instance
-        adjacency, acc = _dyadic_instance(graph, labels)
-        # Split every component of 3+ vertices that has a cut vertex, then
-        # compare with one whole-component search per component.
-        with mock.patch.object(kernel, "MIN_DECOMPOSE_VERTICES", 3):
-            split = exhaustive_best_mask(adjacency, acc, backend="numpy")
-        with mock.patch.object(
-            kernel, "MIN_DECOMPOSE_VERTICES", kernel.MAX_KERNEL_VERTICES + 1
-        ):
-            whole = exhaustive_best_mask(adjacency, acc, backend="numpy")
-        assert split == whole
 
     @settings(max_examples=40, deadline=None)
     @given(labeled_graphs())

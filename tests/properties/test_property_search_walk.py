@@ -171,10 +171,6 @@ def _search_unbounded(
         if _TELEMETRY.enabled:
             metrics = _TELEMETRY.metrics
             metrics.count(_metric.SEARCH_STATES_VISITED, explored)
-            metrics.count(
-                _metric.SEARCH_STATES_PRUNED,
-                pruned_size_cap + frontier_exhausted,
-            )
             metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, pruned_size_cap)
             metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, frontier_exhausted)
             metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, evaluated)
@@ -362,10 +358,6 @@ def _search_bounded(
         if _TELEMETRY.enabled:
             metrics = _TELEMETRY.metrics
             metrics.count(_metric.SEARCH_STATES_VISITED, explored)
-            metrics.count(
-                _metric.SEARCH_STATES_PRUNED,
-                pruned_size_cap + frontier_exhausted,
-            )
             metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, pruned_size_cap)
             metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, frontier_exhausted)
             metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, evaluated)

@@ -24,6 +24,7 @@ from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
 from repro.service.protocol import result_to_payload
+from repro.service import server as server_module
 from repro.service.server import MiningService
 from repro.telemetry.exposition import prometheus_name
 from conftest import service_cache_dir_from_env
@@ -184,6 +185,39 @@ class TestValidation:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert "Content-Length" in json.loads(body)["error"]
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, path", [("POST", "/mine"),
+                                              ("PUT", "/graphs")])
+    def test_short_body_then_close_is_quiet(
+        self, service, capsys, method, path
+    ):
+        # The client announces 100 bytes, sends 5 and hangs up: the
+        # server must drop the request without a reply (writing one to
+        # the closed socket fails) and print nothing.
+        host, port = urlsplit(service).netloc.split(":")
+        for _ in range(5):
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                sock.sendall(
+                    f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n"
+                    "Content-Length: 100\r\n\r\n{\"gra".encode()
+                )
+        time.sleep(0.5)
+        assert http("GET", service + "/healthz")[0] == 200
+        assert capsys.readouterr().err == ""
+
+    def test_stalled_body_closes_the_connection(self, service, monkeypatch):
+        # A client that stops sending mid-body must not hold a handler
+        # thread: after the body-read timeout the server hangs up.
+        monkeypatch.setattr(server_module, "BODY_READ_TIMEOUT_SECONDS", 0.2,
+                            raising=False)
+        host, port = urlsplit(service).netloc.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                f"POST /mine HTTP/1.1\r\nHost: {host}\r\n"
+                "Content-Length: 100\r\n\r\n{\"gra".encode()
+            )
+            assert sock.recv(4096) == b""
+        assert http("GET", service + "/healthz")[0] == 200
 
 
 class TestAsyncJobs:

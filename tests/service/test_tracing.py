@@ -179,7 +179,7 @@ class TestLiveProgress:
         )
         assert set(progress) == {
             "states_visited", "bound_cuts", "best_chi_square",
-            "blocks_completed", "kernel_batches", "elapsed_seconds",
+            "kernel_batches", "elapsed_seconds",
         }
         wait_for(
             lambda: http("GET", f"{service}/jobs/{job_id}")[1]["status"]

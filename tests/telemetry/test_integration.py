@@ -212,10 +212,8 @@ class TestSearchSpanAccounting:
         snap = metrics.snapshot()
         assert snap[metric.SEARCH_BOUND_EVALUATIONS] > 0
         assert metric.SEARCH_BOUND_CUTS in snap
-        assert snap[metric.SEARCH_STATES_PRUNED] == (
-            snap[metric.SEARCH_PRUNED_SIZE_CAP]
-            + snap[metric.SEARCH_FRONTIER_EXHAUSTED]
-        )
+        assert metric.SEARCH_PRUNED_SIZE_CAP in snap
+        assert metric.SEARCH_FRONTIER_EXHAUSTED in snap
 
     def test_split_prune_metrics_in_none_mode(self, small_labeled):
         graph, labeling = small_labeled
@@ -223,7 +221,6 @@ class TestSearchSpanAccounting:
             mine(graph, labeling)
         snap = metrics.snapshot()
         assert metric.SEARCH_BOUND_EVALUATIONS not in snap
-        assert snap[metric.SEARCH_STATES_PRUNED] == (
-            snap[metric.SEARCH_PRUNED_SIZE_CAP]
-            + snap[metric.SEARCH_FRONTIER_EXHAUSTED]
-        )
+        assert snap[metric.SEARCH_PRUNED_SIZE_CAP] >= 0
+        assert snap[metric.SEARCH_FRONTIER_EXHAUSTED] > 0
+        assert "search.states_pruned" not in snap
