@@ -78,7 +78,7 @@ class PipelineReport:
 
     Construction/reduction/search timings are what Figure 2 of the paper
     stacks for the four large graphs; ``explored_subgraphs`` counts the
-    connected sets the exhaustive stage evaluated (summed over top-t
+    connected sets the exhaustive stage visited (summed over top-t
     rounds).
     """
 

@@ -214,10 +214,11 @@ def mine(
         RNG seed (an int or a :class:`random.Random`) for
         ``edge_order="shuffled"``.
     search_limit:
-        Budget (>= 1) on connected sets evaluated per exhaustive search
+        Budget (>= 1) on connected sets visited per exhaustive search
         (raises :class:`~repro.exceptions.EnumerationLimitError` beyond).
     min_size:
-        Minimum number of *original* vertices in a reported region.
+        Minimum number of *original* vertices in a reported region; the
+        search returns the best region among those that large.
     polish:
         Run the LMCS hill-climb on each mined region before reporting
         (never decreases the statistic).
@@ -273,8 +274,8 @@ def mine(
         :class:`~repro.telemetry.progress.SearchProgress` snapshots whose
         counters are **cumulative over the whole call** (an internal
         :class:`~repro.telemetry.progress.ProgressAggregator` folds the
-        per-search streams across TSSS rounds and ``min_size``
-        escalations, so ``states_visited`` advances monotonically), with
+        per-search streams across TSSS rounds and testability
+        fallbacks, so ``states_visited`` advances monotonically), with
         one final snapshot guaranteed when :func:`mine` returns or
         raises.  Observe-only; cannot change the result.
 
@@ -705,32 +706,21 @@ def _search_supergraph(
             [(sv.payload.raw_sums, sv.payload.size) for sv in payload_order]
         )
 
-    # min_size bounds the *original*-vertex count, while the search counts
-    # super-vertices: reject an undersized winner and search again with a
-    # super-vertex floor one higher, until the winner is big enough or no
-    # floor is left.
-    floor = 1
-    while True:
-        outcome = exhaustive_best_mask(
-            bitset.adjacency, accumulator, min_size=floor,
-            limit=search_limit, prune=prune, backend=backend,
-            testability=testability,
-            check_abort=check_abort, progress=progress,
-        )
-        # Each search call emits per-call cumulative snapshots; banking the
-        # finished call keeps the aggregator's totals monotone across calls.
-        if progress is not None:
-            progress.finish_call()
-        report.explored_subgraphs += outcome.explored
-        if outcome.mask == 0:
-            return None
-        winning_ids = [payload_order[i].id for i in iter_bits(outcome.mask)]
-        if sum(supergraph.super_vertex(i).size for i in winning_ids) >= min_size:
-            break
-        floor += 1
-        if floor > supergraph.num_super_vertices:
-            return None
-
+    # min_size counts *original* vertices, which is the search's mass.
+    outcome = exhaustive_best_mask(
+        bitset.adjacency, accumulator, min_mass=min_size,
+        limit=search_limit, prune=prune, backend=backend,
+        testability=testability,
+        check_abort=check_abort, progress=progress,
+    )
+    # Each search call emits per-call cumulative snapshots; banking the
+    # finished call keeps the aggregator's totals monotone across calls.
+    if progress is not None:
+        progress.finish_call()
+    report.explored_subgraphs += outcome.explored
+    if outcome.mask == 0:
+        return None
+    winning_ids = [payload_order[i].id for i in iter_bits(outcome.mask)]
     return _build_region(supergraph, labeling, winning_ids, outcome.chi_square)
 
 

@@ -259,8 +259,8 @@ class SuperGraph:
     def validate_against(self, graph: Graph) -> None:
         """Check partition exhaustiveness / exclusivity against ``graph``.
 
-        Raises :class:`GraphError` on any violation — used by tests and by
-        the solver's debug mode.
+        Raises :class:`GraphError` on any violation; the construction tests
+        and property suites call it on every super-graph they build.
         """
         if self.total_original_vertices() != graph.num_vertices:
             raise GraphError(

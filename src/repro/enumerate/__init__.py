@@ -12,11 +12,7 @@ from repro.enumerate.accumulators import (
     DiscreteAccumulator,
 )
 from repro.enumerate.bitset import BitsetGraph, iter_bits, mask_of, popcount
-from repro.enumerate.bounds import (
-    budget_limited_size,
-    continuous_upper_bound,
-    discrete_upper_bound,
-)
+from repro.enumerate.bounds import continuous_upper_bound, discrete_upper_bound
 from repro.enumerate.connected import (
     DEFAULT_LIMIT,
     connected_subgraph_masks,
@@ -48,7 +44,6 @@ __all__ = [
     "PRUNE_MODES",
     "SEARCH_BACKENDS",
     "SearchOutcome",
-    "budget_limited_size",
     "connected_subgraph_masks",
     "continuous_upper_bound",
     "count_connected_subgraphs",

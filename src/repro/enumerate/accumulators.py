@@ -16,11 +16,7 @@ from collections.abc import Sequence
 from typing import Protocol
 
 from repro.exceptions import LabelingError
-from repro.enumerate.bounds import (
-    budget_limited_size,
-    continuous_upper_bound,
-    discrete_upper_bound,
-)
+from repro.enumerate.bounds import continuous_upper_bound, discrete_upper_bound
 from repro.stats.chi_square import validate_probabilities
 
 __all__ = [
@@ -42,11 +38,10 @@ class ChiSquareAccumulator(Protocol):
     def chi_square(self) -> float:
         """The statistic of the current set (0.0 when empty)."""
 
-    def upper_bound(self, candidate_mask: int, remaining_budget: int | None) -> float:
+    def upper_bound(self, candidate_mask: int) -> float:
         """Admissible bound on the statistic of any superset reachable by
-        adding vertices from ``candidate_mask`` (at most ``remaining_budget``
-        of them; ``None`` = unlimited).  Required for ``prune="bounds"``;
-        see :mod:`repro.enumerate.bounds`."""
+        adding vertices from ``candidate_mask``.  Required for
+        ``prune="bounds"``; see :mod:`repro.enumerate.bounds`."""
 
 
 class DiscreteAccumulator:
@@ -59,7 +54,7 @@ class DiscreteAccumulator:
     payloads:
         ``payloads[i]`` is the count vector (tuple of per-label counts) that
         vertex ``i`` contributes — ``(0, ..., 1, ..., 0)`` for an original
-        vertex, arbitrary non-negative counts for a super-vertex.
+        vertex, non-negative counts with a positive sum for a super-vertex.
     """
 
     __slots__ = (
@@ -82,6 +77,8 @@ class DiscreteAccumulator:
                 )
             if any(c < 0 for c in tup):
                 raise LabelingError(f"payload {i} has negative counts")
+            if not any(tup):
+                raise LabelingError(f"payload {i} carries no vertices")
             checked.append(tup)
         self._payloads = checked
         self._payload_sizes = tuple(sum(p) for p in checked)
@@ -119,23 +116,21 @@ class DiscreteAccumulator:
             return 0.0
         return self._weighted / self._size - self._size
 
-    def upper_bound(self, candidate_mask: int, remaining_budget: int | None) -> float:
+    def upper_bound(self, candidate_mask: int) -> float:
         """Admissible Eq. 2 bound over supersets within ``candidate_mask``.
 
-        Spends the remaining size budget on the best still-reachable label
+        Spends the candidates' mass on the best still-reachable label
         (chord relaxation of the convex per-label gain); see
         :func:`repro.enumerate.bounds.discrete_upper_bound`.
         """
         if candidate_mask == 0:
             return self.chi_square()
         candidate_counts = [0] * len(self._probs)
-        sizes: list[int] = []
         mask = candidate_mask
         while mask:
             low = mask & -mask
             index = low.bit_length() - 1
             mask ^= low
-            sizes.append(self._payload_sizes[index])
             for label, c in enumerate(self._payloads[index]):
                 if c:
                     candidate_counts[label] += c
@@ -145,7 +140,6 @@ class DiscreteAccumulator:
             self._probs,
             self._counts,
             candidate_counts,
-            budget_limited_size(sizes, remaining_budget),
         )
 
     @property
@@ -176,9 +170,10 @@ class DiscreteAccumulator:
     def payload_sizes(self) -> tuple[int, ...]:
         """Original-vertex mass each vertex contributes, in index order.
 
-        Consumed by the testability prune (`SearchTestability`): the mass
-        of a search state plus its reachable closure decides whether any
-        extension can still be large enough to be testable.
+        Consumed by the search's mass cuts (``min_mass`` and
+        `SearchTestability`): the mass of a search state plus its
+        reachable closure decides whether any extension can still be
+        large enough.
         """
         return self._payload_sizes
 
@@ -243,17 +238,14 @@ class ContinuousAccumulator:
             return 0.0
         return math.fsum(s * s for s in self._sums) / self._size
 
-    def upper_bound(self, candidate_mask: int, remaining_budget: int | None) -> float:
+    def upper_bound(self, candidate_mask: int) -> float:
         """Admissible Eq. 8 bound over supersets within ``candidate_mask``.
 
         Bounds each ``|R_j|`` by adding every candidate ``|z_j|`` while the
-        denominator stays at the current size (super-vertex budgets below
-        the candidate count only loosen this further, so they are ignored);
-        see :func:`repro.enumerate.bounds.continuous_upper_bound`.
+        denominator stays at the current size; see
+        :func:`repro.enumerate.bounds.continuous_upper_bound`.
         """
-        if candidate_mask == 0 or (
-            remaining_budget is not None and remaining_budget <= 0
-        ):
+        if candidate_mask == 0:
             return self.chi_square()
         frontier = [0.0] * self._dims
         mask = candidate_mask

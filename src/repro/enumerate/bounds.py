@@ -21,9 +21,9 @@ Discrete (Eq. 2)
 
     because each convex per-label gain ``h_i(a)`` is below its chord
     ``a * h_i(c_i) / c_i``.  The relaxed statistic ``g(m) = (W + m rho) /
-    (n + m) - (n + m)`` is maximised over the integer budget ``m in [0,
-    B]`` in closed form (it is convex or unimodal in ``n + m``), giving an
-    admissible bound.
+    (n + m) - (n + m)`` is maximised over the integer mass ``m in [0,
+    sum_i c_i]`` in closed form (it is convex or unimodal in ``n + m``),
+    giving an admissible bound.
 
 Continuous (Eq. 8)
     ``X^2 = sum_j R_j^2 / n`` can only grow to ``sum_j (|R_j| + T_j)^2``
@@ -44,25 +44,9 @@ import math
 from collections.abc import Sequence
 
 __all__ = [
-    "budget_limited_size",
     "continuous_upper_bound",
     "discrete_upper_bound",
 ]
-
-
-def budget_limited_size(payload_sizes: Sequence[int], budget: int | None) -> int:
-    """Maximum original-vertex mass addable from candidate payloads.
-
-    ``budget`` caps the number of *payloads* (super-vertices) that may be
-    chosen; the worst case takes the largest ones, so the result is the sum
-    of the ``budget`` largest sizes (all of them when ``budget`` is None or
-    not binding).
-    """
-    if budget is not None and budget <= 0:
-        return 0
-    if budget is None or budget >= len(payload_sizes):
-        return sum(payload_sizes)
-    return sum(sorted(payload_sizes, reverse=True)[:budget])
 
 
 def discrete_upper_bound(
@@ -71,7 +55,6 @@ def discrete_upper_bound(
     probabilities: Sequence[float],
     counts: Sequence[int],
     candidate_counts: Sequence[int],
-    budget_size: int,
 ) -> float:
     """Admissible Eq. 2 bound for supersets of the current count state.
 
@@ -84,13 +67,11 @@ def discrete_upper_bound(
     probabilities / counts:
         The null model and current per-label counts ``Y``.
     candidate_counts:
-        Per-label counts ``c_i`` available in the candidate set.
-    budget_size:
-        Maximum total mass ``B`` addable (see :func:`budget_limited_size`).
+        Per-label counts ``c_i`` available in the candidate set; their
+        sum is the most mass any superset can add.
     """
     current = weighted / size - size if size else 0.0
-    available = sum(candidate_counts)
-    m_cap = min(budget_size, available)
+    m_cap = sum(candidate_counts)
     if m_cap <= 0:
         return current
     rho = max(

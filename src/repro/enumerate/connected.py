@@ -37,8 +37,6 @@ DEFAULT_LIMIT = 50_000_000
 def connected_subgraph_masks(
     adjacency: Sequence[int],
     *,
-    min_size: int = 1,
-    max_size: int | None = None,
     limit: int | None = DEFAULT_LIMIT,
 ) -> Iterator[int]:
     """Yield every connected vertex set of the graph as a bitmask.
@@ -47,31 +45,20 @@ def connected_subgraph_masks(
     ----------
     adjacency:
         ``adjacency[i]`` is the neighbour bitmask of vertex ``i``.
-    min_size, max_size:
-        Inclusive bounds on the number of vertices in emitted sets.  The
-        recursion still *explores* below ``min_size`` (it must, to reach
-        larger sets) but prunes branches once ``max_size`` is reached.
     limit:
         Maximum number of sets to emit before raising
         :class:`EnumerationLimitError`; ``None`` disables the check.
     """
     n = len(adjacency)
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
-    if max_size is not None and max_size < min_size:
-        raise ValueError(
-            f"max_size ({max_size}) must be >= min_size ({min_size})"
-        )
     emitted = 0
-    size_cap = n if max_size is None else min(max_size, n)
 
     def check_limit() -> None:
         if limit is not None and emitted > limit:
             raise EnumerationLimitError(limit)
 
     # Iterative stack avoids Python's recursion limit for larger graphs.
-    # Each frame is (subset_mask, subset_size, extension_mask, forbidden_mask);
-    # the frame enumerates all valid supersets of subset_mask whose extra
+    # Each frame is (subset_mask, extension_mask, forbidden_mask); the
+    # frame enumerates all valid supersets of subset_mask whose extra
     # vertices come from the extension frontier and avoid forbidden_mask.
     # The telemetry flush lives in the finally block so a closed or aborted
     # generator still reports how far it got, with zero per-set overhead.
@@ -79,16 +66,15 @@ def connected_subgraph_masks(
         for root in range(n):
             root_bit = 1 << root
             root_forbidden = root_bit - 1  # all vertices with smaller index
-            stack: list[tuple[int, int, int, int]] = [
-                (root_bit, 1, adjacency[root] & ~root_forbidden & ~root_bit, root_forbidden)
+            stack: list[tuple[int, int, int]] = [
+                (root_bit, adjacency[root] & ~root_forbidden & ~root_bit, root_forbidden)
             ]
-            if min_size <= 1:
-                emitted += 1
-                check_limit()
-                yield root_bit
+            emitted += 1
+            check_limit()
+            yield root_bit
             while stack:
-                subset, size, extension, forbidden = stack.pop()
-                if size >= size_cap or not extension:
+                subset, extension, forbidden = stack.pop()
+                if not extension:
                     continue
                 # Branch on the lowest candidate u: one child includes u, the
                 # sibling continuation forbids it.
@@ -96,18 +82,16 @@ def connected_subgraph_masks(
                 u = u_bit.bit_length() - 1
                 rest = extension ^ u_bit
                 # Sibling: same subset, remaining candidates, u forbidden.
-                stack.append((subset, size, rest, forbidden | u_bit))
+                stack.append((subset, rest, forbidden | u_bit))
                 # Child: subset + u; frontier gains u's unseen neighbours.
                 child_subset = subset | u_bit
                 child_ext = rest | (
                     adjacency[u] & ~(child_subset | forbidden | rest)
                 )
-                child_size = size + 1
-                if child_size >= min_size:
-                    emitted += 1
-                    check_limit()
-                    yield child_subset
-                stack.append((child_subset, child_size, child_ext, forbidden))
+                emitted += 1
+                check_limit()
+                yield child_subset
+                stack.append((child_subset, child_ext, forbidden))
     finally:
         if _TELEMETRY.enabled and emitted:
             _TELEMETRY.metrics.count(_metric.ENUMERATE_SETS_EMITTED, emitted)
@@ -116,23 +100,17 @@ def connected_subgraph_masks(
 def enumerate_connected_subsets(
     graph: Graph,
     *,
-    min_size: int = 1,
-    max_size: int | None = None,
     limit: int | None = DEFAULT_LIMIT,
 ) -> Iterator[frozenset[Hashable]]:
     """Yield every connected vertex subset of ``graph`` as a frozenset."""
     bitset = BitsetGraph(graph)
-    for mask in connected_subgraph_masks(
-        bitset.adjacency, min_size=min_size, max_size=max_size, limit=limit
-    ):
+    for mask in connected_subgraph_masks(bitset.adjacency, limit=limit):
         yield bitset.vertex_set(mask)
 
 
 def count_connected_subgraphs(
     graph: Graph,
     *,
-    min_size: int = 1,
-    max_size: int | None = None,
     limit: int | None = DEFAULT_LIMIT,
 ) -> int:
     """The number of connected induced subgraphs of ``graph``.
@@ -142,9 +120,7 @@ def count_connected_subgraphs(
     """
     bitset = BitsetGraph(graph)
     total = 0
-    for _mask in connected_subgraph_masks(
-        bitset.adjacency, min_size=min_size, max_size=max_size, limit=limit
-    ):
+    for _mask in connected_subgraph_masks(bitset.adjacency, limit=limit):
         total += 1
     return total
 

@@ -7,14 +7,12 @@ evaluation while *provably* returning the identical
 :class:`~repro.enumerate.search.SearchOutcome`:
 
 1. **Same state family.**  Under ``prune="none"`` the DFS counters are
-   functions of the *set* of visited states, not of the visit order — every
-   visited connected set of size ``< size_cap`` contributes exactly one
-   exhausted-frontier frame and every set of size ``== size_cap`` exactly
-   one size-cap prune (a smaller set's chain of sibling frames always
-   ends with an empty extension).  The kernel enumerates exactly the
-   same family level-by-level (all states of super-vertex count ``s`` in
-   one batch), so ``explored``/``evaluated``/``pruned_size_cap``/
-   ``frontier_exhausted`` match the python walk *exactly*.
+   functions of the *set* of visited states, not of the visit order:
+   ``explored`` counts every connected set once, and ``evaluated``
+   counts those whose mass meets ``min_mass``.  The kernel enumerates
+   exactly the same family level-by-level (all states of super-vertex
+   count ``s`` in one batch), so ``explored`` and ``evaluated`` match
+   the python walk *exactly*.
 2. **Order-independent optimum.**  Both backends break statistic ties
    toward the numerically smallest winning bitmask, so the optimum does
    not depend on enumeration order — which is what licenses batching in
@@ -81,11 +79,6 @@ def _bit_matrix(masks: "object", n: int) -> "object":
     dtypes, so no element conversion pass is needed.
     """
     return _bits_u64(masks, n).view(_np.int64)
-
-
-def _popcount(masks: "object") -> "object":
-    """Per-row population count of a uint64 mask array."""
-    return _np.bitwise_count(masks).astype(_np.int64)
 
 
 def _neighborhood_masks(adjacency: Sequence[int]) -> "object":
@@ -180,9 +173,7 @@ class _DiscreteScorer:
             ).sum(axis=1)
             return _np.where(mass > 0, weighted / mass - mass, 0.0)
 
-    def bound(
-        self, bits: "object", closure_bits: "object", budget: int
-    ) -> "object":
+    def bound(self, bits: "object", closure_bits: "object") -> "object":
         """Admissible Eq. 2 bound per row; mirrors the scalar formula."""
         counts = bits @ self.payload_matrix
         mass = (bits @ self.mass).astype(_np.float64)
@@ -193,14 +184,7 @@ class _DiscreteScorer:
             current = weighted / mass - mass
 
         candidate_counts = closure_bits @ self.payload_matrix
-        available = closure_bits @ self.mass
-        if budget >= self.payload_matrix.shape[0]:
-            budget_size = available
-        else:
-            member_sizes = closure_bits * self.mass[None, :]
-            member_sizes = -_np.sort(-member_sizes, axis=1)
-            budget_size = member_sizes[:, :budget].sum(axis=1)
-        m_cap = _np.minimum(budget_size, available)
+        m_cap = closure_bits @ self.mass
 
         with _np.errstate(divide="ignore", invalid="ignore"):
             gain = (2 * counts + candidate_counts) / self.probs[None, :]
@@ -252,9 +236,7 @@ class _ContinuousScorer:
         with _np.errstate(divide="ignore", invalid="ignore"):
             return _np.where(mass > 0, (sums * sums).sum(axis=1) / mass, 0.0)
 
-    def bound(
-        self, bits: "object", closure_bits: "object", budget: int
-    ) -> "object":
+    def bound(self, bits: "object", closure_bits: "object") -> "object":
         """Admissible Eq. 8 bound per row; mirrors the scalar formula."""
         sums = bits @ self.z_matrix
         mass = (bits @ self.mass).astype(_np.float64)
@@ -283,8 +265,7 @@ class _KernelRun:
         adjacency: Sequence[int],
         tally: _Tally,
         *,
-        min_size: int,
-        size_cap: int,
+        min_mass: int,
         limit: int | None,
         bounded: bool,
         check_abort: Callable[[], bool] | None,
@@ -295,8 +276,11 @@ class _KernelRun:
         self.n = len(adjacency)
         self.adj = _neighborhood_masks(adjacency)
         self.tally = tally
-        self.min_size = min_size
-        self.size_cap = size_cap
+        self.min_mass = min_mass
+        # Every payload carries at least one vertex, so min_mass <= 1
+        # admits every state and neither mass test runs.
+        self.gated = min_mass > 1
+        self.floor_cut = bounded and self.gated
         self.limit = limit
         self.bounded = bounded
         self.check_abort = check_abort
@@ -304,8 +288,12 @@ class _KernelRun:
         self.testability = testability
         self.seed_value = float("-inf")
 
+    def _masses(self, masks: "object") -> "object":
+        """Original-vertex mass per row of ``(B,)`` uint64 vertex-set masks."""
+        return _bit_matrix(masks, self.n) @ self.scorer.mass
+
     # -- visiting -------------------------------------------------------
-    def _visit_chunk(self, subsets: "object", size: int) -> None:
+    def _visit_chunk(self, subsets: "object") -> None:
         """Count, score, and fold one batch of newly created states."""
         tally = self.tally
         batch = int(subsets.shape[0])
@@ -318,9 +306,11 @@ class _KernelRun:
         tally.kernel_batches += 1
         if self.progress is not None:
             self.progress(tally.snapshot())
-        if size < self.min_size:
-            return
-        tally.evaluated += batch
+        if self.gated:
+            subsets = subsets[self._masses(subsets) >= self.min_mass]
+            if not subsets.shape[0]:
+                return
+        tally.evaluated += int(subsets.shape[0])
         chi = self.scorer.chi_masks(subsets)
         top = float(chi.max())
         if top < tally.best_value:
@@ -331,53 +321,37 @@ class _KernelRun:
             tally.best_mask = top_mask
             tally.best_updates += 1
 
-    def _visit_level(self, subsets: "object", size: int) -> None:
-        """Visit a whole level in ``KERNEL_CHUNK`` batches, then classify.
-
-        Classification mirrors the python walk's frame accounting: every
-        visited set of size ``== size_cap`` is exactly one size-cap prune,
-        every smaller one exactly one exhausted frontier (its sibling
-        chain always ends with an empty extension).
-        """
-        for lo in range(0, subsets.shape[0], KERNEL_CHUNK):
-            self._visit_chunk(subsets[lo : lo + KERNEL_CHUNK], size)
-        if size >= self.size_cap:
-            self.tally.pruned_size_cap += int(subsets.shape[0])
-        else:
-            self.tally.frontier_exhausted += int(subsets.shape[0])
-
     # -- pruning --------------------------------------------------------
     def _prune_level(
         self,
         subsets: "object",
         ext: "object",
         forbidden: "object",
-        size: int,
     ) -> "object":
-        """Per-level cuts: reachability, testable mass, then the
-        admissible bound vs the incumbent (bounds mode only).
+        """Per-level cuts: reachable mass vs ``min_mass`` (bounds mode
+        only), testable mass, then the admissible bound vs the incumbent
+        (bounds mode only).
 
         Returns the boolean keep-mask over rows.  Mirrors the python
         walk's per-frame cuts (reachability and bound count into
-        ``bound_cuts``, mass shortfalls into ``testability_cuts``), with
-        the incumbent taken at batch time — admissible either way because
-        pruning is strict and the bound never underestimates.
+        ``bound_cuts``, testable-mass shortfalls into
+        ``testability_cuts``), with the incumbent taken at batch time —
+        admissible either way because pruning is strict and the bound
+        never underestimates.
         """
         tally = self.tally
         closure = _batch_closure(self.adj, ext, subsets | forbidden)
-        if self.bounded:
-            keep = size + _popcount(closure) >= self.min_size
-            tally.bound_cuts += int((~keep).sum())
-        else:
-            keep = _np.ones(subsets.shape[0], dtype=bool)
-        if self.testability is not None:
-            reachable_mass = (
-                _bit_matrix(subsets, self.n) @ self.scorer.mass
-                + _bit_matrix(closure, self.n) @ self.scorer.mass
-            )
-            short = keep & (reachable_mass < self.testability.min_mass)
-            tally.testability_cuts += int(short.sum())
-            keep &= ~short
+        keep = _np.ones(subsets.shape[0], dtype=bool)
+        if self.floor_cut or self.testability is not None:
+            reachable_mass = self._masses(subsets) + self._masses(closure)
+            if self.floor_cut:
+                short = reachable_mass < self.min_mass
+                tally.bound_cuts += int(short.sum())
+                keep &= ~short
+            if self.testability is not None:
+                short = keep & (reachable_mass < self.testability.min_mass)
+                tally.testability_cuts += int(short.sum())
+                keep &= ~short
         if not self.bounded:
             return keep
         threshold = max(tally.best_value, self.seed_value)
@@ -388,7 +362,6 @@ class _KernelRun:
         bound = self.scorer.bound(
             _bit_matrix(subsets[rows], self.n),
             _bit_matrix(closure[rows], self.n),
-            self.size_cap - size,
         )
         cut = bound < threshold
         tally.bound_cuts += int(cut.sum())
@@ -446,30 +419,25 @@ class _KernelRun:
         singles = _np.uint64(1) << _np.arange(self.n, dtype=_np.uint64)
         below = singles - _np.uint64(1)
         if self.bounded:
+            chi = self.scorer.chi_masks(singles)[self.scorer.mass >= self.min_mass]
             self.seed_value = _incumbent_seed(
-                lambda: float(self.scorer.chi_masks(singles).max()),
-                self.min_size,
+                float(chi.max()) if chi.shape[0] else float("-inf"),
                 self.testability,
             )
         subsets, ext, forbidden = singles, self.adj & ~(singles | below), below
-        size = 1
         while subsets.shape[0]:
-            self._visit_level(subsets, size)
-            if size >= self.size_cap:
-                break
+            for lo in range(0, subsets.shape[0], KERNEL_CHUNK):
+                self._visit_chunk(subsets[lo : lo + KERNEL_CHUNK])
             live = ext != _np.uint64(0)
             if (self.bounded or self.testability is not None) and live.any():
                 rows = _np.flatnonzero(live)
-                keep = self._prune_level(
-                    subsets[rows], ext[rows], forbidden[rows], size
-                )
+                keep = self._prune_level(subsets[rows], ext[rows], forbidden[rows])
                 live[rows[~keep]] = False
             if not live.any():
                 break
             subsets, ext, forbidden = self._expand_level(
                 subsets[live], ext[live], forbidden[live]
             )
-            size += 1
 
 
 def _kernel_search(
@@ -477,8 +445,7 @@ def _kernel_search(
     accumulator: DiscreteAccumulator | ContinuousAccumulator,
     tally: _Tally,
     *,
-    min_size: int,
-    size_cap: int,
+    min_mass: int,
     limit: int | None,
     bounded: bool,
     check_abort: Callable[[], bool] | None,
@@ -494,6 +461,6 @@ def _kernel_search(
     """
     _KernelRun(
         _scorer_for(accumulator), adjacency, tally,
-        min_size=min_size, size_cap=size_cap, limit=limit, bounded=bounded,
+        min_mass=min_mass, limit=limit, bounded=bounded,
         check_abort=check_abort, progress=progress, testability=testability,
     ).run()

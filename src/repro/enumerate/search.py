@@ -8,8 +8,10 @@ solver uses it both directly on (small) input graphs and on reduced
 super-graphs whose vertices carry merged payloads.
 
 ``prune="bounds"`` turns the walk into a branch-and-bound: the incumbent is
-seeded with the best single vertex, and any branch whose admissible upper
-bound (see :mod:`repro.enumerate.bounds`) cannot beat the incumbent is cut.
+seeded with the best eligible single vertex, and any branch whose
+admissible upper bound (see :mod:`repro.enumerate.bounds`) cannot beat the
+incumbent, or whose reachable mass cannot meet the ``min_mass`` floor, is
+cut.
 Because the bound is admissible and pruning is strict (``bound <
 incumbent``), every optimal state survives, so both modes return the
 identical winning mask and statistic — ``prune="bounds"`` just visits
@@ -150,14 +152,10 @@ class SearchOutcome:
     chi_square:
         Its statistic.
     explored:
-        Number of connected sets evaluated — the paper's exponential cost,
+        Number of connected sets visited — the paper's exponential cost,
         reported so benchmarks can show what the reduction saves.
-    pruned_size_cap:
-        DFS branches abandoned because the ``max_size`` cap was reached.
-    frontier_exhausted:
-        DFS leaves reached naturally (the extension frontier emptied).
     evaluated:
-        Chi-square computations performed (sets meeting ``min_size``).
+        Chi-square computations performed (sets meeting ``min_mass``).
     bound_cuts:
         Branches cut because their admissible upper bound could not beat
         the incumbent (``prune="bounds"`` only).
@@ -171,8 +169,6 @@ class SearchOutcome:
     mask: int
     chi_square: float
     explored: int
-    pruned_size_cap: int = 0
-    frontier_exhausted: int = 0
     evaluated: int = 0
     bound_cuts: int = 0
     bound_evaluations: int = 0
@@ -193,8 +189,6 @@ class _Tally:
 
     started: float
     explored: int = 0
-    pruned_size_cap: int = 0
-    frontier_exhausted: int = 0
     evaluated: int = 0
     bound_cuts: int = 0
     bound_evaluations: int = 0
@@ -220,8 +214,6 @@ class _Tally:
             mask=self.best_mask,
             chi_square=self.best_value if self.best_mask else 0.0,
             explored=self.explored,
-            pruned_size_cap=self.pruned_size_cap,
-            frontier_exhausted=self.frontier_exhausted,
             evaluated=self.evaluated,
             bound_cuts=self.bound_cuts,
             bound_evaluations=self.bound_evaluations,
@@ -234,8 +226,6 @@ class _Tally:
             return
         metrics = _TELEMETRY.metrics
         metrics.count(_metric.SEARCH_STATES_VISITED, self.explored)
-        metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, self.pruned_size_cap)
-        metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, self.frontier_exhausted)
         metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, self.evaluated)
         metrics.count(_metric.SEARCH_BEST_UPDATES, self.best_updates)
         if bounded:
@@ -249,22 +239,21 @@ class _Tally:
 
 
 def _incumbent_seed(
-    best_single: Callable[[], float],
-    min_size: int,
-    testability: SearchTestability | None,
+    best_eligible_single: float, testability: SearchTestability | None
 ) -> float:
     """The bounds-mode pruning threshold in force before any set is scored.
 
-    Singles are evaluable results when ``min_size <= 1``, so the best
-    single-vertex statistic (``best_single()``, computed by the backend)
-    is a sound threshold from the start; with ``min_size > 1`` a single's
-    statistic may exceed every eligible set's, which would prune the true
-    optimum.  The Tarone statistic floor is a threshold no passing
-    subgraph can sit below, so it is a sound seed even when singles are
-    not; its cuts count as ``bound_cuts``.  The seed is a value only: it
-    never selects a mask.
+    A single vertex whose mass meets ``min_mass`` is an eligible result,
+    so the best such single's statistic (``best_eligible_single``,
+    computed by the backend; ``-inf`` when no single is eligible) is a
+    sound threshold from the start.  An ineligible single's statistic may
+    exceed every eligible set's, which would prune the true optimum, so
+    it never seeds.  The Tarone statistic floor is a threshold no passing
+    subgraph can sit below, so it is a sound seed even when no single is
+    eligible; its cuts count as ``bound_cuts``.  The seed is a value
+    only: it never selects a mask.
     """
-    seed = best_single() if min_size <= 1 else float("-inf")
+    seed = best_eligible_single
     if testability is not None and testability.statistic_floor > seed:
         seed = testability.statistic_floor
     return seed
@@ -274,8 +263,7 @@ def exhaustive_best_mask(
     adjacency: Sequence[int],
     accumulator: DiscreteAccumulator | ContinuousAccumulator,
     *,
-    min_size: int = 1,
-    max_size: int | None = None,
+    min_mass: int = 1,
     limit: int | None = None,
     prune: str = "none",
     check_abort: Callable[[], bool] | None = None,
@@ -290,13 +278,16 @@ def exhaustive_best_mask(
     (anything else raises :class:`TypeError`), passed in its empty state.
 
     Statistic ties break toward the numerically smallest winning bitmask
-    (deterministic and enumeration-order independent).  ``min_size``/
-    ``max_size`` bound the *vertex count of the set in this graph* (i.e.
-    super-vertices count as one).  ``limit`` bounds the number of evaluated
-    sets, raising :class:`EnumerationLimitError` beyond.
-    ``prune="bounds"`` enables admissible branch-and-bound cutting; the
-    optimum — including tie-breaks — is provably identical to
-    ``prune="none"``.
+    (deterministic and enumeration-order independent).  Only sets whose
+    *mass* — the original-vertex count summed over their payloads, so a
+    super-vertex counts as its size — is at least ``min_mass`` are
+    scored and can win; every payload carries at least one vertex, so
+    the default ``min_mass=1`` admits every set.  ``limit`` bounds the
+    number of visited sets, raising :class:`EnumerationLimitError`
+    beyond.  ``prune="bounds"`` enables admissible branch-and-bound
+    cutting, including a cut of every branch whose reachable mass falls
+    short of ``min_mass``; the optimum — including tie-breaks — is
+    provably identical to ``prune="none"``.
 
     ``backend="numpy"`` routes the walk through the vectorized batch
     kernel (:mod:`repro.enumerate.kernel`), which returns the identical
@@ -328,10 +319,8 @@ def exhaustive_best_mask(
     optimum whenever that optimum meets the corrected threshold; cut
     accounting is backend-dependent.
     """
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
-    if max_size is not None and max_size < min_size:
-        raise ValueError(f"max_size ({max_size}) must be >= min_size ({min_size})")
+    if min_mass < 1:
+        raise ValueError(f"min_mass must be >= 1, got {min_mass}")
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune must be one of {PRUNE_MODES}, got {prune!r}")
     if testability is not None and testability.min_mass < 1:
@@ -360,8 +349,7 @@ def exhaustive_best_mask(
     try:
         search(
             adjacency, accumulator, tally,
-            min_size=min_size,
-            size_cap=n if max_size is None else min(max_size, n),
+            min_mass=min_mass,
             limit=limit,
             bounded=bounded,
             check_abort=check_abort,
@@ -398,8 +386,7 @@ def _python_walk(
     accumulator: ChiSquareAccumulator,
     tally: _Tally,
     *,
-    min_size: int,
-    size_cap: int,
+    min_mass: int,
     limit: int | None,
     bounded: bool,
     check_abort: Callable[[], bool] | None,
@@ -413,11 +400,12 @@ def _python_walk(
     of an expansion frame is needed (bounds or testability), these cuts
     apply to it, in this order:
 
-    1. *reachability* (bounds only): if the closure cannot grow the set to
-       ``min_size``, nothing below is evaluable;
-    2. *testable mass* (testability only): if the closure cannot lift the
-       set's mass to ``testability.min_mass``, nothing below can pass the
-       corrected threshold;
+    1. *reachability* (bounds with ``min_mass > 1`` only): if the set's
+       mass plus the closure's falls short of ``min_mass``, nothing below
+       is eligible;
+    2. *testable mass* (testability only): if that mass falls short of
+       ``testability.min_mass``, nothing below can pass the corrected
+       threshold;
     3. *bound* (bounds only): if the accumulator's admissible upper bound
        over the closure is strictly below the incumbent, nothing below can
        win.
@@ -429,24 +417,23 @@ def _python_walk(
     best_mask = 0
     best_value = float("-inf")
     explored = 0
-    pruned_size_cap = 0
-    frontier_exhausted = 0
     evaluated = 0
     best_updates = 0
     bound_cuts = 0
     bound_evaluations = 0
     testability_cuts = 0
-    min_mass = testability.min_mass if testability is not None else 0
-    payload_sizes = (
-        accumulator.payload_sizes if testability is not None else ()
-    )
+    # Every payload carries at least one vertex, so min_mass <= 1 admits
+    # every state and neither the eligibility test nor the floor cut runs.
+    gated = min_mass > 1
+    floor_cut = bounded and gated
+    testable_mass = testability.min_mass if testability is not None else 0
+    needs_mass = floor_cut or testability is not None
+    payload_sizes = accumulator.payload_sizes if needs_mass else ()
     needs_closure = bounded or testability is not None
     poll = check_abort is not None or progress is not None
 
     def sync() -> None:
         tally.explored = explored
-        tally.pruned_size_cap = pruned_size_cap
-        tally.frontier_exhausted = frontier_exhausted
         tally.evaluated = evaluated
         tally.best_updates = best_updates
         tally.bound_cuts = bound_cuts
@@ -455,22 +442,23 @@ def _python_walk(
         tally.best_mask = best_mask
         tally.best_value = best_value
 
-    def best_single() -> float:
+    def best_eligible_single() -> float:
         best = float("-inf")
         for v in range(n):
             accumulator.push(v)
-            value = accumulator.chi_square()
+            if accumulator.size >= min_mass:
+                value = accumulator.chi_square()
+                if value > best:
+                    best = value
             accumulator.pop(v)
-            if value > best:
-                best = value
         return best
 
     seed_value = (
-        _incumbent_seed(best_single, min_size, testability)
+        _incumbent_seed(best_eligible_single(), testability)
         if bounded else float("-inf")
     )
 
-    def consider(mask: int, size: int) -> None:
+    def consider(mask: int) -> None:
         nonlocal best_mask, best_value, explored, evaluated, best_updates
         explored += 1
         if limit is not None and explored > limit:
@@ -481,16 +469,17 @@ def _python_walk(
             if progress is not None:
                 sync()
                 progress(tally.snapshot())
-        if size >= min_size:
-            evaluated += 1
-            value = accumulator.chi_square()
-            # Canonical tie-break: on equal statistic the numerically
-            # smallest mask wins, so the optimum is independent of the
-            # enumeration order (required for backend equivalence).
-            if value > best_value or (value == best_value and mask < best_mask):
-                best_value = value
-                best_mask = mask
-                best_updates += 1
+        if gated and accumulator.size < min_mass:
+            return
+        evaluated += 1
+        value = accumulator.chi_square()
+        # Canonical tie-break: on equal statistic the numerically smallest
+        # mask wins, so the optimum is independent of the enumeration
+        # order (required for backend equivalence).
+        if value > best_value or (value == best_value and mask < best_mask):
+            best_value = value
+            best_mask = mask
+            best_updates += 1
 
     # Explicit stack instead of recursion: the DFS depth equals the size
     # of the current set, which can reach n (e.g. a path graph) and blow
@@ -500,17 +489,16 @@ def _python_walk(
     # so an aborted walk unwinds the stack's pops and hands the caller's
     # accumulator back as it came in.
     POP = -1
-    # Stack frames: (POP, vertex) sentinel or (subset, size, ext, fb).
+    # Stack frames: (POP, vertex) sentinel or (subset, ext, fb).
     stack: list[tuple[int, ...]] = []
     try:
         for root in range(n):
             root_bit = 1 << root
             accumulator.push(root)
             stack.append((POP, root))
-            consider(root_bit, 1)
+            consider(root_bit)
             stack.append((
                 root_bit,
-                1,
                 adjacency[root] & ~(root_bit - 1) & ~root_bit,
                 root_bit - 1,
             ))
@@ -519,25 +507,21 @@ def _python_walk(
                 if frame[0] == POP:
                     accumulator.pop(frame[1])
                     continue
-                subset, size, ext, fb = frame
-                if size >= size_cap:
-                    pruned_size_cap += 1
-                    continue
+                subset, ext, fb = frame
                 if not ext:
-                    frontier_exhausted += 1
                     continue
                 if needs_closure:
                     candidates = _reachable_closure(adjacency, ext, subset | fb)
-                    if bounded and size + candidates.bit_count() < min_size:
-                        bound_cuts += 1
-                        continue
-                    if testability is not None:
+                    if needs_mass:
                         # The stack discipline guarantees the accumulator
                         # holds exactly `subset` here, so its mass is O(1).
                         reachable_mass = accumulator.size
                         for i in iter_bits(candidates):
                             reachable_mass += payload_sizes[i]
-                        if reachable_mass < min_mass:
+                        if floor_cut and reachable_mass < min_mass:
+                            bound_cuts += 1
+                            continue
+                        if reachable_mass < testable_mass:
                             testability_cuts += 1
                             continue
                     if bounded:
@@ -546,9 +530,7 @@ def _python_walk(
                         )
                         if threshold > float("-inf"):
                             bound_evaluations += 1
-                            bound = accumulator.upper_bound(
-                                candidates, size_cap - size
-                            )
+                            bound = accumulator.upper_bound(candidates)
                             # Strict: an exactly-tying subtree must survive
                             # so the tie-break matches prune="none".
                             if bound < threshold:
@@ -558,14 +540,14 @@ def _python_walk(
                 u = u_bit.bit_length() - 1
                 rest = ext ^ u_bit
                 # Sibling branch: same subset, u permanently forbidden.
-                stack.append((subset, size, rest, fb | u_bit))
+                stack.append((subset, rest, fb | u_bit))
                 # Child branch: include u now, schedule its pop for backtrack.
                 child_subset = subset | u_bit
                 child_ext = rest | (adjacency[u] & ~(child_subset | fb | rest))
                 accumulator.push(u)
                 stack.append((POP, u))
-                consider(child_subset, size + 1)
-                stack.append((child_subset, size + 1, child_ext, fb))
+                consider(child_subset)
+                stack.append((child_subset, child_ext, fb))
     finally:
         while stack:
             frame = stack.pop()

@@ -73,9 +73,10 @@ DEFAULT_MAX_REQUEST_BYTES = 8 * 1024 * 1024
 """Reject request bodies above 8 MiB — far beyond any reasonable instance,
 small enough to stop accidental multi-gigabyte uploads."""
 
-BODY_READ_TIMEOUT_SECONDS = 30.0
-"""Longest wait for an announced request body to arrive in full; a client
-that stalls mid-body past this is disconnected, freeing its thread."""
+READ_TIMEOUT_SECONDS = 30.0
+"""Longest wait on any one read from a client socket — a request head, a
+request body, or the next request on an idle keep-alive connection.  A
+client that stalls past it is disconnected, freeing its thread."""
 
 _SYNC_POLL_SECONDS = 30.0
 
@@ -89,7 +90,7 @@ class _BodyError(Exception):
 
 
 class _ClientGone(Exception):
-    """The client hung up or stalled mid-body: no reply is possible."""
+    """The client hung up mid-body: no reply is possible."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -97,6 +98,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service/1"
+
+    @property
+    def timeout(self) -> float:
+        """The socket timeout ``StreamRequestHandler.setup`` applies to the
+        connection: :data:`READ_TIMEOUT_SECONDS`.  A read past it raises
+        ``TimeoutError``, on which ``handle_one_request`` closes the
+        connection."""
+        return READ_TIMEOUT_SECONDS
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -148,8 +157,9 @@ class _Handler(BaseHTTPRequestHandler):
         malformed, or nested past the recursion limit), 413 for one
         over the size limit.  The connection is closed after such an error,
         since any unread body would otherwise be parsed as the next request.
-        Raises :class:`_ClientGone` for a body that ends early or does not
-        arrive within :data:`BODY_READ_TIMEOUT_SECONDS`.
+        Raises :class:`_ClientGone` for a body that ends early; a body
+        that stalls past :data:`READ_TIMEOUT_SECONDS` raises
+        ``TimeoutError`` from the socket read.
         """
         header = self.headers.get("Content-Length") or "0"
         try:
@@ -163,13 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
         if length > limit:
             self.close_connection = True
             raise _BodyError(413, f"request body exceeds {limit} bytes")
-        self.connection.settimeout(BODY_READ_TIMEOUT_SECONDS)
-        try:
-            raw = self.rfile.read(length)
-        except TimeoutError:
-            raw = b""
-        finally:
-            self.connection.settimeout(None)
+        raw = self.rfile.read(length)
         if len(raw) < length:
             self.close_connection = True
             raise _ClientGone()

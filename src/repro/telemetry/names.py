@@ -33,9 +33,7 @@ __all__ = [
     "SEARCH_BOUND_CUTS",
     "SEARCH_BOUND_EVALUATIONS",
     "SEARCH_CHI_SQUARE_EVALUATIONS",
-    "SEARCH_FRONTIER_EXHAUSTED",
     "SEARCH_KERNEL_BATCHES",
-    "SEARCH_PRUNED_SIZE_CAP",
     "SEARCH_STATES_PER_CALL",
     "SEARCH_STATES_VISITED",
     "SEARCH_TESTABILITY_CUTS",
@@ -104,13 +102,7 @@ REDUCE_HEAP_COMPACTIONS = "reduce.heap_compactions"
 
 # --- exhaustive search / enumeration (naive algorithm) ----------------
 SEARCH_STATES_VISITED = "search.states_visited"
-"""Counter: connected sets evaluated by the exhaustive search."""
-
-SEARCH_PRUNED_SIZE_CAP = "search.pruned_size_cap"
-"""Counter: DFS branches abandoned because the ``max_size`` cap was hit."""
-
-SEARCH_FRONTIER_EXHAUSTED = "search.frontier_exhausted"
-"""Counter: DFS leaves reached naturally (extension frontier emptied)."""
+"""Counter: connected sets visited by the exhaustive search."""
 
 SEARCH_BOUND_CUTS = "search.bound_cuts"
 """Counter: branches cut by branch-and-bound (``prune="bounds"`` only)."""
@@ -119,7 +111,7 @@ SEARCH_BOUND_EVALUATIONS = "search.bound_evaluations"
 """Counter: admissible upper-bound computations (``prune="bounds"`` only)."""
 
 SEARCH_CHI_SQUARE_EVALUATIONS = "search.chi_square_evaluations"
-"""Counter: chi-square statistic computations (sets meeting min_size)."""
+"""Counter: chi-square statistic computations (sets meeting ``min_mass``)."""
 
 SEARCH_BEST_UPDATES = "search.best_updates"
 """Counter: times the incumbent best set was replaced."""

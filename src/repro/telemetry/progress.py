@@ -11,10 +11,11 @@ already paying.
 
 Snapshots published by a single search call are cumulative *within that
 call* and reset to zero at the next one, but one :func:`repro.core.solver.
-mine` run issues many search calls (one per TSSS round, plus ``min_size``
-escalation retries).  :class:`ProgressAggregator` sits between the search
-and the consumer and folds the per-call streams into job-cumulative
-snapshots whose counters advance monotonically — the property pollers
+mine` run issues many search calls (one per TSSS round, plus an unpruned
+re-search when a testability-pruned winner fails the corrected
+threshold).  :class:`ProgressAggregator` sits between the search and the
+consumer and folds the per-call streams into job-cumulative snapshots
+whose counters advance monotonically — the property pollers
 (``GET /jobs/<id>/progress``, the ``repro mine --progress`` ticker) rely
 on.  It also rate-limits publishing so a per-256-state hook never floods a
 pipe or a terminal.

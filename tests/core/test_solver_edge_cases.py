@@ -117,14 +117,14 @@ class TestComponentsOrdering:
 
 
 class TestMinSizeFloorEscalation:
-    """The retry loop in ``_search_supergraph`` that raises the super-vertex
-    floor until the winner carries enough original vertices."""
+    """``min_size`` reaches the search as its ``min_mass`` floor: one search
+    per round returns the best region with enough original vertices."""
 
     def test_naive_path_escalates_to_floor(self, small_labeled):
         graph, labeling = small_labeled
         # Unconstrained, the rare-label triangle {0,1,2} wins (3 vertices);
-        # min_size=5 forces the singleton super-graph search to retry with
-        # ever-higher super-vertex floors until the region is big enough.
+        # min_size=5 makes the singleton super-graph search score only
+        # regions of at least 5 vertices.
         result = mine(graph, labeling, method="naive", min_size=5)
         assert result.best.size >= 5
         unconstrained = mine(graph, labeling, method="naive")
@@ -134,22 +134,22 @@ class TestMinSizeFloorEscalation:
     def test_supergraph_path_escalates_with_merged_vertices(self, small_labeled):
         graph, labeling = small_labeled
         # Construction merges the triangle into one size-3 super-vertex, so
-        # min_size=4 rejects the one-super-vertex winner and the retry must
-        # pull in neighbours.
+        # min_size=4 makes that one-super-vertex region ineligible and the
+        # winner must pull in neighbours.
         result = mine(graph, labeling, method="supergraph", min_size=4)
         assert result.best.size >= 4
         assert frozenset({0, 1, 2}) <= result.best.vertices
 
     @pytest.mark.parametrize(
         ("min_size", "floors", "region"),
-        [(3, [1, 2, 3], frozenset({0, 1, 2})), (6, [1, 2, 3, 4, 5], None)],
+        [(3, [3], frozenset({0, 1, 2})), (6, [6], None)],
     )
     def test_search_calls_and_explored_pinned(
         self, monkeypatch, min_size, floors, region
     ):
         # A path of 5 has 15 connected sets.  The rare-label end vertex
-        # wins alone, then with one neighbour, so min_size=3 takes three
-        # searches; min_size=6 runs out of floors after five.
+        # would win alone; one search with floor 3 returns it with its two
+        # neighbours, and one search with floor 6 finds nothing eligible.
         from repro.core import solver
 
         calls = []
@@ -157,7 +157,7 @@ class TestMinSizeFloorEscalation:
 
         def recording(*args, **kwargs):
             outcome = search(*args, **kwargs)
-            calls.append((kwargs.get("min_size", 1), outcome.explored))
+            calls.append((kwargs["min_mass"], outcome.explored))
             return outcome
 
         monkeypatch.setattr(solver, "exhaustive_best_mask", recording)

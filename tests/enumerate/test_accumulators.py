@@ -61,6 +61,10 @@ class TestDiscreteAccumulator:
             DiscreteAccumulator((0.5, 0.5), [(1, 0, 0)])
         with pytest.raises(LabelingError):
             DiscreteAccumulator((0.5, 0.5), [(-1, 0)])
+        # Every payload stands for at least one vertex, as the search's
+        # mass floor assumes.
+        with pytest.raises(LabelingError, match="no vertices"):
+            DiscreteAccumulator((0.5, 0.5), [(1, 0), (0, 0)])
 
 
 class TestContinuousAccumulator:

@@ -14,11 +14,7 @@ from itertools import combinations
 import pytest
 
 from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
-from repro.enumerate.bounds import (
-    budget_limited_size,
-    continuous_upper_bound,
-    discrete_upper_bound,
-)
+from repro.enumerate.bounds import continuous_upper_bound, discrete_upper_bound
 from repro.enumerate.bitset import mask_of
 from repro.labels.discrete import DiscreteLabeling, uniform_probabilities
 from repro.graph.generators import gnp_random_graph
@@ -37,21 +33,6 @@ def unit_payloads(labels):
     return payloads
 
 
-class TestBudgetLimitedSize:
-    def test_unlimited(self):
-        assert budget_limited_size([3, 1, 2], None) == 6
-
-    def test_budget_not_binding(self):
-        assert budget_limited_size([3, 1, 2], 5) == 6
-
-    def test_budget_takes_largest(self):
-        assert budget_limited_size([3, 1, 2], 2) == 5
-
-    def test_zero_budget(self):
-        assert budget_limited_size([3, 1, 2], 0) == 0
-        assert budget_limited_size([], None) == 0
-
-
 class TestDiscreteAdmissibility:
     """bound(current, candidates) >= chi(current + any candidate subset)."""
 
@@ -66,7 +47,7 @@ class TestDiscreteAdmissibility:
         for v in current:
             acc.push(v)
         candidates = list(range(3, 9))
-        bound = acc.upper_bound(mask_of(candidates), None)
+        bound = acc.upper_bound(mask_of(candidates))
         for r in range(len(candidates) + 1):
             for combo in combinations(candidates, r):
                 for v in combo:
@@ -77,25 +58,12 @@ class TestDiscreteAdmissibility:
                 for v in reversed(combo):
                     acc.pop(v)
 
-    def test_budget_respected_in_bound(self):
-        # Concentrated rare labels: an unlimited bound must exceed a
-        # budget-1 bound because the budget caps the addable mass.
-        labels = [0, 1, 1, 1, 1]
-        acc = DiscreteAccumulator(PROBS, unit_payloads(labels))
-        acc.push(0)
-        unlimited = acc.upper_bound(mask_of([1, 2, 3, 4]), None)
-        tight = acc.upper_bound(mask_of([1, 2, 3, 4]), 1)
-        assert tight <= unlimited
-        # Budget 1 admits at most {0} + one rare vertex.
-        acc.push(1)
-        assert acc.chi_square() <= tight + 1e-9
-
     def test_super_vertex_payloads(self):
         # Merged payloads: candidate masses larger than one vertex.
         payloads = [(2, 0, 0), (0, 3, 0), (1, 0, 2)]
         acc = DiscreteAccumulator(PROBS, payloads)
         acc.push(0)
-        bound = acc.upper_bound(mask_of([1, 2]), None)
+        bound = acc.upper_bound(mask_of([1, 2]))
         for combo in ([1], [2], [1, 2]):
             for v in combo:
                 acc.push(v)
@@ -106,7 +74,7 @@ class TestDiscreteAdmissibility:
     def test_empty_candidates_returns_current(self):
         acc = DiscreteAccumulator(PROBS, unit_payloads([1, 2]))
         acc.push(0)
-        assert acc.upper_bound(0, None) == pytest.approx(acc.chi_square())
+        assert acc.upper_bound(0) == pytest.approx(acc.chi_square())
 
     def test_pure_function_interior_optimum(self):
         # Concave case (W < n*rho): the integer interior maximum must be
@@ -114,7 +82,7 @@ class TestDiscreteAdmissibility:
         probs = (0.5, 0.5)
         bound = discrete_upper_bound(
             weighted=2.0, size=1, probabilities=probs,
-            counts=(1, 0), candidate_counts=(0, 10), budget_size=10,
+            counts=(1, 0), candidate_counts=(0, 10),
         )
         rho = (2 * 0 + 10) / 0.5
         direct = max(
@@ -137,7 +105,7 @@ class TestContinuousAdmissibility:
         for v in (0, 1):
             acc.push(v)
         candidates = list(range(2, 9))
-        bound = acc.upper_bound(mask_of(candidates), None)
+        bound = acc.upper_bound(mask_of(candidates))
         for r in range(len(candidates) + 1):
             for combo in combinations(candidates, r):
                 for v in combo:
@@ -145,13 +113,6 @@ class TestContinuousAdmissibility:
                 assert acc.chi_square() <= bound + 1e-9
                 for v in reversed(combo):
                     acc.pop(v)
-
-    def test_zero_budget_returns_current(self):
-        acc = ContinuousAccumulator([((2.0,), 1), ((1.0,), 1)])
-        acc.push(0)
-        assert acc.upper_bound(mask_of([1]), 0) == pytest.approx(
-            acc.chi_square()
-        )
 
     def test_pure_function_matches_formula(self):
         assert continuous_upper_bound(
@@ -171,6 +132,6 @@ class TestBoundTightensWithFewerCandidates:
         labels = [lab.label_of(v) for v in g.vertices()]
         acc = DiscreteAccumulator(lab.probabilities, unit_payloads(labels))
         acc.push(0)
-        wide = acc.upper_bound(mask_of(range(1, 10)), None)
-        narrow = acc.upper_bound(mask_of(range(1, 4)), None)
+        wide = acc.upper_bound(mask_of(range(1, 10)))
+        narrow = acc.upper_bound(mask_of(range(1, 4)))
         assert narrow <= wide + 1e-12

@@ -67,34 +67,6 @@ class TestAgainstBruteForce:
             reference_connected_subsets(Graph.complete(21))
 
 
-class TestSizeBounds:
-    def test_min_size_filters(self, triangle):
-        sizes = [
-            len(s) for s in enumerate_connected_subsets(triangle, min_size=2)
-        ]
-        assert min(sizes) == 2
-        assert len(sizes) == 4
-
-    def test_max_size_prunes(self, triangle):
-        sizes = [
-            len(s) for s in enumerate_connected_subsets(triangle, max_size=2)
-        ]
-        assert max(sizes) == 2
-        assert len(sizes) == 6
-
-    def test_min_and_max_together(self):
-        g = Graph.complete(5)
-        count = count_connected_subgraphs(g, min_size=2, max_size=3)
-        # C(5,2) + C(5,3) = 10 + 10.
-        assert count == 20
-
-    def test_invalid_bounds(self, triangle):
-        with pytest.raises(ValueError):
-            list(enumerate_connected_subsets(triangle, min_size=0))
-        with pytest.raises(ValueError):
-            list(enumerate_connected_subsets(triangle, min_size=3, max_size=2))
-
-
 class TestLimit:
     def test_limit_exceeded_raises(self):
         g = Graph.complete(10)  # 1023 connected subsets

@@ -44,14 +44,15 @@ def _random_adjacency(seed, n=12, p=0.3):
     return BitsetGraph(g)
 
 
-def _discrete_payloads(seed, n, *, merged=False):
+def _discrete_payloads(seed, n, *, merged=False, spread=3):
+    """Unit payloads, or with ``merged`` up to ``spread - 1`` extra counts."""
     rng = random.Random(seed)
     payloads = []
     for _ in range(n):
         counts = [0] * len(DYADIC_PROBS)
         counts[rng.randrange(len(DYADIC_PROBS))] = 1
         if merged:
-            counts[rng.randrange(len(DYADIC_PROBS))] += rng.randrange(3)
+            counts[rng.randrange(len(DYADIC_PROBS))] += rng.randrange(spread)
         payloads.append(tuple(counts))
     return payloads
 
@@ -154,11 +155,13 @@ class TestBatchScorersMatchScalar:
                 acc.pop(i)
 
     @pytest.mark.parametrize("seed", range(15))
-    @pytest.mark.parametrize("budget", [1, 3, 64])
-    def test_discrete_bound_bit_identical(self, seed, budget):
+    @pytest.mark.parametrize("spread", [1, 3, 64])
+    def test_discrete_bound_bit_identical(self, seed, spread):
+        # spread=1 keeps unit payloads; 64 adds counts up to 63, which
+        # reach deeper count bit planes and larger closure masses.
         bitset = _random_adjacency(seed)
         n = len(bitset.adjacency)
-        payloads = _discrete_payloads(seed, n, merged=True)
+        payloads = _discrete_payloads(seed, n, merged=True, spread=spread)
         acc = DiscreteAccumulator(DYADIC_PROBS, payloads)
         scorer = _DiscreteScorer(acc.probabilities, acc.payloads)
         masks = _random_connected_masks(bitset, seed + 900)
@@ -173,12 +176,11 @@ class TestBatchScorersMatchScalar:
         bound = scorer.bound(
             _bit_matrix(np.array(rows, dtype=np.uint64), n),
             _bit_matrix(np.array(closures, dtype=np.uint64), n),
-            budget,
         )
         for mask, closure, got in zip(rows, closures, bound):
             for i in iter_bits(mask):
                 acc.push(i)
-            assert float(got) == acc.upper_bound(closure, budget)
+            assert float(got) == acc.upper_bound(closure)
             for i in reversed(list(iter_bits(mask))):
                 acc.pop(i)
 
@@ -200,12 +202,11 @@ class TestBatchScorersMatchScalar:
         bound = scorer.bound(
             _bit_matrix(np.array(rows, dtype=np.uint64), n),
             _bit_matrix(np.array(closures, dtype=np.uint64), n),
-            n,
         )
         for mask, closure, got in zip(rows, closures, bound):
             for i in iter_bits(mask):
                 acc.push(i)
-            scalar = acc.upper_bound(closure, n)
+            scalar = acc.upper_bound(closure)
             assert float(got) == pytest.approx(scalar, rel=1e-12)
             # Either way the bound must dominate the current statistic.
             assert float(got) >= acc.chi_square() - 1e-9
@@ -226,11 +227,10 @@ class TestBatchScorersMatchScalar:
             batch = scorer.bound(
                 _bit_matrix(np.array([mask], dtype=np.uint64), 4),
                 _bit_matrix(np.array([closure], dtype=np.uint64), 4),
-                2,
             )
             for i in iter_bits(mask):
                 acc.push(i)
-            assert float(batch[0]) == acc.upper_bound(closure, 2)
+            assert float(batch[0]) == acc.upper_bound(closure)
             for i in reversed(list(iter_bits(mask))):
                 acc.pop(i)
 
@@ -306,9 +306,7 @@ class TestKernelEdgeSemantics:
     def test_invalid_arguments_match_python_contract(self):
         adjacency, acc = _instance(6)
         with pytest.raises(ValueError):
-            _numpy_search(adjacency, acc, min_size=0)
-        with pytest.raises(ValueError):
-            _numpy_search(adjacency, acc, min_size=3, max_size=2)
+            _numpy_search(adjacency, acc, min_mass=0)
         with pytest.raises(ValueError):
             _numpy_search(adjacency, acc, prune="aggressive")
 
@@ -336,8 +334,6 @@ class TestKernelTelemetry:
         # Set-family counters are backend-independent and must agree.
         for name in (
             metric.SEARCH_STATES_VISITED,
-            metric.SEARCH_PRUNED_SIZE_CAP,
-            metric.SEARCH_FRONTIER_EXHAUSTED,
             metric.SEARCH_CHI_SQUARE_EVALUATIONS,
         ):
             assert numpy_[name] == python[name]
@@ -365,10 +361,15 @@ class TestKernelTelemetry:
 class TestKernelMatchesPythonWalk:
     @pytest.mark.parametrize("seed", range(8))
     def test_min_size_floor_filters_evaluations(self, seed):
-        adjacency, acc = _instance(seed)
-        outcome = _numpy_search(adjacency, acc, min_size=3)
+        # The min_mass floor counts payload mass, not vertices: merged
+        # payloads make the two differ.
+        adjacency = _random_adjacency(seed, n=10, p=0.32).adjacency
+        acc = DiscreteAccumulator(
+            DYADIC_PROBS, _discrete_payloads(seed, len(adjacency), merged=True)
+        )
+        outcome = _numpy_search(adjacency, acc, min_mass=4)
         reference = exhaustive_best_mask(
-            adjacency, acc, min_size=3, backend="python"
+            adjacency, acc, min_mass=4, backend="python"
         )
         assert outcome == reference
         assert outcome.evaluated < outcome.explored

@@ -11,6 +11,7 @@ from repro.enumerate.connected import enumerate_connected_subsets
 from repro.enumerate.search import (
     PRUNE_MODES,
     SEARCH_BACKENDS,
+    SearchTestability,
     exhaustive_best_mask,
 )
 from repro.graph.generators import gnp_random_graph
@@ -106,24 +107,45 @@ class TestDiscreteSearch:
         assert exhaustive_best_mask(bitset.adjacency, acc) == fresh
 
     def test_min_size_respected(self, small_labeled):
+        # Unit payloads: the mass floor is a vertex-count floor.
         graph, labeling = small_labeled
         bitset, acc = discrete_accumulator_for(graph, labeling)
-        outcome = exhaustive_best_mask(bitset.adjacency, acc, min_size=5)
+        outcome = exhaustive_best_mask(bitset.adjacency, acc, min_mass=5)
         assert bin(outcome.mask).count("1") >= 5
+        # Only the connected sets of 5 or 6 vertices are scored: the
+        # whole graph and the three that drop vertex 0, 1 or 5.
+        assert outcome.evaluated == 4
 
-    def test_max_size_respected(self, small_labeled):
+    @pytest.mark.parametrize("prune", PRUNE_MODES)
+    def test_min_mass_counts_payload_mass(self, prune):
+        # A path 0-1-2 whose vertex 2 stands for three original vertices.
+        # {0, 1} (mass 2, chi-square 2) would win unconstrained; under
+        # min_mass=3 the best eligible set is {2} (chi-square 1/3).
+        acc = DiscreteAccumulator((0.5, 0.5), [(0, 1), (0, 1), (2, 1)])
+        adjacency = [0b010, 0b101, 0b010]
+        assert exhaustive_best_mask(adjacency, acc, prune=prune).mask == 0b011
+        outcome = exhaustive_best_mask(adjacency, acc, min_mass=3, prune=prune)
+        assert outcome.mask == 0b100
+        assert outcome.chi_square == pytest.approx(1 / 3)
+        if prune == "none":
+            # {2}, {1, 2} and {0, 1, 2} have mass >= 3.
+            assert (outcome.explored, outcome.evaluated) == (6, 3)
+
+    def test_unreachable_mass_floor_finds_nothing(self, small_labeled):
         graph, labeling = small_labeled
         bitset, acc = discrete_accumulator_for(graph, labeling)
-        outcome = exhaustive_best_mask(bitset.adjacency, acc, max_size=2)
-        assert bin(outcome.mask).count("1") <= 2
+        for prune in PRUNE_MODES:
+            outcome = exhaustive_best_mask(
+                bitset.adjacency, acc, min_mass=7, prune=prune
+            )
+            assert outcome.mask == 0
+            assert outcome.evaluated == 0
 
     def test_invalid_bounds(self, small_labeled):
         graph, labeling = small_labeled
         bitset, acc = discrete_accumulator_for(graph, labeling)
-        with pytest.raises(ValueError):
-            exhaustive_best_mask(bitset.adjacency, acc, min_size=0)
-        with pytest.raises(ValueError):
-            exhaustive_best_mask(bitset.adjacency, acc, min_size=3, max_size=2)
+        with pytest.raises(ValueError, match="min_mass"):
+            exhaustive_best_mask(bitset.adjacency, acc, min_mass=0)
 
 
 class TestContinuousSearch:
@@ -192,7 +214,7 @@ class _CountingAccumulator:
     def chi_square(self):  # pragma: no cover - never called
         return float(self._n)
 
-    def upper_bound(self, candidate_mask, remaining_budget):
+    def upper_bound(self, candidate_mask):
         return float("inf")  # pragma: no cover - never called
 
 
@@ -228,13 +250,18 @@ class TestPruneModes:
         with pytest.raises(ValueError, match="prune"):
             exhaustive_best_mask(bitset.adjacency, acc, prune="aggressive")
 
-    def test_split_prune_counters(self, small_labeled):
-        graph, labeling = small_labeled
-        bitset, acc = discrete_accumulator_for(graph, labeling)
-        outcome = exhaustive_best_mask(bitset.adjacency, acc, max_size=2)
-        # With a cap of 2 on a connected 6-vertex graph both kinds occur.
-        assert outcome.pruned_size_cap > 0
-        assert outcome.frontier_exhausted > 0
+    def test_split_prune_counters(self):
+        # Bound cuts and testable-mass cuts are counted apart; on this
+        # instance both kinds occur.
+        g = gnp_random_graph(12, 0.4, seed=91)
+        lab = DiscreteLabeling.random(g, (0.5, 0.25, 0.25), seed=92)
+        bitset, acc = discrete_accumulator_for(g, lab)
+        outcome = exhaustive_best_mask(
+            bitset.adjacency, acc, prune="bounds",
+            testability=SearchTestability(min_mass=9, statistic_floor=0.0),
+        )
+        assert outcome.bound_cuts > 0
+        assert outcome.testability_cuts > 0
 
     def test_bound_counters_zero_without_pruning(self, small_labeled):
         graph, labeling = small_labeled
@@ -253,13 +280,14 @@ class TestPruneModes:
         assert bounded.explored <= plain.explored
 
     def test_bounds_with_min_size_floor(self, small_labeled):
-        # min_size > 1 disables the single-vertex incumbent seeding; the
+        # With min_mass=4 no single vertex is eligible, so none seeds the
+        # incumbent, and branches that cannot reach mass 4 are cut; the
         # result must still match the unpruned search exactly.
         graph, labeling = small_labeled
         bitset, acc = discrete_accumulator_for(graph, labeling)
-        plain = exhaustive_best_mask(bitset.adjacency, acc, min_size=4)
+        plain = exhaustive_best_mask(bitset.adjacency, acc, min_mass=4)
         bounded = exhaustive_best_mask(
-            bitset.adjacency, acc, min_size=4, prune="bounds"
+            bitset.adjacency, acc, min_mass=4, prune="bounds"
         )
         assert bounded.mask == plain.mask
         assert bounded.chi_square == plain.chi_square

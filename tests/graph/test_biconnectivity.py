@@ -185,11 +185,11 @@ class TestDecompositionSearchEquivalence:
         graph = _articulated_graph(seed + 100)
         bitset, acc = _dyadic_accumulator(graph, seed + 100)
         python = exhaustive_best_mask(
-            bitset.adjacency, acc, min_size=2, max_size=6,
+            bitset.adjacency, acc, min_mass=4,
             prune="bounds", backend="python",
         )
         split = exhaustive_best_mask(
-            bitset.adjacency, acc, min_size=2, max_size=6,
+            bitset.adjacency, acc, min_mass=4,
             prune="bounds", backend="numpy",
         )
         assert split.mask == python.mask

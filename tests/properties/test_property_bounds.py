@@ -5,12 +5,16 @@ mask and statistic — as the plain exhaustive search, for every instance.
 These tests check that over 240 seeded random instances (120 discrete,
 120 continuous), which is the acceptance bar of the branch-and-bound PR.
 
+Instances vary the ``min_mass`` floor across seeds, so the reachable-mass
+cut and the eligible-single incumbent seed of ``prune="bounds"`` are
+exercised on unit payloads (where mass is the vertex count) and on merged
+super-vertex payloads (where it is not).
+
 The same harness runs differentially across *backends*: the vectorized
-numpy kernel (``backend="numpy"``, with block-cut decomposition) must
-reproduce the python walk exactly.  Under ``prune="none"`` every
-:class:`SearchOutcome` field is asserted ``==`` — the counters are
-functions of the visited set family, not the visit order, so batching and
-decomposition must not move them by even one.  Under ``prune="bounds"``
+numpy kernel (``backend="numpy"``) must reproduce the python walk
+exactly.  Under ``prune="none"`` every :class:`SearchOutcome` field is
+asserted ``==`` — the counters are functions of the visited set family,
+not the visit order, so batching must not move them by even one.  Under ``prune="bounds"``
 the cut accounting is enumeration-order dependent (a DFS and a level walk
 hold different incumbents at corresponding decisions), so the assertions
 narrow to the optimum (mask + statistic) and sanity bounds on the
@@ -55,8 +59,7 @@ def _discrete_instance(seed, *, super_vertices=False):
         counts[lab.label_of(v)] = 1
         if super_vertices:
             # Pretend the vertex is a merged group: inflate its count
-            # vector so payload sizes differ and the budget conversion
-            # (super-vertex budget -> original-vertex mass) is exercised.
+            # vector so payload mass differs from the vertex count.
             counts[rng.randrange(len(DYADIC_PROBS))] += rng.randrange(3)
         payloads.append(tuple(counts))
     return bitset.adjacency, DiscreteAccumulator(DYADIC_PROBS, payloads)
@@ -76,25 +79,23 @@ def _continuous_instance(seed):
     return bitset.adjacency, ContinuousAccumulator(payloads)
 
 
-def _size_window(seed):
-    """Vary the search window across seeds so both caps get exercised."""
-    min_size = 2 if seed % 4 == 0 else 1
-    max_size = 5 if seed % 3 == 0 else None
-    return min_size, max_size
+def _mass_floor(seed):
+    """Vary ``min_mass`` across seeds: no floor, a low one, a high one."""
+    return (1, 3, 1, 6)[seed % 4]
 
 
 class TestDiscreteEquivalence:
     @pytest.mark.parametrize("seed", range(120))
     def test_identical_optimum(self, seed):
         adjacency, acc = _discrete_instance(seed)
-        min_size, max_size = _size_window(seed)
+        min_mass = _mass_floor(seed)
         plain = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size, prune="none"
+            adjacency, acc, min_mass=min_mass, prune="none"
         )
         # Reusing the accumulator doubles as a reusability check: the
         # search must leave it empty (balanced push/pop) on completion.
         bounded = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size, prune="bounds"
+            adjacency, acc, min_mass=min_mass, prune="bounds"
         )
         assert bounded.mask == plain.mask
         assert bounded.chi_square == plain.chi_square  # exact: dyadic probs
@@ -105,8 +106,11 @@ class TestDiscreteSuperVertexEquivalence:
     @pytest.mark.parametrize("seed", range(200, 230))
     def test_identical_optimum_with_merged_payloads(self, seed):
         adjacency, acc = _discrete_instance(seed, super_vertices=True)
-        plain = exhaustive_best_mask(adjacency, acc, max_size=5, prune="none")
-        bounded = exhaustive_best_mask(adjacency, acc, max_size=5, prune="bounds")
+        min_mass = _mass_floor(seed)
+        plain = exhaustive_best_mask(adjacency, acc, min_mass=min_mass, prune="none")
+        bounded = exhaustive_best_mask(
+            adjacency, acc, min_mass=min_mass, prune="bounds"
+        )
         assert bounded.mask == plain.mask
         assert bounded.chi_square == plain.chi_square
         assert bounded.explored <= plain.explored
@@ -116,12 +120,12 @@ class TestContinuousEquivalence:
     @pytest.mark.parametrize("seed", range(120))
     def test_identical_optimum(self, seed):
         adjacency, acc = _continuous_instance(seed)
-        min_size, max_size = _size_window(seed)
+        min_mass = _mass_floor(seed)
         plain = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size, prune="none"
+            adjacency, acc, min_mass=min_mass, prune="none"
         )
         bounded = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size, prune="bounds"
+            adjacency, acc, min_mass=min_mass, prune="bounds"
         )
         assert bounded.mask == plain.mask
         assert bounded.chi_square == pytest.approx(
@@ -136,13 +140,13 @@ class TestBackendEquivalenceDiscrete:
     @pytest.mark.parametrize("seed", range(120))
     def test_prune_none_bit_identical_outcome(self, seed):
         adjacency, acc = _discrete_instance(seed)
-        min_size, max_size = _size_window(seed)
+        min_mass = _mass_floor(seed)
         python = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
+            adjacency, acc, min_mass=min_mass,
             prune="none", backend="python",
         )
         numpy_ = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
+            adjacency, acc, min_mass=min_mass,
             prune="none", backend="numpy",
         )
         # Full dataclass equality: mask, statistic (exact — dyadic probs),
@@ -152,13 +156,13 @@ class TestBackendEquivalenceDiscrete:
     @pytest.mark.parametrize("seed", range(120))
     def test_prune_bounds_identical_optimum(self, seed):
         adjacency, acc = _discrete_instance(seed)
-        min_size, max_size = _size_window(seed)
+        min_mass = _mass_floor(seed)
         python = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
+            adjacency, acc, min_mass=min_mass,
             prune="bounds", backend="python",
         )
         numpy_ = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
+            adjacency, acc, min_mass=min_mass,
             prune="bounds", backend="numpy",
         )
         assert numpy_.mask == python.mask
@@ -166,7 +170,7 @@ class TestBackendEquivalenceDiscrete:
         # Cut accounting is order-dependent under bounds, but the kernel
         # must still prune: never more states than the unpruned family.
         unpruned = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
+            adjacency, acc, min_mass=min_mass,
             prune="none", backend="python",
         )
         assert numpy_.explored <= unpruned.explored
@@ -174,12 +178,13 @@ class TestBackendEquivalenceDiscrete:
     @pytest.mark.parametrize("seed", range(200, 230))
     def test_super_vertex_payloads(self, seed):
         adjacency, acc = _discrete_instance(seed, super_vertices=True)
+        min_mass = _mass_floor(seed)
         for prune in ("none", "bounds"):
             python = exhaustive_best_mask(
-                adjacency, acc, max_size=5, prune=prune, backend="python"
+                adjacency, acc, min_mass=min_mass, prune=prune, backend="python"
             )
             numpy_ = exhaustive_best_mask(
-                adjacency, acc, max_size=5, prune=prune, backend="numpy"
+                adjacency, acc, min_mass=min_mass, prune=prune, backend="numpy"
             )
             if prune == "none":
                 assert numpy_ == python
@@ -194,13 +199,13 @@ class TestBackendEquivalenceContinuous:
     @pytest.mark.parametrize("seed", range(120))
     def test_prune_none_identical_family_and_optimum(self, seed):
         adjacency, acc = _continuous_instance(seed)
-        min_size, max_size = _size_window(seed)
+        min_mass = _mass_floor(seed)
         python = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
+            adjacency, acc, min_mass=min_mass,
             prune="none", backend="python",
         )
         numpy_ = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
+            adjacency, acc, min_mass=min_mass,
             prune="none", backend="numpy",
         )
         assert numpy_.mask == python.mask
@@ -211,20 +216,18 @@ class TestBackendEquivalenceContinuous:
         )
         # Counters are integers over the same set family: exact.
         assert numpy_.explored == python.explored
-        assert numpy_.pruned_size_cap == python.pruned_size_cap
-        assert numpy_.frontier_exhausted == python.frontier_exhausted
         assert numpy_.evaluated == python.evaluated
 
     @pytest.mark.parametrize("seed", range(120))
     def test_prune_bounds_identical_optimum(self, seed):
         adjacency, acc = _continuous_instance(seed)
-        min_size, max_size = _size_window(seed)
+        min_mass = _mass_floor(seed)
         python = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
+            adjacency, acc, min_mass=min_mass,
             prune="bounds", backend="python",
         )
         numpy_ = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
+            adjacency, acc, min_mass=min_mass,
             prune="bounds", backend="numpy",
         )
         assert numpy_.mask == python.mask

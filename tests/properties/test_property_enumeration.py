@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.enumerate.accumulators import DiscreteAccumulator
-from repro.enumerate.bitset import BitsetGraph
+from repro.enumerate.bitset import BitsetGraph, iter_bits
 from repro.enumerate.connected import (
     count_connected_subgraphs,
     enumerate_connected_subsets,
@@ -64,12 +64,33 @@ class TestEnumerationProperties:
         assert len(subsets) == len(set(subsets))
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graphs(), st.integers(1, 4), st.integers(4, 8))
-    def test_size_bounds_respected(self, graph, lo, hi):
-        for subset in enumerate_connected_subsets(
-            graph, min_size=lo, max_size=hi
-        ):
-            assert lo <= len(subset) <= hi
+    @given(st.data(), st.integers(1, 8))
+    def test_size_bounds_respected(self, data, min_mass):
+        # The search's mass floor against the enumeration filtered by
+        # size: on unit payloads the winner is the best connected set of
+        # at least min_mass vertices, ties to the smallest bitmask.
+        graph, labels = data.draw(labeled_graphs())
+        adjacency, acc = _dyadic_instance(graph, labels)
+        bitset = BitsetGraph(graph)
+        best_mask, best_value = 0, float("-inf")
+        for subset in enumerate_connected_subsets(graph):
+            if len(subset) < min_mass:
+                continue
+            mask = bitset.mask_of_vertices(subset)
+            for i in iter_bits(mask):
+                acc.push(i)
+            value = acc.chi_square()
+            for i in iter_bits(mask):
+                acc.pop(i)
+            if value > best_value or (value == best_value and mask < best_mask):
+                best_mask, best_value = mask, value
+        for prune in ("none", "bounds"):
+            outcome = exhaustive_best_mask(
+                adjacency, acc, min_mass=min_mass, prune=prune
+            )
+            assert outcome.mask == best_mask
+            if best_mask:
+                assert outcome.chi_square == best_value
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs())
@@ -104,19 +125,15 @@ class TestBackendDifferentialProperties:
     """The numpy kernel is indistinguishable from the python DFS."""
 
     @settings(max_examples=60, deadline=None)
-    @given(labeled_graphs(), st.integers(1, 3), st.sampled_from([None, 3, 6]))
-    def test_bit_identical_outcome(self, instance, min_size, max_size):
+    @given(labeled_graphs(), st.integers(1, 6))
+    def test_bit_identical_outcome(self, instance, min_mass):
         graph, labels = instance
-        if max_size is not None and max_size < min_size:
-            max_size = min_size
         adjacency, acc = _dyadic_instance(graph, labels)
         python = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
-            backend="python",
+            adjacency, acc, min_mass=min_mass, backend="python"
         )
         numpy_ = exhaustive_best_mask(
-            adjacency, acc, min_size=min_size, max_size=max_size,
-            backend="numpy",
+            adjacency, acc, min_mass=min_mass, backend="numpy"
         )
         assert numpy_ == python
 

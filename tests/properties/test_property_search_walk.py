@@ -4,9 +4,12 @@ The python backend used to keep two copies of the DFS: an unbounded walk
 for ``prune="none"`` and a branch-and-bound walk for ``prune="bounds"``.
 They are now one walk with a ``bounded`` flag
 (:func:`repro.enumerate.search._python_walk`).  The two earlier walks are
-kept verbatim below as the oracle.  Over random instances — discrete and
-continuous accumulators, both prune modes, testability pruning on and
-off, ``min_size > 1``, ``max_size`` caps and ``limit`` budgets that fire —
+kept below as the oracle, with the search's one size constraint: a state
+is scored only when its mass (original-vertex count) meets ``min_mass``,
+and the bounded walk cuts a branch whose reachable mass falls short of
+it.  Over random instances — discrete and continuous accumulators with
+merged payloads, both prune modes, testability pruning on and off,
+``min_mass > 1`` and ``limit`` budgets that fire —
 ``exhaustive_best_mask(backend="python")`` must match the oracle in the
 full :class:`SearchOutcome`, the telemetry it flushes, and the sequence
 of :class:`SearchProgress` snapshots it emits.
@@ -52,8 +55,7 @@ def _search_unbounded(
     adjacency: Sequence[int],
     accumulator: ChiSquareAccumulator,
     *,
-    min_size: int,
-    size_cap: int,
+    min_mass: int,
     limit: int | None,
     check_abort: Callable[[], bool] | None = None,
     progress: ProgressCallback | None = None,
@@ -64,12 +66,10 @@ def _search_unbounded(
     best_mask = 0
     best_value = float("-inf")
     explored = 0
-    pruned_size_cap = 0
-    frontier_exhausted = 0
     evaluated = 0
     best_updates = 0
     testability_cuts = 0
-    min_mass = testability.min_mass if testability is not None else 0
+    testable_mass = testability.min_mass if testability is not None else 0
     payload_sizes = (
         accumulator.payload_sizes if testability is not None else ()
     )
@@ -83,7 +83,7 @@ def _search_unbounded(
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    def consider(mask: int, size: int) -> None:
+    def consider(mask: int) -> None:
         nonlocal best_mask, best_value, explored, evaluated, best_updates
         explored += 1
         if limit is not None and explored > limit:
@@ -93,7 +93,7 @@ def _search_unbounded(
                 raise SearchAbortedError()
             if progress is not None:
                 progress(snapshot())
-        if size >= min_size:
+        if accumulator.size >= min_mass:
             evaluated += 1
             value = accumulator.chi_square()
             # Canonical tie-break: on equal statistic the numerically
@@ -115,12 +115,11 @@ def _search_unbounded(
         for root in range(n):
             root_bit = 1 << root
             accumulator.push(root)
-            consider(root_bit, 1)
-            # Stack frames: (vertex_to_pop,) sentinel or (subset, size, ext, fb).
+            consider(root_bit)
+            # Stack frames: (POP, vertex) sentinel or (subset, ext, fb).
             stack: list[tuple[int, ...]] = [
                 (
                     root_bit,
-                    1,
                     adjacency[root] & ~(root_bit - 1) & ~root_bit,
                     root_bit - 1,
                 )
@@ -130,12 +129,8 @@ def _search_unbounded(
                 if frame[0] == POP:
                     accumulator.pop(frame[1])
                     continue
-                subset, size, ext, fb = frame
-                if size >= size_cap:
-                    pruned_size_cap += 1
-                    continue
+                subset, ext, fb = frame
                 if not ext:
-                    frontier_exhausted += 1
                     continue
                 if testability is not None:
                     # The stack discipline guarantees the accumulator holds
@@ -147,21 +142,21 @@ def _search_unbounded(
                     reachable_mass = accumulator.size
                     for i in iter_bits(closure):
                         reachable_mass += payload_sizes[i]
-                    if reachable_mass < min_mass:
+                    if reachable_mass < testable_mass:
                         testability_cuts += 1
                         continue
                 u_bit = ext & -ext
                 u = u_bit.bit_length() - 1
                 rest = ext ^ u_bit
                 # Sibling branch: same subset, u permanently forbidden.
-                stack.append((subset, size, rest, fb | u_bit))
+                stack.append((subset, rest, fb | u_bit))
                 # Child branch: include u now, schedule its pop for backtrack.
                 child_subset = subset | u_bit
                 child_ext = rest | (adjacency[u] & ~(child_subset | fb | rest))
                 accumulator.push(u)
-                consider(child_subset, size + 1)
+                consider(child_subset)
                 stack.append((POP, u))
-                stack.append((child_subset, size + 1, child_ext, fb))
+                stack.append((child_subset, child_ext, fb))
             accumulator.pop(root)
     finally:
         # Final snapshot fires even on abort/limit so consumers see the
@@ -171,8 +166,6 @@ def _search_unbounded(
         if _TELEMETRY.enabled:
             metrics = _TELEMETRY.metrics
             metrics.count(_metric.SEARCH_STATES_VISITED, explored)
-            metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, pruned_size_cap)
-            metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, frontier_exhausted)
             metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, evaluated)
             metrics.count(_metric.SEARCH_BEST_UPDATES, best_updates)
             if testability is not None:
@@ -183,7 +176,6 @@ def _search_unbounded(
         best_value = 0.0
     return SearchOutcome(
         mask=best_mask, chi_square=best_value, explored=explored,
-        pruned_size_cap=pruned_size_cap, frontier_exhausted=frontier_exhausted,
         evaluated=evaluated, testability_cuts=testability_cuts,
     )
 
@@ -206,8 +198,7 @@ def _search_bounded(
     adjacency: Sequence[int],
     accumulator: ChiSquareAccumulator,
     *,
-    min_size: int,
-    size_cap: int,
+    min_mass: int,
     limit: int | None,
     check_abort: Callable[[], bool] | None = None,
     progress: ProgressCallback | None = None,
@@ -219,30 +210,27 @@ def _search_bounded(
     removes whole subtrees, never reorders the survivors — plus two cuts at
     every expansion frame:
 
-    1. *reachability*: if the connected closure of the frontier cannot grow
-       the set to ``min_size``, nothing below is evaluable;
+    1. *reachability*: if the set's mass plus the mass of the connected
+       closure of the frontier falls short of ``min_mass``, nothing below
+       is eligible;
     2. *bound*: if the accumulator's admissible upper bound over that
        closure is strictly below the incumbent, nothing below can win.
 
-    The incumbent threshold is seeded with the best single-vertex statistic
-    (a valid solution whenever ``min_size <= 1``) so bounds bite before the
-    first root subtree is explored.
+    The incumbent threshold is seeded with the best statistic among the
+    single vertices that meet ``min_mass`` (each a valid solution) so
+    bounds bite before the first root subtree is explored.
     """
     n = len(adjacency)
     best_mask = 0
     best_value = float("-inf")
     explored = 0
-    pruned_size_cap = 0
-    frontier_exhausted = 0
     evaluated = 0
     best_updates = 0
     bound_cuts = 0
     bound_evaluations = 0
     testability_cuts = 0
-    min_mass = testability.min_mass if testability is not None else 0
-    payload_sizes = (
-        accumulator.payload_sizes if testability is not None else ()
-    )
+    testable_mass = testability.min_mass if testability is not None else 0
+    payload_sizes = accumulator.payload_sizes
     poll = check_abort is not None or progress is not None
     started = time.perf_counter() if progress is not None else 0.0
 
@@ -254,25 +242,25 @@ def _search_bounded(
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    # Best-first incumbent seeding: singles are evaluable results when
-    # min_size <= 1, so their maximum is a sound pruning threshold from the
-    # start.  (With min_size > 1 a single's statistic may exceed every
-    # eligible set's, which would prune the true optimum — skip seeding.)
+    # Best-first incumbent seeding: a single that meets min_mass is an
+    # eligible result, so the best such single is a sound pruning threshold
+    # from the start.  (An ineligible single's statistic may exceed every
+    # eligible set's, which would prune the true optimum — it never seeds.)
     seed_value = float("-inf")
-    if min_size <= 1:
-        for v in range(n):
-            accumulator.push(v)
+    for v in range(n):
+        accumulator.push(v)
+        if accumulator.size >= min_mass:
             value = accumulator.chi_square()
-            accumulator.pop(v)
             if value > seed_value:
                 seed_value = value
+        accumulator.pop(v)
     if testability is not None and testability.statistic_floor > seed_value:
         # The Tarone statistic floor is a threshold no passing subgraph can
-        # sit below, so it is a sound incumbent seed even when min_size > 1
-        # forbids singles seeding; its cuts count as bound_cuts.
+        # sit below, so it is a sound incumbent seed even when no single
+        # meets min_mass; its cuts count as bound_cuts.
         seed_value = testability.statistic_floor
 
-    def consider(mask: int, size: int) -> None:
+    def consider(mask: int) -> None:
         nonlocal best_mask, best_value, explored, evaluated, best_updates
         explored += 1
         if limit is not None and explored > limit:
@@ -282,7 +270,7 @@ def _search_bounded(
                 raise SearchAbortedError()
             if progress is not None:
                 progress(snapshot())
-        if size >= min_size:
+        if accumulator.size >= min_mass:
             evaluated += 1
             value = accumulator.chi_square()
             # Canonical tie-break: on equal statistic the numerically
@@ -298,11 +286,10 @@ def _search_bounded(
         for root in range(n):
             root_bit = 1 << root
             accumulator.push(root)
-            consider(root_bit, 1)
+            consider(root_bit)
             stack: list[tuple[int, ...]] = [
                 (
                     root_bit,
-                    1,
                     adjacency[root] & ~(root_bit - 1) & ~root_bit,
                     root_bit - 1,
                 )
@@ -312,28 +299,23 @@ def _search_bounded(
                 if frame[0] == POP:
                     accumulator.pop(frame[1])
                     continue
-                subset, size, ext, fb = frame
-                if size >= size_cap:
-                    pruned_size_cap += 1
-                    continue
+                subset, ext, fb = frame
                 if not ext:
-                    frontier_exhausted += 1
                     continue
                 candidates = _reachable_closure(adjacency, ext, subset | fb)
-                if size + candidates.bit_count() < min_size:
+                reachable_mass = accumulator.size
+                for i in iter_bits(candidates):
+                    reachable_mass += payload_sizes[i]
+                if reachable_mass < min_mass:
                     bound_cuts += 1
                     continue
-                if testability is not None:
-                    reachable_mass = accumulator.size
-                    for i in iter_bits(candidates):
-                        reachable_mass += payload_sizes[i]
-                    if reachable_mass < min_mass:
-                        testability_cuts += 1
-                        continue
+                if reachable_mass < testable_mass:
+                    testability_cuts += 1
+                    continue
                 threshold = best_value if best_value > seed_value else seed_value
                 if threshold > float("-inf"):
                     bound_evaluations += 1
-                    bound = accumulator.upper_bound(candidates, size_cap - size)
+                    bound = accumulator.upper_bound(candidates)
                     # Strict: an exactly-tying subtree must survive so the
                     # first-found tie-break matches prune="none".
                     if bound < threshold:
@@ -342,13 +324,13 @@ def _search_bounded(
                 u_bit = ext & -ext
                 u = u_bit.bit_length() - 1
                 rest = ext ^ u_bit
-                stack.append((subset, size, rest, fb | u_bit))
+                stack.append((subset, rest, fb | u_bit))
                 child_subset = subset | u_bit
                 child_ext = rest | (adjacency[u] & ~(child_subset | fb | rest))
                 accumulator.push(u)
-                consider(child_subset, size + 1)
+                consider(child_subset)
                 stack.append((POP, u))
-                stack.append((child_subset, size + 1, child_ext, fb))
+                stack.append((child_subset, child_ext, fb))
             accumulator.pop(root)
     finally:
         # Final snapshot fires even on abort/limit so consumers see the
@@ -358,8 +340,6 @@ def _search_bounded(
         if _TELEMETRY.enabled:
             metrics = _TELEMETRY.metrics
             metrics.count(_metric.SEARCH_STATES_VISITED, explored)
-            metrics.count(_metric.SEARCH_PRUNED_SIZE_CAP, pruned_size_cap)
-            metrics.count(_metric.SEARCH_FRONTIER_EXHAUSTED, frontier_exhausted)
             metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, evaluated)
             metrics.count(_metric.SEARCH_BEST_UPDATES, best_updates)
             metrics.count(_metric.SEARCH_BOUND_CUTS, bound_cuts)
@@ -372,7 +352,6 @@ def _search_bounded(
         best_value = 0.0
     return SearchOutcome(
         mask=best_mask, chi_square=best_value, explored=explored,
-        pruned_size_cap=pruned_size_cap, frontier_exhausted=frontier_exhausted,
         evaluated=evaluated,
         bound_cuts=bound_cuts, bound_evaluations=bound_evaluations,
         testability_cuts=testability_cuts,
@@ -413,8 +392,7 @@ def instances(draw):
         def make() -> ChiSquareAccumulator:
             return ContinuousAccumulator(payloads)
 
-    min_size = draw(st.integers(1, 3))
-    max_size = draw(st.none() | st.integers(min_size, max(min_size, n + 1)))
+    min_mass = draw(st.integers(1, 2 * n + 2))
     testability = None
     if draw(st.booleans()):
         testability = SearchTestability(
@@ -424,8 +402,7 @@ def instances(draw):
     return {
         "adjacency": adjacency,
         "make": make,
-        "min_size": min_size,
-        "max_size": max_size,
+        "min_mass": min_mass,
         "limit": draw(st.none() | st.integers(1, 600)),
         "prune": draw(st.sampled_from(("none", "bounds"))),
         "testability": testability,
@@ -450,14 +427,10 @@ def _observe(run):
 
 
 def _oracle(case, progress):
-    adjacency = case["adjacency"]
-    n = len(adjacency)
-    max_size = case["max_size"]
     walk = _search_bounded if case["prune"] == "bounds" else _search_unbounded
     return walk(
-        adjacency, case["make"](),
-        min_size=case["min_size"],
-        size_cap=n if max_size is None else min(max_size, n),
+        case["adjacency"], case["make"](),
+        min_mass=case["min_mass"],
         limit=case["limit"],
         progress=progress,
         testability=case["testability"],
@@ -467,8 +440,7 @@ def _oracle(case, progress):
 def _merged(case, progress):
     return exhaustive_best_mask(
         case["adjacency"], case["make"](),
-        min_size=case["min_size"],
-        max_size=case["max_size"],
+        min_mass=case["min_mass"],
         limit=case["limit"],
         prune=case["prune"],
         backend="python",
@@ -495,7 +467,7 @@ class TestMergedWalkMatchesOracle:
             "make": lambda: DiscreteAccumulator(
                 DYADIC_PROBS, [(1, 0, 0), (0, 1, 0), (0, 0, 1)] * 3 + [(1, 1, 0)] * 2
             ),
-            "min_size": 1, "max_size": None, "limit": None,
+            "min_mass": 1, "limit": None,
             "prune": "none", "testability": None,
         }
         outcome, _, progress = _observe(lambda p: _merged(case, p))

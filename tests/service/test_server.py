@@ -207,8 +207,8 @@ class TestValidation:
 
     def test_stalled_body_closes_the_connection(self, service, monkeypatch):
         # A client that stops sending mid-body must not hold a handler
-        # thread: after the body-read timeout the server hangs up.
-        monkeypatch.setattr(server_module, "BODY_READ_TIMEOUT_SECONDS", 0.2,
+        # thread: after the read timeout the server hangs up.
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 0.2,
                             raising=False)
         host, port = urlsplit(service).netloc.split(":")
         with socket.create_connection((host, int(port)), timeout=5) as sock:
@@ -218,6 +218,20 @@ class TestValidation:
             )
             assert sock.recv(4096) == b""
         assert http("GET", service + "/healthz")[0] == 200
+
+    def test_stalled_head_closes_the_connection(
+        self, service, capsys, monkeypatch
+    ):
+        # A client that never finishes its request head must not hold a
+        # handler thread either: the same read timeout covers the head.
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 0.2,
+                            raising=False)
+        host, port = urlsplit(service).netloc.split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(f"POST /mine HTTP/1.1\r\nHost: {host}\r\n".encode())
+            assert sock.recv(4096) == b""
+        assert http("GET", service + "/healthz")[0] == 200
+        assert capsys.readouterr().err == ""
 
 
 class TestAsyncJobs:
@@ -391,6 +405,8 @@ class TestEntryPathsAgree:
         ("discrete", {"top_t": 3, "prune": "bounds", "correction": "fwer"}),
         ("continuous", {"top_t": 3}),
         ("continuous", {"top_t": 3, "prune": "bounds"}),
+        # Binding: the unconstrained winner has 21 vertices.
+        ("discrete", {"top_t": 3, "min_size": 25}),
     ])
     def test_payloads_match(self, service, tmp_path, capsys, kind, params):
         graph = barabasi_albert_graph(40, 2, seed=5)
@@ -422,6 +438,7 @@ class TestEntryPathsAgree:
             "--top", str(params["top_t"]),
             "--prune", params.get("prune", "none"),
             "--correct", params.get("correction", "none"),
+            "--min-size", str(params.get("min_size", 1)),
         ])
         cli = json.loads(capsys.readouterr().out)
         for key in ("prune", "backend"):  # CLI-only report keys

@@ -212,15 +212,23 @@ class TestSearchSpanAccounting:
         snap = metrics.snapshot()
         assert snap[metric.SEARCH_BOUND_EVALUATIONS] > 0
         assert metric.SEARCH_BOUND_CUTS in snap
-        assert metric.SEARCH_PRUNED_SIZE_CAP in snap
-        assert metric.SEARCH_FRONTIER_EXHAUSTED in snap
 
     def test_split_prune_metrics_in_none_mode(self, small_labeled):
         graph, labeling = small_labeled
         with telemetry_session() as (_, metrics):
             mine(graph, labeling)
         snap = metrics.snapshot()
+        # Without bounds no cut is counted; every visited set is scored.
         assert metric.SEARCH_BOUND_EVALUATIONS not in snap
-        assert snap[metric.SEARCH_PRUNED_SIZE_CAP] >= 0
-        assert snap[metric.SEARCH_FRONTIER_EXHAUSTED] > 0
-        assert "search.states_pruned" not in snap
+        assert metric.SEARCH_BOUND_CUTS not in snap
+        assert (
+            snap[metric.SEARCH_CHI_SQUARE_EVALUATIONS]
+            == snap[metric.SEARCH_STATES_VISITED]
+            > 0
+        )
+        for removed in (
+            "search.states_pruned",
+            "search.pruned_size_cap",
+            "search.frontier_exhausted",
+        ):
+            assert removed not in snap

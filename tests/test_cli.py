@@ -249,8 +249,6 @@ class TestTraceSummarize:
         out = capsys.readouterr().out
         assert "search.bound_evaluations" in out
         assert "search.bound_cuts" in out
-        assert "search.pruned_size_cap" in out
-        assert "search.frontier_exhausted" in out
 
     def test_summarize_missing_file_fails_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"

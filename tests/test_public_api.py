@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -34,6 +35,33 @@ REMOVED = [
     ("repro.graph", "random_geometric_graph"),
     ("repro.graph.generators", "watts_strogatz_graph"),
     ("repro.graph.generators", "random_geometric_graph"),
+    ("repro.enumerate", "budget_limited_size"),
+    ("repro.enumerate.bounds", "budget_limited_size"),
+    ("repro.telemetry.names", "SEARCH_PRUNED_SIZE_CAP"),
+    ("repro.telemetry.names", "SEARCH_FRONTIER_EXHAUSTED"),
+]
+
+# Each entry is (module, callable, parameter): a parameter (or, for a
+# dataclass, a field) deleted from that callable.  The search takes one
+# size constraint, ``min_mass``; its super-vertex size cap, the budget
+# that cap fed into the bounds, and the counters only the cap moved are
+# gone.
+REMOVED_PARAMETERS = [
+    ("repro.enumerate.search", "exhaustive_best_mask", "min_size"),
+    ("repro.enumerate.search", "exhaustive_best_mask", "max_size"),
+    ("repro.enumerate.search", "SearchOutcome", "pruned_size_cap"),
+    ("repro.enumerate.search", "SearchOutcome", "frontier_exhausted"),
+    ("repro.enumerate.bounds", "discrete_upper_bound", "budget_size"),
+    ("repro.enumerate.accumulators", "DiscreteAccumulator.upper_bound",
+     "remaining_budget"),
+    ("repro.enumerate.accumulators", "ContinuousAccumulator.upper_bound",
+     "remaining_budget"),
+    ("repro.enumerate.connected", "connected_subgraph_masks", "min_size"),
+    ("repro.enumerate.connected", "connected_subgraph_masks", "max_size"),
+    ("repro.enumerate.connected", "enumerate_connected_subsets", "min_size"),
+    ("repro.enumerate.connected", "enumerate_connected_subsets", "max_size"),
+    ("repro.enumerate.connected", "count_connected_subgraphs", "min_size"),
+    ("repro.enumerate.connected", "count_connected_subgraphs", "max_size"),
 ]
 
 
@@ -70,12 +98,24 @@ class TestTopLevelExports:
         ids=[f"{m}.{n}" if n else m for m, n in REMOVED],
     )
     def test_removed_name_is_gone(self, module, name):
-        """The §6 extensions and uncalled graph helpers stay deleted."""
+        """Deleted modules and names (the §6 extensions, uncalled graph
+        helpers, the super-vertex budget and its counters) stay deleted."""
         if name is None:
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
         else:
             assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize(
+        ("module", "qualname", "parameter"),
+        REMOVED_PARAMETERS,
+        ids=[f"{m}.{q}.{p}" for m, q, p in REMOVED_PARAMETERS],
+    )
+    def test_removed_parameter_is_gone(self, module, qualname, parameter):
+        obj = importlib.import_module(module)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert parameter not in inspect.signature(obj).parameters
 
 
 class TestExceptionHierarchy:
