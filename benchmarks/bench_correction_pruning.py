@@ -1,18 +1,18 @@
-"""Testability-pruning ablation: search cost with and without Tarone cuts.
+"""Statistic-floor ablation: bounded search cost with and without the
+Tarone floor.
 
-The correction subsystem threads a second admissible prune through the
-exhaustive search: states whose reachable mass can never be testable at
-``delta*`` are cut at the frontier, and the conservative statistic floor
-seeds the branch-and-bound incumbent.  This benchmark quantifies what
-that buys on Figure-2-style search-bound regimes — random graphs dense
-enough that the exhaustive stage dominates — by running the identical
-instance with ``prune="bounds"`` alone and with testability layered on
-top, on both backends.
+The correction subsystem reaches the exhaustive search in one way: the
+conservative statistic floor, below which no subgraph can pass
+``delta*``, seeds the branch-and-bound incumbent.  This benchmark
+quantifies what that buys on Figure-2-style search-bound regimes —
+random graphs dense enough that the exhaustive stage dominates — by
+running the identical instance with ``prune="bounds"`` alone and with
+the floor added, on both backends.
 
 Emits ``correction_pruning.csv`` and extends
 ``results/BENCH_search.json`` with a ``correction`` section (per-regime
-explored-state counts, testability cuts, delta*, and the end-to-end
-corrected-mine telemetry).
+explored-state counts, testability cuts — the bound cuts below the
+floor —, delta*, and the end-to-end corrected-mine telemetry).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 from repro.core.solver import mine
 from repro.enumerate.accumulators import DiscreteAccumulator
 from repro.enumerate.bitset import BitsetGraph
-from repro.enumerate.search import SearchTestability, exhaustive_best_mask
+from repro.enumerate.search import exhaustive_best_mask
 from repro.graph.generators import gnp_random_graph
 from repro.graph.graph import Graph
 from repro.labels.discrete import DiscreteLabeling
@@ -66,7 +66,7 @@ def _instance(n, p, seed):
     return g, bitset.adjacency, DiscreteAccumulator(PROBS, payloads)
 
 
-def _testability(graph, probabilities):
+def _floor(graph, probabilities):
     envelope = _Envelope(probabilities)
     max_degree = max(
         (graph.degree(v) for v in graph.vertices()), default=0
@@ -75,11 +75,8 @@ def _testability(graph, probabilities):
     tarone = tarone_threshold(envelope, counts, ALPHA)
     if tarone.delta_star <= 0.0:
         return tarone, None
-    floor = conservative_statistic_floor(
+    return tarone, conservative_statistic_floor(
         tarone.delta_star, len(probabilities) - 1
-    )
-    return tarone, SearchTestability(
-        min_mass=tarone.testable_min_size, statistic_floor=floor
     )
 
 
@@ -88,19 +85,19 @@ def test_correction_pruning_ablation(benchmark, backend):
     rows = []
     for name, n, p, seed in REGIMES:
         graph, adjacency, acc = _instance(n, p, seed=seed)
-        tarone, testability = _testability(graph, PROBS)
-        assert testability is not None, f"regime {name} must be feasible"
+        tarone, floor = _floor(graph, PROBS)
+        assert floor is not None, f"regime {name} must be feasible"
 
         baseline = exhaustive_best_mask(
             adjacency, acc, prune="bounds", backend=backend
         )
         pruned = exhaustive_best_mask(
             adjacency, acc, prune="bounds", backend=backend,
-            testability=testability,
+            statistic_floor=floor,
         )
-        # Admissibility on the bench regimes: when the optimum is
-        # testable, the pruned search returns the identical winner.
-        if baseline.chi_square >= testability.statistic_floor:
+        # Admissibility on the bench regimes: when the optimum reaches
+        # the floor, the seeded search returns the identical winner.
+        if baseline.chi_square >= floor:
             assert pruned.mask == baseline.mask
         assert pruned.testability_cuts > 0, f"no cuts fired on {name}"
         assert pruned.explored <= baseline.explored
@@ -121,7 +118,7 @@ def test_correction_pruning_ablation(benchmark, backend):
                 "regime": name,
                 "backend": backend,
                 "explored_baseline": baseline.explored,
-                "explored_testability": pruned.explored,
+                "explored_floor": pruned.explored,
                 "testability_cuts": pruned.testability_cuts,
                 "delta_star": tarone.delta_star,
                 "num_testable": tarone.num_testable,
@@ -131,21 +128,21 @@ def test_correction_pruning_ablation(benchmark, backend):
 
     name, n, p, seed = REGIMES[0]
     graph, adjacency, acc = _instance(n, p, seed=seed)
-    _, testability = _testability(graph, PROBS)
+    _, floor = _floor(graph, PROBS)
     benchmark.pedantic(
         exhaustive_best_mask,
         args=(adjacency, acc),
         kwargs=dict(
-            prune="bounds", backend=backend, testability=testability
+            prune="bounds", backend=backend, statistic_floor=floor
         ),
         rounds=3,
         iterations=1,
     )
     emit(
         "correction_pruning",
-        f"Testability-pruning ablation ({backend} backend, alpha={ALPHA})",
+        f"Statistic-floor ablation ({backend} backend, alpha={ALPHA})",
         [
-            "Regime", "Backend", "States (bounds)", "States (+testability)",
+            "Regime", "Backend", "States (bounds)", "States (+floor)",
             "Reduction", "Testability cuts", "delta*", "Min testable size",
         ],
         rows,

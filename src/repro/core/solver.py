@@ -35,7 +35,6 @@ from repro.enumerate.bitset import BitsetGraph, iter_bits
 from repro.enumerate.search import (
     PRUNE_MODES,
     SEARCH_BACKENDS,
-    SearchTestability,
     exhaustive_best_mask,
 )
 from repro.graph.graph import Graph
@@ -105,14 +104,16 @@ class _CorrectionContext:
     """Per-call state of an FWER-corrected mining run.
 
     ``tarone`` fixes the corrected significance threshold ``delta*`` and
-    the testable-hypothesis count; ``testability`` is the derived search
-    prune (None when ``delta* == 0`` — nothing can pass, so rounds run
-    unpruned and everything is filtered).  ``regions_filtered`` counts
-    mined-but-failing rounds for the :class:`CorrectionReport`.
+    the testable-hypothesis count; ``statistic_floor`` is the chi-square
+    value below which nothing passes ``delta*``, which seeds
+    ``prune="bounds"`` searches (None when ``delta* == 0``: nothing can
+    pass, so rounds run unseeded and everything is filtered).
+    ``regions_filtered`` counts mined-but-failing rounds for the
+    :class:`CorrectionReport`.
     """
 
     tarone: TaroneResult
-    testability: SearchTestability | None
+    statistic_floor: float | None
     counts_mode: str
     regions_filtered: int = 0
 
@@ -249,10 +250,12 @@ def mine(
         ``correction`` field holds a
         :class:`~repro.stats.correction.CorrectionReport`.  The corrected
         result set equals post-hoc filtering of the uncorrected top-t
-        enumeration: every round mines the same region (testability
-        pruning falls back to an unpruned re-search when the pruned
-        winner fails the threshold), so vertex removal — and hence every
-        later round — is identical.  Discrete labelings only.
+        enumeration: every round mines the same region, so vertex
+        removal — and hence every later round — is identical.  Under
+        ``prune="none"`` each round is the uncorrected search; under
+        ``prune="bounds"`` the Tarone statistic floor seeds the
+        incumbent, and a round whose seeded search misses the threshold
+        is searched again without the floor.  Discrete labelings only.
     alpha:
         Target family-wise error rate for ``correction="fwer"``
         (strictly between 0 and 1, checked even when unused); ignored
@@ -274,8 +277,8 @@ def mine(
         :class:`~repro.telemetry.progress.SearchProgress` snapshots whose
         counters are **cumulative over the whole call** (an internal
         :class:`~repro.telemetry.progress.ProgressAggregator` folds the
-        per-search streams across TSSS rounds and testability
-        fallbacks, so ``states_visited`` advances monotonically), with
+        per-search streams across TSSS rounds and floor-seeded
+        re-searches, so ``states_visited`` advances monotonically), with
         one final snapshot guaranteed when :func:`mine` returns or
         raises.  Observe-only; cannot change the result.
 
@@ -487,7 +490,7 @@ def find_mscs(graph: Graph, labeling: Labeling, **kwargs) -> SignificantSubgraph
 def _correction_context(
     graph: Graph, labeling: DiscreteLabeling, alpha: float
 ) -> _CorrectionContext:
-    """Fix ``delta*`` and the derived search prune for one corrected run.
+    """Fix ``delta*`` and the statistic floor for one corrected run.
 
     The hypothesis-count envelope and the testability envelope both come
     from the *original* graph and null model, so ``delta*`` is a constant
@@ -501,16 +504,13 @@ def _correction_context(
     )
     counts = hypothesis_count_envelope(graph.num_vertices, max_degree)
     tarone = tarone_threshold(envelope, counts, alpha)
-    testability = None
+    floor = None
     if tarone.delta_star > 0.0:
         floor = conservative_statistic_floor(
             tarone.delta_star, labeling.num_labels - 1
         )
-        testability = SearchTestability(
-            min_mass=tarone.testable_min_size, statistic_floor=floor
-        )
     return _CorrectionContext(
-        tarone=tarone, testability=testability, counts_mode="envelope"
+        tarone=tarone, statistic_floor=floor, counts_mode="envelope"
     )
 
 
@@ -628,31 +628,34 @@ def _mine_one(
                 ))
 
     explored_before = report.explored_subgraphs
-    testability = (
-        correction_ctx.testability if correction_ctx is not None else None
+    # The floor only seeds the bounds incumbent; under prune="none" a
+    # corrected round is the uncorrected search, filtered afterwards.
+    floor = (
+        correction_ctx.statistic_floor
+        if correction_ctx is not None and prune == "bounds" else None
     )
     with tracer.span("solver.search", prune=prune, backend=backend) as span:
         region = _search_supergraph(
             supergraph, labeling, search_limit=search_limit, min_size=min_size,
             report=report, prune=prune, backend=backend,
-            testability=testability,
+            statistic_floor=floor,
             check_abort=check_abort, progress=progress,
         )
-        if testability is not None and (
+        if floor is not None and (
             region is None
             or not correction_ctx.tarone.passes(region.p_value)
         ):
-            # The testability-pruned search only preserves the uncorrected
+            # The floor-seeded search only preserves the uncorrected
             # optimum when that optimum clears delta*; a failing (or empty)
-            # pruned result says nothing about which region the uncorrected
+            # seeded result says nothing about which region the uncorrected
             # enumeration would mine — and that region's vertices must be
             # the ones removed this round for the post-hoc-filter
-            # equivalence to hold.  Re-search unpruned to recover it.
+            # equivalence to hold.  Search again without the floor.
             span.set(testability_fallback=True)
             region = _search_supergraph(
                 supergraph, labeling, search_limit=search_limit,
                 min_size=min_size, report=report, prune=prune,
-                backend=backend, testability=None,
+                backend=backend,
                 check_abort=check_abort, progress=progress,
             )
         # Per-round delta, not the running total, so top-t traces show what
@@ -687,7 +690,7 @@ def _search_supergraph(
     report: PipelineReport,
     prune: str,
     backend: str,
-    testability: SearchTestability | None = None,
+    statistic_floor: float | None = None,
     check_abort: Callable[[], bool] | None = None,
     progress: ProgressAggregator | None = None,
 ) -> SignificantSubgraph | None:
@@ -710,7 +713,7 @@ def _search_supergraph(
     outcome = exhaustive_best_mask(
         bitset.adjacency, accumulator, min_mass=min_size,
         limit=search_limit, prune=prune, backend=backend,
-        testability=testability,
+        statistic_floor=statistic_floor,
         check_abort=check_abort, progress=progress,
     )
     # Each search call emits per-call cumulative snapshots; banking the

@@ -170,10 +170,9 @@ class DiscreteAccumulator:
     def payload_sizes(self) -> tuple[int, ...]:
         """Original-vertex mass each vertex contributes, in index order.
 
-        Consumed by the search's mass cuts (``min_mass`` and
-        `SearchTestability`): the mass of a search state plus its
-        reachable closure decides whether any extension can still be
-        large enough.
+        Consumed by the search's ``min_mass`` cut: the mass of a search
+        state plus its reachable closure decides whether any extension
+        can still be large enough.
         """
         return self._payload_sizes
 

@@ -46,11 +46,7 @@ import numpy as _np
 
 from repro.exceptions import EnumerationLimitError, SearchAbortedError
 from repro.enumerate.accumulators import ContinuousAccumulator, DiscreteAccumulator
-from repro.enumerate.search import (
-    SearchTestability,
-    _incumbent_seed,
-    _Tally,
-)
+from repro.enumerate.search import _incumbent_seed, _Tally
 from repro.telemetry.progress import ProgressCallback
 
 __all__ = ["KERNEL_CHUNK", "MAX_KERNEL_VERTICES"]
@@ -270,7 +266,7 @@ class _KernelRun:
         bounded: bool,
         check_abort: Callable[[], bool] | None,
         progress: ProgressCallback | None,
-        testability: SearchTestability | None,
+        statistic_floor: float | None,
     ) -> None:
         self.scorer = scorer
         self.n = len(adjacency)
@@ -280,12 +276,12 @@ class _KernelRun:
         # Every payload carries at least one vertex, so min_mass <= 1
         # admits every state and neither mass test runs.
         self.gated = min_mass > 1
-        self.floor_cut = bounded and self.gated
+        self.mass_cut = bounded and self.gated
         self.limit = limit
         self.bounded = bounded
         self.check_abort = check_abort
         self.progress = progress
-        self.testability = testability
+        self.statistic_floor = statistic_floor
         self.seed_value = float("-inf")
 
     def _masses(self, masks: "object") -> "object":
@@ -328,32 +324,22 @@ class _KernelRun:
         ext: "object",
         forbidden: "object",
     ) -> "object":
-        """Per-level cuts: reachable mass vs ``min_mass`` (bounds mode
-        only), testable mass, then the admissible bound vs the incumbent
-        (bounds mode only).
+        """Per-level bounds cuts: reachable mass vs ``min_mass``, then the
+        admissible bound vs the incumbent.
 
         Returns the boolean keep-mask over rows.  Mirrors the python
-        walk's per-frame cuts (reachability and bound count into
-        ``bound_cuts``, testable-mass shortfalls into
-        ``testability_cuts``), with the incumbent taken at batch time —
-        admissible either way because pruning is strict and the bound
-        never underestimates.
+        walk's per-frame cuts (both count into ``bound_cuts``; bound cuts
+        below ``statistic_floor`` also into ``testability_cuts``), with
+        the incumbent taken at batch time — admissible either way because
+        pruning is strict and the bound never underestimates.
         """
         tally = self.tally
         closure = _batch_closure(self.adj, ext, subsets | forbidden)
         keep = _np.ones(subsets.shape[0], dtype=bool)
-        if self.floor_cut or self.testability is not None:
+        if self.mass_cut:
             reachable_mass = self._masses(subsets) + self._masses(closure)
-            if self.floor_cut:
-                short = reachable_mass < self.min_mass
-                tally.bound_cuts += int(short.sum())
-                keep &= ~short
-            if self.testability is not None:
-                short = keep & (reachable_mass < self.testability.min_mass)
-                tally.testability_cuts += int(short.sum())
-                keep &= ~short
-        if not self.bounded:
-            return keep
+            keep = reachable_mass >= self.min_mass
+            tally.bound_cuts += int((~keep).sum())
         threshold = max(tally.best_value, self.seed_value)
         if threshold == float("-inf") or not keep.any():
             return keep
@@ -365,6 +351,9 @@ class _KernelRun:
         )
         cut = bound < threshold
         tally.bound_cuts += int(cut.sum())
+        if self.statistic_floor is not None:
+            # The floor never exceeds the threshold, so these rows are cut.
+            tally.testability_cuts += int((bound < self.statistic_floor).sum())
         keep[rows[cut]] = False
         return keep
 
@@ -422,14 +411,14 @@ class _KernelRun:
             chi = self.scorer.chi_masks(singles)[self.scorer.mass >= self.min_mass]
             self.seed_value = _incumbent_seed(
                 float(chi.max()) if chi.shape[0] else float("-inf"),
-                self.testability,
+                self.statistic_floor,
             )
         subsets, ext, forbidden = singles, self.adj & ~(singles | below), below
         while subsets.shape[0]:
             for lo in range(0, subsets.shape[0], KERNEL_CHUNK):
                 self._visit_chunk(subsets[lo : lo + KERNEL_CHUNK])
             live = ext != _np.uint64(0)
-            if (self.bounded or self.testability is not None) and live.any():
+            if self.bounded and live.any():
                 rows = _np.flatnonzero(live)
                 keep = self._prune_level(subsets[rows], ext[rows], forbidden[rows])
                 live[rows[~keep]] = False
@@ -450,7 +439,7 @@ def _kernel_search(
     bounded: bool,
     check_abort: Callable[[], bool] | None,
     progress: ProgressCallback | None,
-    testability: SearchTestability | None,
+    statistic_floor: float | None,
 ) -> None:
     """The numpy backend of :func:`~repro.enumerate.search.exhaustive_best_mask`.
 
@@ -462,5 +451,6 @@ def _kernel_search(
     _KernelRun(
         _scorer_for(accumulator), adjacency, tally,
         min_mass=min_mass, limit=limit, bounded=bounded,
-        check_abort=check_abort, progress=progress, testability=testability,
+        check_abort=check_abort, progress=progress,
+        statistic_floor=statistic_floor,
     ).run()

@@ -11,7 +11,9 @@ super-graphs whose vertices carry merged payloads.
 seeded with the best eligible single vertex, and any branch whose
 admissible upper bound (see :mod:`repro.enumerate.bounds`) cannot beat the
 incumbent, or whose reachable mass cannot meet the ``min_mass`` floor, is
-cut.
+cut.  FWER-corrected mining passes the Tarone ``statistic_floor`` here,
+which seeds that incumbent (:func:`_incumbent_seed`); it is the only way
+the correction reaches the search.
 Because the bound is admissible and pruning is strict (``bound <
 incumbent``), every optimal state survives, so both modes return the
 identical winning mask and statistic — ``prune="bounds"`` just visits
@@ -48,7 +50,6 @@ __all__ = [
     "PRUNE_MODES",
     "SEARCH_BACKENDS",
     "SearchOutcome",
-    "SearchTestability",
     "exhaustive_best_mask",
     "resolve_backend",
 ]
@@ -113,35 +114,6 @@ def resolve_backend(backend: str, *, n: int, prune: str = "none") -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class SearchTestability:
-    """Tarone testability pruning parameters for the search.
-
-    Produced by the correction layer (:mod:`repro.stats.correction`):
-    ``min_mass`` is the smallest *original-vertex mass* (sum of payload
-    sizes, not vertex count in this graph) that is testable at the
-    corrected threshold ``delta*`` — states whose mass plus the mass of
-    their reachable closure falls short are cut, counted as
-    ``testability_cuts``.  ``statistic_floor`` is a conservative
-    chi-square floor below which no subgraph can reach ``p <= delta*``
-    (:func:`repro.stats.correction.conservative_statistic_floor`); under
-    ``prune="bounds"`` it seeds the incumbent threshold so bound cuts
-    bite even before any solution is found (those cuts count as
-    ``bound_cuts`` — only mass-frontier cuts are ``testability_cuts``).
-
-    Both cuts are admissible *for corrected mining*: they can only remove
-    states that provably fail the corrected threshold, so whenever the
-    true uncorrected optimum passes, the pruned search still returns it —
-    tie-break included.  When it does not pass, the solver detects that
-    by the value test ``p_raw <= delta*`` and re-runs unpruned (see
-    ``repro.core.solver``).  With testability active, cut *accounting* is
-    backend-dependent, like bounds accounting.
-    """
-
-    min_mass: int
-    statistic_floor: float
-
-
-@dataclass(frozen=True, slots=True)
 class SearchOutcome:
     """Result of an exhaustive search.
 
@@ -162,8 +134,9 @@ class SearchOutcome:
     bound_evaluations:
         Upper-bound computations performed (``prune="bounds"`` only).
     testability_cuts:
-        Branches cut because no reachable extension could accumulate the
-        minimum testable mass (``testability=`` only).
+        The bound cuts whose bound lay below ``statistic_floor``: branches
+        that provably cannot pass the corrected threshold (a subset of
+        ``bound_cuts``; ``statistic_floor=`` only).
     """
 
     mask: int
@@ -220,7 +193,7 @@ class _Tally:
             testability_cuts=self.testability_cuts,
         )
 
-    def publish(self, *, bounded: bool, testability: bool, kernel: bool) -> None:
+    def publish(self, *, bounded: bool, floored: bool, kernel: bool) -> None:
         """Count this call into the active telemetry session, if any."""
         if not _TELEMETRY.enabled:
             return
@@ -231,7 +204,7 @@ class _Tally:
         if bounded:
             metrics.count(_metric.SEARCH_BOUND_CUTS, self.bound_cuts)
             metrics.count(_metric.SEARCH_BOUND_EVALUATIONS, self.bound_evaluations)
-        if testability:
+        if floored:
             metrics.count(_metric.SEARCH_TESTABILITY_CUTS, self.testability_cuts)
         if kernel:
             metrics.count(_metric.SEARCH_KERNEL_BATCHES, self.kernel_batches)
@@ -239,7 +212,7 @@ class _Tally:
 
 
 def _incumbent_seed(
-    best_eligible_single: float, testability: SearchTestability | None
+    best_eligible_single: float, statistic_floor: float | None
 ) -> float:
     """The bounds-mode pruning threshold in force before any set is scored.
 
@@ -250,13 +223,13 @@ def _incumbent_seed(
     exceed every eligible set's, which would prune the true optimum, so
     it never seeds.  The Tarone statistic floor is a threshold no passing
     subgraph can sit below, so it is a sound seed even when no single is
-    eligible; its cuts count as ``bound_cuts``.  The seed is a value
+    eligible; its cuts count as ``bound_cuts``, and those whose bound lies
+    below the floor also as ``testability_cuts``.  The seed is a value
     only: it never selects a mask.
     """
-    seed = best_eligible_single
-    if testability is not None and testability.statistic_floor > seed:
-        seed = testability.statistic_floor
-    return seed
+    if statistic_floor is not None and statistic_floor > best_eligible_single:
+        return statistic_floor
+    return best_eligible_single
 
 
 def exhaustive_best_mask(
@@ -269,7 +242,7 @@ def exhaustive_best_mask(
     check_abort: Callable[[], bool] | None = None,
     backend: str = "python",
     progress: ProgressCallback | None = None,
-    testability: SearchTestability | None = None,
+    statistic_floor: float | None = None,
 ) -> SearchOutcome:
     """Find the connected vertex set with the maximum accumulator statistic.
 
@@ -311,21 +284,24 @@ def exhaustive_best_mask(
     per-call cumulative counters.  Like ``check_abort`` it is observe-only
     and cannot change the result.
 
-    ``testability``, when given, enables Tarone testability pruning (see
-    :class:`SearchTestability`): frontier subtrees whose reachable mass
-    cannot hit the minimum testable size are cut in every mode and
-    backend, and under ``prune="bounds"`` the statistic floor seeds the
-    incumbent threshold.  The returned optimum is the true uncorrected
-    optimum whenever that optimum meets the corrected threshold; cut
-    accounting is backend-dependent.
+    ``statistic_floor`` (``prune="bounds"`` only; a :class:`ValueError`
+    under ``prune="none"``) is a chi-square value below which no set can
+    pass the corrected threshold
+    (:func:`repro.stats.correction.conservative_statistic_floor`).  It
+    seeds the incumbent threshold, so bound cuts bite before any set is
+    scored.  The returned optimum is the true uncorrected optimum whenever
+    that optimum's statistic reaches the floor; otherwise the result says
+    nothing about it.  The bound cuts whose bound lies below the floor
+    are counted as ``testability_cuts``.
     """
     if min_mass < 1:
         raise ValueError(f"min_mass must be >= 1, got {min_mass}")
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune must be one of {PRUNE_MODES}, got {prune!r}")
-    if testability is not None and testability.min_mass < 1:
+    if statistic_floor is not None and prune != "bounds":
         raise ValueError(
-            f"testability.min_mass must be >= 1, got {testability.min_mass}"
+            "statistic_floor seeds the bounds incumbent, so it needs "
+            f"prune='bounds', got prune={prune!r}"
         )
     if backend not in SEARCH_BACKENDS:
         raise ValueError(
@@ -354,7 +330,7 @@ def exhaustive_best_mask(
             bounded=bounded,
             check_abort=check_abort,
             progress=progress,
-            testability=testability,
+            statistic_floor=statistic_floor,
         )
     finally:
         # The final snapshot and the metrics flush happen even on
@@ -362,7 +338,7 @@ def exhaustive_best_mask(
         if progress is not None:
             progress(tally.snapshot())
         tally.publish(
-            bounded=bounded, testability=testability is not None, kernel=kernel
+            bounded=bounded, floored=statistic_floor is not None, kernel=kernel
         )
     return tally.outcome()
 
@@ -391,24 +367,19 @@ def _python_walk(
     bounded: bool,
     check_abort: Callable[[], bool] | None,
     progress: ProgressCallback | None,
-    testability: SearchTestability | None,
+    statistic_floor: float | None,
 ) -> None:
     """The reference DFS; ``bounded`` turns it into the branch-and-bound.
 
     Pruning only removes whole subtrees, never reorders the survivors, so
-    both modes visit states in the same order.  When the reachable closure
-    of an expansion frame is needed (bounds or testability), these cuts
-    apply to it, in this order:
+    both modes visit states in the same order.  Under bounds these cuts
+    apply to the reachable closure of each expansion frame, in this order:
 
-    1. *reachability* (bounds with ``min_mass > 1`` only): if the set's
-       mass plus the closure's falls short of ``min_mass``, nothing below
-       is eligible;
-    2. *testable mass* (testability only): if that mass falls short of
-       ``testability.min_mass``, nothing below can pass the corrected
-       threshold;
-    3. *bound* (bounds only): if the accumulator's admissible upper bound
-       over the closure is strictly below the incumbent, nothing below can
-       win.
+    1. *reachability* (``min_mass > 1`` only): if the set's mass plus the
+       closure's falls short of ``min_mass``, nothing below is eligible;
+    2. *bound*: if the accumulator's admissible upper bound over the
+       closure is strictly below the incumbent (seeded with
+       ``statistic_floor``, if given), nothing below can win.
 
     Counts into plain locals and copies them into ``tally`` before each
     progress snapshot and when the walk ends, however it ends.
@@ -423,13 +394,11 @@ def _python_walk(
     bound_evaluations = 0
     testability_cuts = 0
     # Every payload carries at least one vertex, so min_mass <= 1 admits
-    # every state and neither the eligibility test nor the floor cut runs.
+    # every state and neither the eligibility test nor the mass cut runs.
     gated = min_mass > 1
-    floor_cut = bounded and gated
-    testable_mass = testability.min_mass if testability is not None else 0
-    needs_mass = floor_cut or testability is not None
-    payload_sizes = accumulator.payload_sizes if needs_mass else ()
-    needs_closure = bounded or testability is not None
+    mass_cut = bounded and gated
+    payload_sizes = accumulator.payload_sizes if mass_cut else ()
+    floor = statistic_floor if statistic_floor is not None else float("-inf")
     poll = check_abort is not None or progress is not None
 
     def sync() -> None:
@@ -454,7 +423,7 @@ def _python_walk(
         return best
 
     seed_value = (
-        _incumbent_seed(best_eligible_single(), testability)
+        _incumbent_seed(best_eligible_single(), statistic_floor)
         if bounded else float("-inf")
     )
 
@@ -510,32 +479,30 @@ def _python_walk(
                 subset, ext, fb = frame
                 if not ext:
                     continue
-                if needs_closure:
+                if bounded:
                     candidates = _reachable_closure(adjacency, ext, subset | fb)
-                    if needs_mass:
+                    if mass_cut:
                         # The stack discipline guarantees the accumulator
                         # holds exactly `subset` here, so its mass is O(1).
                         reachable_mass = accumulator.size
                         for i in iter_bits(candidates):
                             reachable_mass += payload_sizes[i]
-                        if floor_cut and reachable_mass < min_mass:
+                        if reachable_mass < min_mass:
                             bound_cuts += 1
                             continue
-                        if reachable_mass < testable_mass:
-                            testability_cuts += 1
+                    threshold = (
+                        best_value if best_value > seed_value else seed_value
+                    )
+                    if threshold > float("-inf"):
+                        bound_evaluations += 1
+                        bound = accumulator.upper_bound(candidates)
+                        # Strict: an exactly-tying subtree must survive
+                        # so the tie-break matches prune="none".
+                        if bound < threshold:
+                            bound_cuts += 1
+                            if bound < floor:
+                                testability_cuts += 1
                             continue
-                    if bounded:
-                        threshold = (
-                            best_value if best_value > seed_value else seed_value
-                        )
-                        if threshold > float("-inf"):
-                            bound_evaluations += 1
-                            bound = accumulator.upper_bound(candidates)
-                            # Strict: an exactly-tying subtree must survive
-                            # so the tie-break matches prune="none".
-                            if bound < threshold:
-                                bound_cuts += 1
-                                continue
                 u_bit = ext & -ext
                 u = u_bit.bit_length() - 1
                 rest = ext ^ u_bit

@@ -45,16 +45,23 @@ own telemetry session with a ``service.job`` root span carrying the
 request's ``trace_id``; the finished session is captured with
 :func:`~repro.telemetry.context.capture_session` and ships back with the
 terminal message, where the manager persists it as a per-job JSONL trace
-artifact (``GET /jobs/<id>/trace``) and folds the worker's metrics into
-the parent registry.  While the search runs, workers stream
-:class:`~repro.telemetry.progress.SearchProgress` heartbeats over the
-same pipe (``GET /jobs/<id>/progress``); every message doubles as a
-liveness heartbeat for the per-worker detail in ``GET /healthz``.
+artifact (``GET /jobs/<id>/trace`` reads it back from disk) and folds the
+worker's metrics into the parent registry.  While the search runs,
+workers stream :class:`~repro.telemetry.progress.SearchProgress`
+heartbeats over the same pipe (``GET /jobs/<id>/progress``); every
+message doubles as a liveness heartbeat for the per-worker detail in
+``GET /healthz``.
+
+Job memory is bounded: a finished job drops its request document, keeps
+no trace records in memory, and only the newest
+:data:`MAX_FINISHED_JOBS` finished jobs are kept at all — an older id is
+unknown again.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import shutil
 import tempfile
 import threading
 import time
@@ -90,11 +97,17 @@ from repro.telemetry.context import (
 from repro.telemetry.progress import SearchProgress
 from repro.telemetry.span import write_trace_records
 
-__all__ = ["DEFAULT_QUEUE_SIZE", "Job", "JobManager"]
+__all__ = ["DEFAULT_QUEUE_SIZE", "Job", "JobManager", "MAX_FINISHED_JOBS"]
 
 DEFAULT_QUEUE_SIZE = 64
 """Default bound on queued-but-unstarted jobs before submissions are
 rejected with backpressure."""
+
+MAX_FINISHED_JOBS = 512
+"""Finished jobs the manager keeps for lookup; finishing one more evicts
+the oldest-finished job, whose id then reads as unknown.  Bounds the
+job table of a long-running service (queued and running jobs are never
+evicted: ``queue_size`` bounds those)."""
 
 _POLL_SECONDS = 0.2
 
@@ -110,11 +123,12 @@ class Job:
     ``status`` walks ``queued -> running -> done | timeout | error``; the
     terminal payload lands in ``result`` (for ``done``) or ``error`` (a
     message, for ``timeout``/``error``).  ``wait()`` blocks until the job
-    reaches a terminal status.
+    reaches a terminal status.  ``request`` is dropped (set to None) once
+    it does; the job's trace lives only in its artifact at ``trace_path``.
     """
 
     id: str
-    request: dict[str, Any] = field(repr=False)
+    request: dict[str, Any] | None = field(repr=False)
     deadline: float | None = None
     status: str = "queued"
     result: dict[str, Any] | None = field(default=None, repr=False)
@@ -125,7 +139,6 @@ class Job:
     trace_id: str = ""
     dispatch_attempts: int = 0
     progress: dict[str, Any] | None = field(default=None, repr=False)
-    trace_records: list[dict[str, Any]] | None = field(default=None, repr=False)
     trace_path: str | None = None
     _done: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
@@ -141,7 +154,7 @@ class Job:
             "job_id": self.id,
             "status": self.status,
             "trace_id": self.trace_id,
-            "trace_available": self.trace_records is not None,
+            "trace_available": self.trace_path is not None,
         }
         if self.deadline is not None:
             payload["deadline_seconds_left"] = max(
@@ -352,12 +365,14 @@ class JobManager:
         self._cache_size = cache_size
         self._queue_size = queue_size
         self._trace_dir = None if trace_dir is None else Path(trace_dir)
+        self._own_trace_dir = False
         self._cache_dir = None if cache_dir is None else str(cache_dir)
         self._cache_bytes = cache_bytes
         self._registry_dir = None if registry_dir is None else str(registry_dir)
         self._ctx = mp.get_context("spawn")
         self._lock = threading.RLock()
         self._jobs: dict[str, Job] = {}
+        self._finished: deque[str] = deque()  # finished job ids, oldest first
         self._pending = 0  # queued + running, bounded by queue_size
         self._backlog: deque[Job] = deque()
         self._closed = False
@@ -397,6 +412,7 @@ class JobManager:
                 self._trace_dir = Path(
                     tempfile.mkdtemp(prefix="repro-job-traces-")
                 )
+                self._own_trace_dir = True
             self._trace_dir.mkdir(parents=True, exist_ok=True)
             return self._trace_dir
 
@@ -406,14 +422,15 @@ class JobManager:
         Every job that has not reached a terminal state — backlogged,
         dispatched, or running — is failed with a "service shutting down"
         error and its ``_done`` event set, so no ``Job.wait()`` caller can
-        block past shutdown.
+        block past shutdown.  A trace directory the manager created itself
+        is removed with its artifacts; one passed as ``trace_dir`` stays.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._backlog.clear()
-            for job in self._jobs.values():
+            for job in list(self._jobs.values()):
                 if job.status in ("queued", "running"):
                     self._finish(job, "error", "service shutting down")
             workers = list(self._workers)
@@ -428,6 +445,9 @@ class JobManager:
         self._collector.join(timeout=2.0)
         for worker in workers:
             worker.close_channels()
+        with self._lock:
+            if self._own_trace_dir:
+                shutil.rmtree(self._trace_dir, ignore_errors=True)
 
     def __enter__(self) -> "JobManager":
         return self
@@ -478,7 +498,7 @@ class JobManager:
         return job
 
     def get(self, job_id: str) -> Job | None:
-        """The job with this id, or None."""
+        """The job with this id, or None (also once it has been evicted)."""
         with self._lock:
             return self._jobs.get(job_id)
 
@@ -597,16 +617,16 @@ class JobManager:
     def _absorb_telemetry(self, job: Job, payload: dict[str, Any]) -> None:
         """Persist a job's captured telemetry and fold it into the parent.
 
-        The job's trace records are built once, kept in memory and written
-        as its artifact, whether or not telemetry is enabled in the
-        *parent* process — the worker already paid for them, and ``GET
-        /jobs/<id>/trace`` should work either way.  The registry merge is
+        The job's trace records are written as its artifact, whether or
+        not telemetry is enabled in the *parent* process — the worker
+        already paid for them, and ``GET /jobs/<id>/trace`` should work
+        either way; they are not kept in memory.  The registry merge is
         gated on the parent's telemetry state.
         """
-        job.trace_records = payload_records(payload, job_id=job.id)
+        records = payload_records(payload, job_id=job.id)
         try:
             path = self.trace_dir() / f"{job.id}.jsonl"
-            job.trace_path = str(write_trace_records(path, job.trace_records))
+            job.trace_path = str(write_trace_records(path, records))
             self._count(_metric.SERVICE_TRACES_PERSISTED)
         except ReproError:  # pragma: no cover - disk full etc.
             job.trace_path = None
@@ -627,7 +647,11 @@ class JobManager:
             job.result = body
         else:
             job.error = body
+        job.request = None
         self._pending -= 1
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self._jobs[self._finished.popleft()]
         job._done.set()
         if _TELEMETRY.enabled:
             metric = {

@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import shutil
 import tempfile
 import threading
 import time
@@ -50,7 +51,11 @@ from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
-from repro.exceptions import BackpressureError, RequestValidationError
+from repro.exceptions import (
+    BackpressureError,
+    RequestValidationError,
+    TelemetryError,
+)
 from repro.service.jobs import DEFAULT_QUEUE_SIZE, JobManager
 from repro.service.cache import DEFAULT_MAX_BYTES
 from repro.service.protocol import validate_request
@@ -62,6 +67,7 @@ from repro.telemetry.exposition import (
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
+from repro.telemetry.span import read_trace_records
 
 __all__ = ["DEFAULT_MAX_REQUEST_BYTES", "MiningService"]
 
@@ -261,7 +267,13 @@ class _Handler(BaseHTTPRequestHandler):
         elif view == "progress":
             self._send_json(200, job.progress_payload(), trace_id)
         elif view == "trace":
-            if job.trace_records is None:
+            records = None
+            if job.trace_path is not None:
+                try:
+                    records = read_trace_records(job.trace_path)
+                except TelemetryError:
+                    pass  # the artifact was removed or damaged: a 404
+            if records is None:
                 self._send_json(
                     404,
                     {"error": "no trace is available for this job (it is "
@@ -275,7 +287,7 @@ class _Handler(BaseHTTPRequestHandler):
                     200,
                     {"job_id": job.id, "status": job.status,
                      "trace_path": job.trace_path,
-                     "records": job.trace_records},
+                     "records": records},
                     job.trace_id or trace_id,
                 )
         else:
@@ -393,12 +405,14 @@ class MiningService:
         cache_bytes: int | None = DEFAULT_MAX_BYTES,
     ) -> None:
         # The registry always exists (PUT /graphs works on every service);
-        # without --cache-dir it lives in a throwaway directory and the
-        # registrations simply do not survive the process.
+        # without --cache-dir it lives in a throwaway directory that stop()
+        # removes, so the registrations do not survive the service.
+        self._own_registry_dir: str | None = None
         if cache_dir is not None:
             registry_dir = str(Path(cache_dir) / "graphs")
         else:
             registry_dir = tempfile.mkdtemp(prefix="repro-graph-registry-")
+            self._own_registry_dir = registry_dir
         self.registry = GraphRegistry(registry_dir)
         self.manager = JobManager(
             workers=workers,
@@ -486,13 +500,21 @@ class MiningService:
             self.stop()
 
     def stop(self) -> None:
-        """Shut down the HTTP server and drain the worker pool."""
+        """Shut down the HTTP server and drain the worker pool.
+
+        Removes the temporary directories the service created itself (the
+        graph registry without ``cache_dir``, the trace store without
+        ``trace_dir``); directories passed in are left as they are.
+        """
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
         self.manager.close()
+        if self._own_registry_dir is not None:
+            shutil.rmtree(self._own_registry_dir, ignore_errors=True)
+            self._own_registry_dir = None
 
     def __enter__(self) -> "MiningService":
         self.start()

@@ -26,9 +26,10 @@ putting every vertex on the rarest label ``p_min``, giving
     psi(n)   = chi2_sf(x_max(n), l - 1),
 
 which is *strictly decreasing* in ``n`` — so the testable masses at any
-threshold form an up-set ``{n >= K}`` and "too small to ever be
-significant" becomes an admissible pruning rule for the branch-and-bound
-search (see :mod:`repro.enumerate.search` and ``docs/correction.md``).
+threshold form an up-set ``{n >= K}``, which is what lets
+:func:`tarone_threshold` scan one regime per mass.  The search sees the
+correction only through :func:`conservative_statistic_floor`, which seeds
+its branch-and-bound incumbent (see ``docs/correction.md``).
 
 The hypothesis family counted here is the set of connected vertex sets
 of the *original* graph per mass: either the exact per-size census (via
@@ -66,7 +67,7 @@ class TestabilityEnvelope:
     subgraph of ``n`` original vertices can attain under the null model
     ``probabilities``.  Values are cached; the envelope is strictly
     decreasing in ``n`` (proved in ``docs/correction.md``), which
-    :func:`tarone_threshold` and the search-side pruning both rely on.
+    :func:`tarone_threshold` relies on.
     """
 
     __slots__ = ("_probs", "_df", "_rate", "_cache")
@@ -82,11 +83,6 @@ class TestabilityEnvelope:
     def probabilities(self) -> tuple[float, ...]:
         """The discrete null model the envelope is computed against."""
         return self._probs
-
-    @property
-    def degrees_of_freedom(self) -> int:
-        """The chi-square dof of the statistic, ``l - 1``."""
-        return self._df
 
     def max_statistic(self, n: int) -> float:
         """Largest chi-square value attainable at original-vertex mass n."""
@@ -108,22 +104,6 @@ class TestabilityEnvelope:
             cached = chi2_sf(self.max_statistic(n), self._df)
             self._cache[n] = cached
         return cached
-
-    def min_testable_mass(self, delta: float) -> int | None:
-        """Smallest mass ``K`` with ``psi(K) <= delta`` (None if no mass
-        up to a practical bound qualifies).
-
-        Monotonicity of ``psi`` makes this a threshold search; callers
-        that know their graph size should prefer scanning ``1..N``.
-        """
-        if delta <= 0.0:
-            return None
-        n = 1
-        while self.min_p_value(n) > delta:
-            n += 1
-            if n > 1 << 20:  # psi decays geometrically; this is unreachable
-                return None  # pragma: no cover - defensive
-        return n
 
 
 def hypothesis_count_envelope(
@@ -182,9 +162,9 @@ class TaroneResult:
     ``delta_star`` is the largest threshold with
     ``num_testable * delta_star <= alpha`` (0.0 when no mass regime fits
     the budget — then nothing can pass); ``testable_min_size`` is the
-    smallest original-vertex mass that is testable at ``delta_star``
-    (masses below it are prunable from the search); ``num_testable`` is
-    ``m(delta_star)``, the Bonferroni factor of the corrected p-values.
+    smallest original-vertex mass that is testable at ``delta_star``;
+    ``num_testable`` is ``m(delta_star)``, the Bonferroni factor of the
+    corrected p-values (see :func:`corrected_p_value`).
     """
 
     alpha: float
@@ -195,10 +175,6 @@ class TaroneResult:
     def passes(self, p_value: float) -> bool:
         """Whether a raw p-value is significant after correction."""
         return self.delta_star > 0.0 and p_value <= self.delta_star
-
-    def corrected(self, p_value: float) -> float:
-        """The corrected p-value ``min(1, m * p)`` of a raw p-value."""
-        return corrected_p_value(p_value, self.num_testable)
 
 
 def corrected_p_value(p_value: float, num_testable: int) -> float:

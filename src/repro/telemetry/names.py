@@ -124,9 +124,10 @@ SEARCH_KERNEL_BATCHES = "search.kernel_batches"
 (``backend="numpy"`` only)."""
 
 SEARCH_TESTABILITY_CUTS = "search.testability_cuts"
-"""Counter: branches cut because no reachable extension could accumulate
-the minimum testable original-vertex mass (``testability=`` searches
-only; statistic-floor cuts count as ``search.bound_cuts``)."""
+"""Counter: bound cuts whose admissible bound lay below the Tarone
+statistic floor, i.e. branches that provably cannot pass the corrected
+threshold (``statistic_floor=`` searches only; each is also counted in
+``search.bound_cuts``)."""
 
 ENUMERATE_SETS_EMITTED = "enumerate.sets_emitted"
 """Counter: connected sets yielded by the standalone enumerator."""

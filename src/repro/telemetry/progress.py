@@ -11,8 +11,9 @@ already paying.
 
 Snapshots published by a single search call are cumulative *within that
 call* and reset to zero at the next one, but one :func:`repro.core.solver.
-mine` run issues many search calls (one per TSSS round, plus an unpruned
-re-search when a testability-pruned winner fails the corrected
+mine` run issues many search calls (one per TSSS round, plus, under
+``prune="bounds"`` with ``correction="fwer"``, a search without the
+Tarone statistic floor when the floor-seeded one misses the corrected
 threshold).  :class:`ProgressAggregator` sits between the search and the
 consumer and folds the per-call streams into job-cumulative snapshots
 whose counters advance monotonically — the property pollers

@@ -11,7 +11,6 @@ from repro.enumerate.connected import enumerate_connected_subsets
 from repro.enumerate.search import (
     PRUNE_MODES,
     SEARCH_BACKENDS,
-    SearchTestability,
     exhaustive_best_mask,
 )
 from repro.graph.generators import gnp_random_graph
@@ -251,17 +250,28 @@ class TestPruneModes:
             exhaustive_best_mask(bitset.adjacency, acc, prune="aggressive")
 
     def test_split_prune_counters(self):
-        # Bound cuts and testable-mass cuts are counted apart; on this
-        # instance both kinds occur.
+        # Bound cuts below the statistic floor are also counted as
+        # testability cuts; on this instance some bound cuts lie above it.
         g = gnp_random_graph(12, 0.4, seed=91)
         lab = DiscreteLabeling.random(g, (0.5, 0.25, 0.25), seed=92)
         bitset, acc = discrete_accumulator_for(g, lab)
+        plain = exhaustive_best_mask(bitset.adjacency, acc, prune="bounds")
+        floor = plain.chi_square / 2
         outcome = exhaustive_best_mask(
-            bitset.adjacency, acc, prune="bounds",
-            testability=SearchTestability(min_mass=9, statistic_floor=0.0),
+            bitset.adjacency, acc, prune="bounds", statistic_floor=floor,
         )
-        assert outcome.bound_cuts > 0
-        assert outcome.testability_cuts > 0
+        assert outcome.mask == plain.mask
+        assert outcome.chi_square == plain.chi_square
+        assert 0 < outcome.testability_cuts < outcome.bound_cuts
+        assert plain.testability_cuts == 0
+
+    def test_statistic_floor_needs_bounds(self, small_labeled):
+        graph, labeling = small_labeled
+        bitset, acc = discrete_accumulator_for(graph, labeling)
+        with pytest.raises(ValueError, match="statistic_floor"):
+            exhaustive_best_mask(
+                bitset.adjacency, acc, prune="none", statistic_floor=1.0
+            )
 
     def test_bound_counters_zero_without_pruning(self, small_labeled):
         graph, labeling = small_labeled

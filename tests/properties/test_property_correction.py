@@ -3,11 +3,13 @@
 The correction layer's contract is *exactly* post-hoc filtering: mining
 with ``correction="fwer"`` must return the same regions, in the same
 order, as mining uncorrected and then keeping only the regions whose raw
-p-value clears the Tarone threshold ``delta*``.  Testability pruning
-inside the search is only admissible if it never changes which region a
+p-value clears the Tarone threshold ``delta*``.  The correction reaches
+the search only as a statistic floor that seeds the ``prune="bounds"``
+incumbent, which is only admissible if it never changes which region a
 round reports — these tests check that over 120+ seeded random
-instances and across both search backends, which is the acceptance bar
-of the correction PR.
+instances, across both prune modes and both search backends.  Under
+``prune="none"`` the floor is not used, so a corrected run does exactly
+the uncorrected run's search work.
 
 Each instance compares, field by field: the surviving vertex sets and
 raw p-values (identical to the filtered uncorrected list), the attached
@@ -29,6 +31,8 @@ from repro.exceptions import GraphError
 from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
+from repro.telemetry import names as metric
+from repro.telemetry import telemetry_session
 
 pytestmark = [pytest.mark.properties, pytest.mark.correction]
 
@@ -80,14 +84,25 @@ def _assert_equivalent(base, corrected, alpha):
     assert report.num_testable * report.delta_star <= alpha
 
 
+def _supergraph_cases():
+    """(seed, backend, prune) cases; the bounds cases keep their
+    pre-existing ``seed-backend`` ids."""
+    for seed in range(40):
+        for backend in ("python", "numpy"):
+            for prune in ("bounds", "none"):
+                suffix = "" if prune == "bounds" else f"-{prune}"
+                yield pytest.param(
+                    seed, backend, prune, id=f"{seed}-{backend}{suffix}"
+                )
+
+
 class TestPostHocEquivalence:
     """Corrected mining == uncorrected mining + filter, 120 instances."""
 
-    @pytest.mark.parametrize("backend", ("python", "numpy"))
-    @pytest.mark.parametrize("seed", range(40))
-    def test_supergraph_method(self, seed, backend):
+    @pytest.mark.parametrize("seed, backend, prune", _supergraph_cases())
+    def test_supergraph_method(self, seed, backend, prune):
         graph, labeling = _instance(seed)
-        kwargs = dict(top_t=3, prune="bounds", backend=backend)
+        kwargs = dict(top_t=3, prune=prune, backend=backend)
         base = mine(graph, labeling, **kwargs)
         corrected = mine(
             graph, labeling, correction="fwer", alpha=0.05, **kwargs
@@ -129,12 +144,9 @@ class TestPostHocEquivalence:
 
 
 class TestTestabilityPruningFires:
-    """Guard: the mass/floor cuts actually remove states on dense regimes."""
+    """Guard: the floor cuts actually remove states on dense regimes."""
 
     def test_testability_cuts_counted(self):
-        from repro.telemetry import names as metric
-        from repro.telemetry import telemetry_session
-
         graph, labeling = _instance(42, n=14, extra_edges=10)
         with telemetry_session() as (_, metrics):
             mine(
@@ -147,9 +159,6 @@ class TestTestabilityPruningFires:
         assert snap[metric.CORRECTION_TESTABLE_HYPOTHESES] > 0
 
     def test_cuts_counted_on_numpy_backend(self):
-        from repro.telemetry import names as metric
-        from repro.telemetry import telemetry_session
-
         graph, labeling = _instance(42, n=14, extra_edges=10)
         with telemetry_session() as (_, metrics):
             mine(
@@ -158,6 +167,31 @@ class TestTestabilityPruningFires:
             )
             snap = metrics.snapshot()
         assert snap.get(metric.SEARCH_TESTABILITY_CUTS, 0) > 0
+
+
+class TestExhaustiveModeIsPostHoc:
+    """Under ``prune="none"`` correction changes no search work at all."""
+
+    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    def test_same_states_and_search_calls(self, backend):
+        graph, labeling = _instance(0)
+        kwargs = dict(top_t=3, prune="none", backend=backend)
+        runs = []
+        for extra in ({}, dict(correction="fwer", alpha=0.05)):
+            with telemetry_session() as (_, metrics):
+                result = mine(graph, labeling, **kwargs, **extra)
+                snap = metrics.snapshot()
+            runs.append((result, snap[metric.SEARCH_STATES_PER_CALL]["count"]))
+        (base, base_calls), (corrected, corrected_calls) = runs
+        # The instance has filtered rounds, where a search-side cut would
+        # have to be undone by a second search.
+        assert corrected.correction.regions_filtered > 0
+        assert (
+            corrected.report.explored_subgraphs
+            == base.report.explored_subgraphs
+        )
+        assert corrected_calls == base_calls == base.report.rounds
+        assert metric.SEARCH_TESTABILITY_CUTS not in snap
 
 
 class TestCorrectionValidation:

@@ -8,8 +8,8 @@ kept below as the oracle, with the search's one size constraint: a state
 is scored only when its mass (original-vertex count) meets ``min_mass``,
 and the bounded walk cuts a branch whose reachable mass falls short of
 it.  Over random instances — discrete and continuous accumulators with
-merged payloads, both prune modes, testability pruning on and off,
-``min_mass > 1`` and ``limit`` budgets that fire —
+merged payloads, both prune modes, a Tarone statistic floor on and off
+(bounds only), ``min_mass > 1`` and ``limit`` budgets that fire —
 ``exhaustive_best_mask(backend="python")`` must match the oracle in the
 full :class:`SearchOutcome`, the telemetry it flushes, and the sequence
 of :class:`SearchProgress` snapshots it emits.
@@ -34,7 +34,6 @@ from repro.enumerate.bitset import iter_bits
 from repro.enumerate.search import (
     ABORT_CHECK_MASK,
     SearchOutcome,
-    SearchTestability,
     exhaustive_best_mask,
 )
 from repro.exceptions import EnumerationLimitError, SearchAbortedError
@@ -59,7 +58,6 @@ def _search_unbounded(
     limit: int | None,
     check_abort: Callable[[], bool] | None = None,
     progress: ProgressCallback | None = None,
-    testability: SearchTestability | None = None,
 ) -> SearchOutcome:
     """The plain exhaustive walk (``prune="none"``)."""
     n = len(adjacency)
@@ -68,11 +66,6 @@ def _search_unbounded(
     explored = 0
     evaluated = 0
     best_updates = 0
-    testability_cuts = 0
-    testable_mass = testability.min_mass if testability is not None else 0
-    payload_sizes = (
-        accumulator.payload_sizes if testability is not None else ()
-    )
     poll = check_abort is not None or progress is not None
     started = time.perf_counter() if progress is not None else 0.0
 
@@ -132,19 +125,6 @@ def _search_unbounded(
                 subset, ext, fb = frame
                 if not ext:
                     continue
-                if testability is not None:
-                    # The stack discipline guarantees the accumulator holds
-                    # exactly `subset` here, so its mass is O(1); if even the
-                    # full reachable closure cannot lift the mass to the
-                    # minimum testable size, nothing below can be significant
-                    # after correction.
-                    closure = _reachable_closure(adjacency, ext, subset | fb)
-                    reachable_mass = accumulator.size
-                    for i in iter_bits(closure):
-                        reachable_mass += payload_sizes[i]
-                    if reachable_mass < testable_mass:
-                        testability_cuts += 1
-                        continue
                 u_bit = ext & -ext
                 u = u_bit.bit_length() - 1
                 rest = ext ^ u_bit
@@ -168,15 +148,13 @@ def _search_unbounded(
             metrics.count(_metric.SEARCH_STATES_VISITED, explored)
             metrics.count(_metric.SEARCH_CHI_SQUARE_EVALUATIONS, evaluated)
             metrics.count(_metric.SEARCH_BEST_UPDATES, best_updates)
-            if testability is not None:
-                metrics.count(_metric.SEARCH_TESTABILITY_CUTS, testability_cuts)
             metrics.observe(_metric.SEARCH_STATES_PER_CALL, explored)
 
     if best_mask == 0:
         best_value = 0.0
     return SearchOutcome(
         mask=best_mask, chi_square=best_value, explored=explored,
-        evaluated=evaluated, testability_cuts=testability_cuts,
+        evaluated=evaluated,
     )
 
 
@@ -202,7 +180,7 @@ def _search_bounded(
     limit: int | None,
     check_abort: Callable[[], bool] | None = None,
     progress: ProgressCallback | None = None,
-    testability: SearchTestability | None = None,
+    statistic_floor: float | None = None,
 ) -> SearchOutcome:
     """Branch-and-bound walk (``prune="bounds"``).
 
@@ -217,8 +195,10 @@ def _search_bounded(
        closure is strictly below the incumbent, nothing below can win.
 
     The incumbent threshold is seeded with the best statistic among the
-    single vertices that meet ``min_mass`` (each a valid solution) so
-    bounds bite before the first root subtree is explored.
+    single vertices that meet ``min_mass`` (each a valid solution), or
+    with ``statistic_floor`` when that is higher, so bounds bite before
+    the first root subtree is explored.  Bound cuts whose bound lies below
+    the floor are also counted as ``testability_cuts``.
     """
     n = len(adjacency)
     best_mask = 0
@@ -229,7 +209,7 @@ def _search_bounded(
     bound_cuts = 0
     bound_evaluations = 0
     testability_cuts = 0
-    testable_mass = testability.min_mass if testability is not None else 0
+    floor = statistic_floor if statistic_floor is not None else float("-inf")
     payload_sizes = accumulator.payload_sizes
     poll = check_abort is not None or progress is not None
     started = time.perf_counter() if progress is not None else 0.0
@@ -254,11 +234,11 @@ def _search_bounded(
             if value > seed_value:
                 seed_value = value
         accumulator.pop(v)
-    if testability is not None and testability.statistic_floor > seed_value:
+    if floor > seed_value:
         # The Tarone statistic floor is a threshold no passing subgraph can
         # sit below, so it is a sound incumbent seed even when no single
         # meets min_mass; its cuts count as bound_cuts.
-        seed_value = testability.statistic_floor
+        seed_value = floor
 
     def consider(mask: int) -> None:
         nonlocal best_mask, best_value, explored, evaluated, best_updates
@@ -309,9 +289,6 @@ def _search_bounded(
                 if reachable_mass < min_mass:
                     bound_cuts += 1
                     continue
-                if reachable_mass < testable_mass:
-                    testability_cuts += 1
-                    continue
                 threshold = best_value if best_value > seed_value else seed_value
                 if threshold > float("-inf"):
                     bound_evaluations += 1
@@ -320,6 +297,8 @@ def _search_bounded(
                     # first-found tie-break matches prune="none".
                     if bound < threshold:
                         bound_cuts += 1
+                        if bound < floor:
+                            testability_cuts += 1
                         continue
                 u_bit = ext & -ext
                 u = u_bit.bit_length() - 1
@@ -344,7 +323,7 @@ def _search_bounded(
             metrics.count(_metric.SEARCH_BEST_UPDATES, best_updates)
             metrics.count(_metric.SEARCH_BOUND_CUTS, bound_cuts)
             metrics.count(_metric.SEARCH_BOUND_EVALUATIONS, bound_evaluations)
-            if testability is not None:
+            if statistic_floor is not None:
                 metrics.count(_metric.SEARCH_TESTABILITY_CUTS, testability_cuts)
             metrics.observe(_metric.SEARCH_STATES_PER_CALL, explored)
 
@@ -393,19 +372,17 @@ def instances(draw):
             return ContinuousAccumulator(payloads)
 
     min_mass = draw(st.integers(1, 2 * n + 2))
-    testability = None
-    if draw(st.booleans()):
-        testability = SearchTestability(
-            min_mass=draw(st.integers(1, 2 * n + 2)),
-            statistic_floor=draw(st.floats(0.0, 12.0)),
-        )
+    prune = draw(st.sampled_from(("none", "bounds")))
+    statistic_floor = None
+    if prune == "bounds" and draw(st.booleans()):
+        statistic_floor = draw(st.floats(0.0, 12.0))
     return {
         "adjacency": adjacency,
         "make": make,
         "min_mass": min_mass,
         "limit": draw(st.none() | st.integers(1, 600)),
-        "prune": draw(st.sampled_from(("none", "bounds"))),
-        "testability": testability,
+        "prune": prune,
+        "statistic_floor": statistic_floor,
     }
 
 
@@ -427,13 +404,19 @@ def _observe(run):
 
 
 def _oracle(case, progress):
-    walk = _search_bounded if case["prune"] == "bounds" else _search_unbounded
-    return walk(
+    if case["prune"] == "bounds":
+        return _search_bounded(
+            case["adjacency"], case["make"](),
+            min_mass=case["min_mass"],
+            limit=case["limit"],
+            progress=progress,
+            statistic_floor=case["statistic_floor"],
+        )
+    return _search_unbounded(
         case["adjacency"], case["make"](),
         min_mass=case["min_mass"],
         limit=case["limit"],
         progress=progress,
-        testability=case["testability"],
     )
 
 
@@ -445,7 +428,7 @@ def _merged(case, progress):
         prune=case["prune"],
         backend="python",
         progress=progress,
-        testability=case["testability"],
+        statistic_floor=case["statistic_floor"],
     )
 
 
@@ -468,7 +451,7 @@ class TestMergedWalkMatchesOracle:
                 DYADIC_PROBS, [(1, 0, 0), (0, 1, 0), (0, 0, 1)] * 3 + [(1, 1, 0)] * 2
             ),
             "min_mass": 1, "limit": None,
-            "prune": "none", "testability": None,
+            "prune": "none", "statistic_floor": None,
         }
         outcome, _, progress = _observe(lambda p: _merged(case, p))
         assert outcome.explored == (1 << 11) - 1

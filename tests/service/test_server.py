@@ -24,6 +24,7 @@ from repro.graph.graph import Graph
 from repro.labels.continuous import ContinuousLabeling
 from repro.labels.discrete import DiscreteLabeling
 from repro.service.protocol import result_to_payload
+from repro.service import jobs as jobs_module
 from repro.service import server as server_module
 from repro.service.server import MiningService
 from repro.telemetry.exposition import prometheus_name
@@ -250,6 +251,62 @@ class TestAsyncJobs:
             time.sleep(0.05)
         assert body["status"] == "done"
         assert body["result"]["subgraphs"]
+
+
+class TestBoundedJobTable:
+    def test_oldest_finished_job_is_evicted(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+        with MiningService(
+            port=0, workers=1, cache_size=8, trace_dir=str(tmp_path)
+        ) as svc:
+            host, port = svc.address
+            base = f"http://{host}:{port}"
+            ids = []
+            for _ in range(3):
+                status, body = http("POST", base + "/mine", REQUEST)
+                assert status == 200 and body["status"] == "done"
+                ids.append(body["job_id"])
+            stats = svc.manager.stats()
+            assert stats["jobs_by_status"] == {"done": 2}
+            status, body = http("GET", f"{base}/jobs/{ids[0]}")
+            assert status == 404
+            assert body["error"] == "unknown job id or view"
+            for job_id in ids[1:]:
+                assert http("GET", f"{base}/jobs/{job_id}")[0] == 200
+                status, trace = http("GET", f"{base}/jobs/{job_id}/trace")
+                assert status == 200
+                assert trace["records"][0]["job_id"] == job_id
+                assert svc.manager.get(job_id).request is None
+
+
+class TestTemporaryDirectories:
+    def test_stop_removes_the_directories_it_created(self):
+        svc = MiningService(port=0, workers=1, cache_size=8)
+        svc.start()
+        try:
+            host, port = svc.address
+            status, body = http("POST", f"http://{host}:{port}/mine", REQUEST)
+            assert status == 200 and body["status"] == "done"
+            registry_dir = svc.registry.root
+            trace_dir = svc.manager.trace_dir()
+            assert registry_dir.is_dir()
+            assert any(trace_dir.glob("*.jsonl"))
+        finally:
+            svc.stop()
+        assert not registry_dir.exists()
+        assert not trace_dir.exists()
+
+    def test_stop_keeps_the_directories_it_was_given(self, tmp_path):
+        cache_dir, trace_dir = tmp_path / "cache", tmp_path / "traces"
+        with MiningService(
+            port=0, workers=1, cache_size=8,
+            cache_dir=str(cache_dir), trace_dir=str(trace_dir),
+        ) as svc:
+            host, port = svc.address
+            status, _ = http("POST", f"http://{host}:{port}/mine", REQUEST)
+            assert status == 200
+        assert (cache_dir / "graphs").is_dir()
+        assert any(trace_dir.glob("*.jsonl"))
 
 
 class TestGraphRegistryEndpoints:

@@ -40,15 +40,6 @@ class TestTestabilityEnvelope:
         assert values[0] == 1.0
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_min_testable_mass_is_threshold(self):
-        env = Envelope((0.7, 0.3))
-        delta = 1e-4
-        k = env.min_testable_mass(delta)
-        assert env.min_p_value(k) <= delta < env.min_p_value(k - 1)
-
-    def test_min_testable_mass_zero_delta(self):
-        assert Envelope((0.5, 0.5)).min_testable_mass(0.0) is None
-
     def test_negative_mass_rejected(self):
         env = Envelope((0.5, 0.5))
         with pytest.raises(ValueError):
@@ -188,7 +179,6 @@ class TestCorrectedPValue:
         )
         assert result.passes(0.01)
         assert not result.passes(0.011)
-        assert result.corrected(0.002) == pytest.approx(0.01)
 
     def test_invalid_num_testable(self):
         with pytest.raises(ValueError):
