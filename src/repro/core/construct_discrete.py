@@ -111,10 +111,15 @@ class BlockPartition:
     def supergraph(self, graph: Graph, labeling: DiscreteLabeling) -> SuperGraph:
         """The Algorithm-1 super-graph of ``graph``, from these blocks.
 
-        ``graph`` must be the graph this partition describes.  The cover
-        and partition checks of a fresh build still run, and the result
-        equals :func:`build_discrete_supergraph` of ``graph``.  Telemetry
-        reports the round as a construction that scanned no edges.
+        ``graph`` must have the vertex set this partition describes, and
+        only that is read: ``vertices()``, ``has_vertex()`` and
+        ``num_vertices``.  The solver passes the survivors of a TSSS
+        round, the caller's graph minus the mined vertices, without
+        building that subgraph.  The cover and partition checks of a
+        fresh build still run against those vertices, and the result
+        equals :func:`build_discrete_supergraph` of the subgraph they
+        induce.  Telemetry reports the round as a construction that
+        scanned no edges.
         """
         labeling.validate_covers(graph)
         supergraph = _assemble(

@@ -12,7 +12,10 @@ the paper:
 
 The top-t set (TSSS, Definition 2) is produced by iterative deletion: find
 the MSCS, remove its vertices, repeat — exactly the scheme Section 2.1
-suggests.  With discrete labels, a round whose region is a union of whole
+suggests.  Removal only records the mined vertices: rounds read the
+caller's graph minus them, and a survivor copy is built only for readers
+whose result follows adjacency-set order (:class:`_Survivors`).  With
+discrete labels, a round whose region is a union of whole
 Algorithm-1 blocks leaves the other blocks intact, so the next round
 assembles its super-graph from them instead of re-running Algorithm 1
 (:class:`~repro.core.construct_discrete.BlockPartition`).
@@ -25,7 +28,14 @@ from __future__ import annotations
 import inspect
 import random
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable, Mapping
+from collections.abc import (
+    Callable,
+    Collection,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+)
 from dataclasses import dataclass, replace
 from typing import Any, Protocol, runtime_checkable
 
@@ -316,8 +326,8 @@ def mine(
     # the report stays populated at the same cost as the old perf_counter
     # pairs.
     tracer = _TELEMETRY.tracer if _TELEMETRY.enabled else Tracer()
-    working = graph.copy()
-    # Algorithm 1's blocks of ``working`` while they are known: a region
+    survivors = _Survivors(graph)
+    # Algorithm 1's blocks of the survivors while they are known: a region
     # that is a union of whole blocks leaves the rest of the partition
     # intact, so later rounds skip the rebuild (see BlockPartition.without).
     blocks: BlockPartition | None = None
@@ -337,16 +347,15 @@ def mine(
             # its round and its vertices, exactly as in the uncorrected
             # enumeration it post-hoc filters.  Uncorrected, the two
             # counts coincide.
-            while report.rounds < top_t and working.num_vertices > 0:
+            while report.rounds < top_t and survivors.num_vertices > 0:
                 if check_abort is not None and check_abort():
                     raise SearchAbortedError()
                 with tracer.span("solver.round", round=report.rounds):
                     region, blocks = _mine_one(
-                        working,
+                        survivors,
                         labeling,
                         report,
                         tracer,
-                        pristine=graph,
                         n_theta=n_theta,
                         method=method,
                         edge_order=edge_order,
@@ -365,7 +374,9 @@ def mine(
                     if region is None:
                         break
                     if polish:
-                        region = _polish(working, labeling, region, tracer)
+                        region = _polish(
+                            survivors.graph(), labeling, region, tracer
+                        )
                     if ctx is None:
                         found.append(region)
                     elif ctx.tarone.passes(region.p_value):
@@ -378,10 +389,10 @@ def mine(
                     else:
                         ctx.regions_filtered += 1
                     report.rounds += 1
-                    # The working graph and blocks only matter to a round
-                    # that follows; the last round leaves them be.
+                    # The survivors and blocks only matter to a round that
+                    # follows; the last round leaves them be.
                     if report.rounds < top_t:
-                        working.remove_vertices(region.vertices)
+                        survivors.remove(region.vertices)
                         if blocks is not None:
                             blocks = blocks.without(region.vertices)
     finally:
@@ -514,13 +525,70 @@ def _correction_context(
     )
 
 
+class _Survivors:
+    """The caller's graph minus the vertices earlier TSSS rounds mined.
+
+    Nothing is copied or deleted up front.  The loop test and
+    :meth:`BlockPartition.supergraph`'s cover and partition checks need
+    only the surviving vertex set, which this object presents through
+    the vertex half of the :class:`Graph` interface: the caller's
+    vertices in their order, mined ones skipped.  Algorithm 1 reads no
+    adjacency layout, so round 0 runs it on :attr:`base` itself.
+
+    Readers whose result follows adjacency-set iteration order —
+    Algorithm 2, polish, the naive singleton build, a fresh Algorithm 1
+    after a polished or cache-hit round, and a prefix-cache key after
+    round 0 — read :meth:`graph` instead: on first use ``base.copy()``
+    minus every mined vertex, then shrunk as later rounds mine.  The
+    copy's sets may be laid out differently from the caller's, and
+    ``set.discard`` never resizes a table, so this is the layout the
+    per-round deletions of one up-front copy would leave.
+    """
+
+    __slots__ = ("base", "mined", "_graph")
+
+    def __init__(self, base: Graph) -> None:
+        self.base = base
+        self.mined: set[Hashable] = set()
+        self._graph: Graph | None = None
+
+    @property
+    def num_vertices(self) -> int:
+        return self.base.num_vertices - len(self.mined)
+
+    def vertices(self) -> Iterator[Hashable]:
+        mined = self.mined
+        return (v for v in self.base.vertices() if v not in mined)
+
+    def has_vertex(self, v: Hashable) -> bool:
+        return v not in self.mined and self.base.has_vertex(v)
+
+    def remove(self, vertices: Collection[Hashable]) -> None:
+        """Record ``vertices``, which must all survive, as mined."""
+        self.mined.update(vertices)
+        if self._graph is not None:
+            self._graph.remove_vertices(vertices)
+
+    def graph(self, *, layout: bool = True) -> Graph:
+        """The surviving subgraph, laid out like a copy of :attr:`base`.
+
+        A reader that ignores adjacency layout passes ``layout=False`` and
+        gets :attr:`base` itself while nothing is mined.
+        """
+        if not layout and not self.mined:
+            return self.base
+        if self._graph is None:
+            self._graph = self.base.copy()
+            self._graph.remove_vertices(self.mined)
+        return self._graph
+
+
 def _mine_one(
-    working: Graph,
+    survivors: _Survivors,
     labeling: Labeling,
     report: PipelineReport,
     tracer: Tracer,
     *,
-    pristine: Graph | None = None,
     n_theta: int,
     method: str,
     edge_order: EdgeOrder,
@@ -536,29 +604,18 @@ def _mine_one(
     blocks: BlockPartition | None = None,
     keep_blocks: bool = False,
 ) -> tuple[SignificantSubgraph | None, BlockPartition | None]:
-    """One MSCS round on the current working graph.
+    """One MSCS round on the surviving vertices.
 
     Returns the mined region (None when nothing is left) and the
-    Algorithm-1 blocks of ``working``, if known: ``blocks`` as passed in,
-    or, when ``keep_blocks`` says a later round may use them, a snapshot
-    of this round's fresh discrete construction.
+    Algorithm-1 blocks of the survivors, if known: ``blocks`` as passed
+    in, or, when ``keep_blocks`` says a later round may use them, a
+    snapshot of this round's fresh discrete construction.
     """
     first_round = report.rounds == 0
-    # Round 0's working graph is an untouched copy of the caller's graph,
-    # so a discrete key may digest the caller's object instead: its
-    # memoised digest (seeded by the graph registry for resolved
-    # instances) then applies.  Algorithm 2 depends on the order it scans
-    # ``working`` in, which the copy need not share with the original, so
-    # continuous keys always digest ``working`` itself.
-    key_graph = (
-        pristine
-        if first_round and pristine is not None
-        and isinstance(labeling, DiscreteLabeling)
-        else working
-    )
+    discrete = isinstance(labeling, DiscreteLabeling)
     if method == "naive":
         with tracer.span("solver.construct", method="naive") as span:
-            supergraph = _singleton_supergraph(working, labeling)
+            supergraph = _singleton_supergraph(survivors.graph(), labeling)
             span.set(super_vertices=supergraph.num_super_vertices)
         report.construction_seconds += span.wall_seconds
         if first_round:
@@ -569,8 +626,14 @@ def _mine_one(
         key = cached = None
         if prefix_cache is not None:
             with tracer.span("solver.cache_lookup") as span:
+                # Round 0's discrete key digests the caller's graph, so its
+                # memoised digest (seeded by the graph registry for
+                # resolved instances) applies.  Algorithm 2 depends on the
+                # order it scans adjacency sets in, which the copy need
+                # not share with the caller's graph, so continuous keys
+                # always digest the copy.
                 key = prefix_cache.key(
-                    key_graph, labeling,
+                    survivors.graph(layout=not discrete), labeling,
                     n_theta=n_theta, edge_order=edge_order, seed=seed,
                 )
                 if key is not None:
@@ -590,16 +653,20 @@ def _mine_one(
                 report.reduced_vertices = supergraph.num_super_vertices
         else:
             with tracer.span("solver.construct", method=method) as span:
-                if isinstance(labeling, DiscreteLabeling) and blocks is not None:
-                    supergraph = blocks.supergraph(working, labeling)
+                if discrete and blocks is not None:
+                    supergraph = blocks.supergraph(survivors, labeling)
                     span.set(reused=True)
-                elif isinstance(labeling, DiscreteLabeling):
-                    supergraph = build_discrete_supergraph(working, labeling)
+                elif discrete:
+                    # Round 0 builds from the caller's graph itself; see
+                    # the construct_discrete module docstring.
+                    source = survivors.graph(layout=False)
+                    supergraph = build_discrete_supergraph(source, labeling)
                     if keep_blocks:
-                        blocks = BlockPartition.of(supergraph, working)
+                        blocks = BlockPartition.of(supergraph, source)
                 else:
                     supergraph = build_continuous_supergraph(
-                        working, labeling, edge_order=edge_order, seed=seed
+                        survivors.graph(), labeling,
+                        edge_order=edge_order, seed=seed,
                     )
                 span.set(
                     super_vertices=supergraph.num_super_vertices,

@@ -152,7 +152,12 @@ class Graph:
         self._version += 1
 
     def remove_vertices(self, vertices: Iterable[Hashable]) -> None:
-        """Remove several vertices (used by iterative top-t deletion)."""
+        """Remove several vertices.
+
+        ``set.discard`` never resizes a table, so the surviving neighbour
+        sets keep their iteration order; the top-t solver relies on this
+        when it shrinks its survivor copy (see ``repro.core.solver``).
+        """
         for v in list(vertices):
             self.remove_vertex(v)
 
@@ -170,7 +175,7 @@ class Graph:
 
         The per-object digest memo of :mod:`repro.service.digest` stores it
         beside a graph's content digest, so a graph mutated since (e.g. the
-        solver's working graph between top-t rounds) is hashed afresh
+        solver's survivor copy between top-t rounds) is hashed afresh
         instead of reusing a stale digest.  Copies start back at 0 — the
         counter identifies states of one object, not content.
         """

@@ -55,11 +55,12 @@ message doubles as a liveness heartbeat for the per-worker detail in
 Job memory is bounded: a finished job drops its request document, keeps
 no trace records in memory, and only the newest
 :data:`MAX_FINISHED_JOBS` finished jobs are kept at all — an older id is
-unknown again.
+unknown again, and its trace artifact is deleted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import shutil
 import tempfile
@@ -651,7 +652,10 @@ class JobManager:
         self._pending -= 1
         self._finished.append(job.id)
         while len(self._finished) > MAX_FINISHED_JOBS:
-            del self._jobs[self._finished.popleft()]
+            evicted = self._jobs.pop(self._finished.popleft())
+            if evicted.trace_path is not None:
+                with contextlib.suppress(OSError):
+                    Path(evicted.trace_path).unlink()
         job._done.set()
         if _TELEMETRY.enabled:
             metric = {

@@ -121,30 +121,28 @@ class TestTopT:
         result = mine(g, lab, top_t=3)
         assert result.report.rounds == len(result)
 
-    def test_last_round_deletes_nothing(self, monkeypatch):
-        removed, shrunk = [], []
-        remove_vertices = Graph.remove_vertices
+    def test_rounds_copy_and_delete_nothing(self, monkeypatch):
+        """Discrete rounds read the caller's graph minus the mined set."""
+        shrunk = []
         without = BlockPartition.without
 
-        def spy_remove(self, vertices):
-            vertices = list(vertices)
-            removed.append(frozenset(vertices))
-            return remove_vertices(self, vertices)
+        def forbidden(self, *args):
+            raise AssertionError("a discrete round copied or shrank a graph")
 
         def spy_without(self, vertices):
             shrunk.append(frozenset(vertices))
             return without(self, vertices)
 
-        monkeypatch.setattr(Graph, "remove_vertices", spy_remove)
+        g, lab = random_discrete_instance(seed=24, n=40, p_edge=0.15)
+        for name in ("copy", "remove_vertex", "remove_vertices"):
+            monkeypatch.setattr(Graph, name, forbidden)
         monkeypatch.setattr(BlockPartition, "without", spy_without)
-        g, lab = random_discrete_instance(seed=24, n=20, p_edge=0.3)
         mine(g, lab, top_t=1)
-        assert removed == [] and shrunk == []
-        result = mine(g, lab, top_t=3)
-        assert result.report.rounds == 3
-        # Only the two rounds that another round follows delete.
-        assert removed == [s.vertices for s in result.subgraphs[:2]]
-        assert shrunk == removed
+        assert shrunk == []
+        result = mine(g, lab, top_t=5)
+        assert result.report.rounds == 5
+        # Only the four rounds that another round follows shrink the blocks.
+        assert shrunk == [s.vertices for s in result.subgraphs[:4]]
 
 
 class TestReport:

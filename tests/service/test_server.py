@@ -268,9 +268,13 @@ class TestBoundedJobTable:
                 ids.append(body["job_id"])
             stats = svc.manager.stats()
             assert stats["jobs_by_status"] == {"done": 2}
-            status, body = http("GET", f"{base}/jobs/{ids[0]}")
-            assert status == 404
-            assert body["error"] == "unknown job id or view"
+            for view in ("", "/trace"):
+                status, body = http("GET", f"{base}/jobs/{ids[0]}{view}")
+                assert status == 404
+                assert body["error"] == "unknown job id or view"
+            # One artifact per retained traced job: the evicted one's is gone.
+            artifacts = sorted(path.name for path in tmp_path.glob("*"))
+            assert artifacts == sorted(f"{job_id}.jsonl" for job_id in ids[1:])
             for job_id in ids[1:]:
                 assert http("GET", f"{base}/jobs/{job_id}")[0] == 200
                 status, trace = http("GET", f"{base}/jobs/{job_id}/trace")
