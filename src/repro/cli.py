@@ -446,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         "numpy batch kernel (much faster), or per-instance auto-selection "
         "(default: the kernel except on small bounds-pruned instances "
         "where batching overhead wins; always falls back to python above "
-        "64 vertices).  All pick the same regions; chi-square values may "
-        "differ in the last few ulps between the walk and the kernel",
+        "64 vertices).  All pick the same regions and report the same "
+        "chi-square and p-values",
     )
     mine_cmd.add_argument(
         "--correct", choices=PARAM_CHOICES["correction"],

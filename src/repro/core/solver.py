@@ -244,12 +244,11 @@ def mine(
         ``"python"`` — the reference DFS; ``"numpy"`` — the vectorized
         level-synchronous batch kernel
         (:mod:`repro.enumerate.kernel`), much faster on reduced
-        super-graphs.  The backends pick the same regions, but sum the
-        statistic in a different order, so chi-square values can differ
-        in the last few ulps (see
-        :data:`~repro.enumerate.search.SEARCH_BACKENDS`).  Graphs above
-        the kernel's 64-vertex limit fall back to the python walk
-        automatically.
+        super-graphs.  The backends pick the same regions, and every
+        reported chi-square and p-value is the labeling's statistic of
+        the region's vertices, so neither the backend nor ``prune``
+        changes them.  Graphs above the kernel's 64-vertex limit fall
+        back to the python walk automatically.
     correction:
         ``"none"`` — report raw per-region p-values (the paper's
         behaviour); ``"fwer"`` — apply the Tarone multiple-testing
@@ -791,7 +790,7 @@ def _search_supergraph(
     if outcome.mask == 0:
         return None
     winning_ids = [payload_order[i].id for i in iter_bits(outcome.mask)]
-    return _build_region(supergraph, labeling, winning_ids, outcome.chi_square)
+    return _build_region(supergraph, labeling, winning_ids)
 
 
 def _bfs_order(
@@ -827,7 +826,6 @@ def _build_region(
     supergraph: SuperGraph,
     labeling: Labeling,
     winning_ids: list[int],
-    chi_square: float,
 ) -> SignificantSubgraph:
     ordered = _bfs_order(winning_ids, supergraph.topology.neighbors)
     components = []
@@ -840,20 +838,33 @@ def _build_region(
         components.append(
             SubgraphComponent(size=sv.size, label=label, chi_square=sv.chi_square)
         )
-    vertices = supergraph.original_vertices(winning_ids)
+    return _rescored(
+        labeling, supergraph.original_vertices(winning_ids), tuple(components)
+    )
 
-    z_vector: tuple[float, ...] | None = None
+
+def _rescored(
+    labeling: Labeling,
+    vertices: frozenset[Hashable],
+    components: tuple[SubgraphComponent, ...],
+) -> SignificantSubgraph:
+    """A region scored by its labeling's statistic of ``vertices`` (Eq. 2
+    from integer counts, Eq. 8 from ``fsum`` z-sums), not by the value of
+    the search or climb that found it, so no path can change it."""
     if isinstance(labeling, DiscreteLabeling):
+        chi_square = labeling.chi_square(vertices)
         p_value = discrete_p_value(chi_square, labeling.num_labels)
+        z_vector = None
     else:
+        score = labeling.region_score(vertices)
+        chi_square = score.chi_square()
         p_value = continuous_p_value(chi_square, labeling.dimensions)
-        z_vector = labeling.region_score(vertices).z_vector()
-
+        z_vector = score.z_vector()
     return SignificantSubgraph(
         vertices=vertices,
         chi_square=chi_square,
         p_value=p_value,
-        components=tuple(components),
+        components=components,
         z_score=z_vector,
     )
 
@@ -864,31 +875,23 @@ def _polish(
     region: SignificantSubgraph,
     tracer: Tracer,
 ) -> SignificantSubgraph:
-    """LMCS hill-climb post-pass; keeps the better of the two regions."""
+    """LMCS hill-climb post-pass; keeps the better of the two regions.
+
+    Both are rescored from their vertices, so an unchanged set never
+    counts as an improvement."""
     with tracer.span("solver.polish", seed_size=region.size) as span:
-        polished_vertices, polished_value = lmcs_local_search(
-            working, labeling, region.vertices
-        )
-        span.set(improved=polished_value > region.chi_square)
-    if polished_value <= region.chi_square:
+        vertices, _ = lmcs_local_search(working, labeling, region.vertices)
+        polished = _rescored(labeling, vertices, ())
+        span.set(improved=polished.chi_square > region.chi_square)
+    if polished.chi_square <= region.chi_square:
         return region
     if _TELEMETRY.enabled:
         _TELEMETRY.metrics.count(_metric.SOLVER_POLISH_IMPROVEMENTS)
-    if isinstance(labeling, DiscreteLabeling):
-        p_value = discrete_p_value(polished_value, labeling.num_labels)
-        z_vector = None
-    else:
-        p_value = continuous_p_value(polished_value, labeling.dimensions)
-        z_vector = labeling.region_score(polished_vertices).z_vector()
-    polished = frozenset(polished_vertices)
-    return SignificantSubgraph(
-        vertices=polished,
-        chi_square=polished_value,
-        p_value=p_value,
+    return replace(
+        polished,
         components=_polished_components(
-            working, labeling, polished, polished_value
+            working, labeling, polished.vertices, polished.chi_square
         ),
-        z_score=z_vector,
     )
 
 

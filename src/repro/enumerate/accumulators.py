@@ -17,7 +17,12 @@ from typing import Protocol
 
 from repro.exceptions import LabelingError
 from repro.enumerate.bounds import continuous_upper_bound, discrete_upper_bound
-from repro.stats.chi_square import validate_probabilities
+from repro.enumerate.bitset import iter_bits
+from repro.stats.chi_square import (
+    chi_square_statistic,
+    validate_probabilities,
+    weighted_square_sum,
+)
 
 __all__ = [
     "ChiSquareAccumulator",
@@ -44,6 +49,7 @@ class ChiSquareAccumulator(Protocol):
         ``prune="bounds"``; see :mod:`repro.enumerate.bounds`."""
 
 
+
 class DiscreteAccumulator:
     """Incremental Eq. 2 chi-square over discrete count-vector payloads.
 
@@ -57,9 +63,7 @@ class DiscreteAccumulator:
         vertex, non-negative counts with a positive sum for a super-vertex.
     """
 
-    __slots__ = (
-        "_probs", "_payloads", "_payload_sizes", "_counts", "_size", "_weighted"
-    )
+    __slots__ = ("_probs", "_payloads", "_payload_sizes", "_counts", "_size")
 
     def __init__(
         self,
@@ -84,37 +88,27 @@ class DiscreteAccumulator:
         self._payload_sizes = tuple(sum(p) for p in checked)
         self._counts = [0] * l
         self._size = 0
-        self._weighted = 0.0
 
     def push(self, index: int) -> None:
         """Include vertex ``index``'s payload in the current set (O(l))."""
+        counts = self._counts
         for label, c in enumerate(self._payloads[index]):
             if c:
-                old = self._counts[label]
-                new = old + c
-                self._counts[label] = new
-                self._weighted += (new * new - old * old) / self._probs[label]
-                self._size += c
+                counts[label] += c
+        self._size += self._payload_sizes[index]
 
     def pop(self, index: int) -> None:
         """Remove vertex ``index``'s payload from the current set (O(l))."""
+        counts = self._counts
         for label, c in enumerate(self._payloads[index]):
             if c:
-                old = self._counts[label]
-                new = old - c
-                self._counts[label] = new
-                self._weighted += (new * new - old * old) / self._probs[label]
-                self._size -= c
-        if self._size == 0:
-            # Reset float error accumulated by incremental updates so long
-            # searches stay exact at the empty state.
-            self._weighted = 0.0
+                counts[label] -= c
+        self._size -= self._payload_sizes[index]
 
     def chi_square(self) -> float:
         """Eq. 2 statistic of the current set (0.0 when empty)."""
-        if self._size == 0:
-            return 0.0
-        return self._weighted / self._size - self._size
+        n = self._size
+        return weighted_square_sum(self._counts, self._probs) / n - n if n else 0.0
 
     def upper_bound(self, candidate_mask: int) -> float:
         """Admissible Eq. 2 bound over supersets within ``candidate_mask``.
@@ -123,24 +117,23 @@ class DiscreteAccumulator:
         (chord relaxation of the convex per-label gain); see
         :func:`repro.enumerate.bounds.discrete_upper_bound`.
         """
-        if candidate_mask == 0:
-            return self.chi_square()
-        candidate_counts = [0] * len(self._probs)
-        mask = candidate_mask
+        return discrete_upper_bound(
+            self._size, self._probs, self._counts, self._counts_of(candidate_mask)
+        )
+
+    def statistic_of(self, mask: int) -> float:
+        """Eq. 2 of the set ``mask`` from its summed integer counts."""
+        return chi_square_statistic(self._counts_of(mask), self._probs)
+
+    def _counts_of(self, mask: int) -> list[int]:
+        """Per-label counts summed over the payloads of the set ``mask``."""
+        counts = [0] * len(self._probs)
         while mask:
             low = mask & -mask
-            index = low.bit_length() - 1
             mask ^= low
-            for label, c in enumerate(self._payloads[index]):
-                if c:
-                    candidate_counts[label] += c
-        return discrete_upper_bound(
-            self._weighted,
-            self._size,
-            self._probs,
-            self._counts,
-            candidate_counts,
-        )
+            for label, c in enumerate(self._payloads[low.bit_length() - 1]):
+                counts[label] += c
+        return counts
 
     @property
     def size(self) -> int:
@@ -244,8 +237,6 @@ class ContinuousAccumulator:
         denominator stays at the current size; see
         :func:`repro.enumerate.bounds.continuous_upper_bound`.
         """
-        if candidate_mask == 0:
-            return self.chi_square()
         frontier = [0.0] * self._dims
         mask = candidate_mask
         while mask:
@@ -255,6 +246,13 @@ class ContinuousAccumulator:
             for j, s in enumerate(self._abs_payloads[index]):
                 frontier[j] += s
         return continuous_upper_bound(self._sums, frontier, self._size)
+
+    def statistic_of(self, mask: int) -> float:
+        """Eq. 8 of the set ``mask`` from ``fsum`` z-sums of its payloads."""
+        members = [self._payloads[i] for i in iter_bits(mask)]
+        size = sum(size for _, size in members)
+        sums = [math.fsum(raw[j] for raw, _ in members) for j in range(self._dims)]
+        return math.fsum(r * r for r in sums) / size if size else 0.0
 
     @property
     def size(self) -> int:

@@ -43,6 +43,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+from repro.stats.chi_square import weighted_square_sum
+
 __all__ = [
     "continuous_upper_bound",
     "discrete_upper_bound",
@@ -50,7 +52,6 @@ __all__ = [
 
 
 def discrete_upper_bound(
-    weighted: float,
     size: int,
     probabilities: Sequence[float],
     counts: Sequence[int],
@@ -60,8 +61,6 @@ def discrete_upper_bound(
 
     Parameters
     ----------
-    weighted:
-        ``W = sum_i Y_i^2 / p_i`` of the current set.
     size:
         Current total count ``n`` (0 for the empty set).
     probabilities / counts:
@@ -70,6 +69,7 @@ def discrete_upper_bound(
         Per-label counts ``c_i`` available in the candidate set; their
         sum is the most mass any superset can add.
     """
+    weighted = weighted_square_sum(counts, probabilities)
     current = weighted / size - size if size else 0.0
     m_cap = sum(candidate_counts)
     if m_cap <= 0:

@@ -109,11 +109,11 @@ class _DiscreteScorer:
     """Batch Eq. 2 chi-square and chord-relaxation bound over count payloads.
 
     Counts are exact integers (bit-plane popcounts for the statistic,
-    matmuls for the bound); the statistic and bound
-    use the same elementwise expression trees as the scalar
+    matmuls for the bound); the statistic and bound use the same
+    expression trees, and the same ``W`` summation order, as the scalar
     :class:`~repro.enumerate.accumulators.DiscreteAccumulator` /
-    :func:`~repro.enumerate.bounds.discrete_upper_bound`, so with dyadic
-    label probabilities every value is bit-identical to the python walk.
+    :func:`~repro.enumerate.bounds.discrete_upper_bound`, so every value
+    is bit-identical to the python walk's.
     """
 
     def __init__(
@@ -159,24 +159,26 @@ class _DiscreteScorer:
         )
         return (hits.astype(_np.int64) * weights[None, None, :]).sum(axis=2)
 
+    def _weighted(self, counts: "object") -> "object":
+        """``W`` per row, columns added in the scalar sum's order."""
+        weighted = _np.zeros(counts.shape[0])
+        for label, p in enumerate(self.probs):
+            weighted += counts[:, label] * counts[:, label] / p
+        return weighted
+
     def chi_masks(self, masks: "object") -> "object":
         """Eq. 2 statistic per row of ``(B,)`` uint64 vertex-set masks."""
         counts = self.counts_for_masks(masks)
         mass = counts.sum(axis=1).astype(_np.float64)
         with _np.errstate(divide="ignore", invalid="ignore"):
-            weighted = (
-                counts.astype(_np.float64) ** 2 / self.probs[None, :]
-            ).sum(axis=1)
-            return _np.where(mass > 0, weighted / mass - mass, 0.0)
+            return _np.where(mass > 0, self._weighted(counts) / mass - mass, 0.0)
 
     def bound(self, bits: "object", closure_bits: "object") -> "object":
         """Admissible Eq. 2 bound per row; mirrors the scalar formula."""
         counts = bits @ self.payload_matrix
         mass = (bits @ self.mass).astype(_np.float64)
+        weighted = self._weighted(counts)
         with _np.errstate(divide="ignore", invalid="ignore"):
-            weighted = (
-                counts.astype(_np.float64) ** 2 / self.probs[None, :]
-            ).sum(axis=1)
             current = weighted / mass - mass
 
         candidate_counts = closure_bits @ self.payload_matrix
@@ -205,10 +207,8 @@ class _DiscreteScorer:
 class _ContinuousScorer:
     """Batch Eq. 8 chi-square and triangle-inequality bound over z payloads.
 
-    Raw-sum matrices are float matmuls; summation order differs from the
-    scalar accumulator's incremental path, so values agree to a few ulps
-    (the winning mask and the outcome accounting remain exact — see the
-    differential property suite).
+    Raw-sum matrices are float matmuls; their values only rank states
+    (the winner's statistic is recomputed, see ``statistic_of``).
     """
 
     def __init__(

@@ -23,8 +23,8 @@ Statistic ties break toward the numerically smallest winning bitmask.
 That makes the optimum a function of the visited *set family* rather than
 of the visit order, which is what lets the vectorized numpy backend
 (:mod:`repro.enumerate.kernel`, selected with ``backend="numpy"``) batch
-the walk while returning the same winner (its statistic
-equal up to a few ulps; see :data:`SEARCH_BACKENDS`).
+the walk while returning the same winner, whose statistic is then
+recomputed from its payloads alone.
 """
 
 from __future__ import annotations
@@ -63,12 +63,8 @@ SEARCH_BACKENDS = ("python", "numpy", "auto")
 ``"python"`` is the reference DFS in this module; ``"numpy"`` is the
 vectorized batch kernel in :mod:`repro.enumerate.kernel`, which falls
 back to the python walk for graphs above the kernel's 64-vertex
-machine-word limit.  The two pick the same winning regions, but the
-kernel sums the statistic in a different floating-point order, so its
-chi-square can differ from the walk's in the last few ulps (measured:
-discrete up to 4 ulps, continuous up to ~2e-13 relative).  They are
-bit-equal only when every partial sum is exact, which is why the
-differential property suites compare them on dyadic probabilities.  ``"auto"`` picks per call via
+machine-word limit.  The two pick the same winning regions and report
+the same statistic for them.  ``"auto"`` picks per call via
 :func:`resolve_backend`: the kernel wherever it is eligible, except on
 small bounds-pruned instances where batch setup costs more than the
 handful of surviving states (the scalar walk wins there)."""
@@ -122,7 +118,7 @@ class SearchOutcome:
     mask:
         Bitmask of the winning connected vertex set (0 if the graph is empty).
     chi_square:
-        Its statistic.
+        Its statistic, computed from its payloads alone.
     explored:
         Number of connected sets visited — the paper's exponential cost,
         reported so benchmarks can show what the reduction saves.
@@ -181,11 +177,11 @@ class _Tally:
             elapsed_seconds=time.perf_counter() - self.started,
         )
 
-    def outcome(self) -> SearchOutcome:
-        """The finished call's result (statistic 0.0 when nothing won)."""
+    def outcome(self, chi_square: float) -> SearchOutcome:
+        """The finished call's result, its winner scored ``chi_square``."""
         return SearchOutcome(
             mask=self.best_mask,
-            chi_square=self.best_value if self.best_mask else 0.0,
+            chi_square=chi_square,
             explored=self.explored,
             evaluated=self.evaluated,
             bound_cuts=self.bound_cuts,
@@ -340,7 +336,8 @@ def exhaustive_best_mask(
         tally.publish(
             bounded=bounded, floored=statistic_floor is not None, kernel=kernel
         )
-    return tally.outcome()
+    # The running value only picked the winner.
+    return tally.outcome(accumulator.statistic_of(tally.best_mask))
 
 
 def _reachable_closure(

@@ -203,9 +203,10 @@ class DiscreteLabeling:
     # ------------------------------------------------------------------
     def count_vector(self, vertices: Iterable[Hashable]) -> CountVector:
         """The :class:`CountVector` of a vertex set under this labeling."""
-        return CountVector.from_labels(
-            self._probs, (self.label_of(v) for v in vertices)
-        )
+        counts = [0] * len(self._probs)
+        for v in vertices:
+            counts[self.label_of(v)] += 1
+        return CountVector(self._probs, counts)
 
     def chi_square(self, vertices: Iterable[Hashable]) -> float:
         """The chi-square statistic (Eq. 2) of a vertex set."""

@@ -5,10 +5,11 @@ For a subgraph with ``n`` vertices, observed label counts
 
     X^2 = sum_i (Y_i - n p_i)^2 / (n p_i)  =  sum_i Y_i^2 / (n p_i)  -  n
 
-:class:`CountVector` keeps a count vector together with cached
-``sum_i Y_i^2 / p_i`` so that adding/removing a vertex or merging two
-vectors updates the statistic in O(1)/O(l) — the workhorse of both the
-naïve enumeration and the super-graph algorithms.
+:func:`weighted_square_sum` is the one evaluation of ``W = sum_i Y_i^2 /
+p_i``: every discrete statistic and bound (this module, the search
+accumulators and bounds, and the numpy kernel) adds its terms in the
+same order over the integer counts, so Eq. 2 is a function of the count
+vector alone, whichever path computed it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "CountVector",
     "chi_square_statistic",
     "validate_probabilities",
+    "weighted_square_sum",
 ]
 
 
@@ -48,6 +50,20 @@ def validate_probabilities(probabilities: Sequence[float]) -> tuple[float, ...]:
     return probs
 
 
+def weighted_square_sum(
+    counts: Sequence[int], probabilities: Sequence[float]
+) -> float:
+    """``W = sum_i Y_i^2 / p_i``, its terms added left to right from 0.0.
+
+    Eq. 2 is ``W / n - n``; every discrete evaluation in the package uses
+    this order, so equal count vectors give bit-equal statistics.
+    """
+    weighted = 0.0
+    for count, p in zip(counts, probabilities):
+        weighted += count * count / p
+    return weighted
+
+
 def chi_square_statistic(
     counts: Sequence[int], probabilities: Sequence[float]
 ) -> float:
@@ -62,20 +78,15 @@ def chi_square_statistic(
             f"count vector has {len(counts)} entries but the null model has "
             f"{len(probs)} labels"
         )
-    n = 0
-    weighted = 0.0
-    for count, p in zip(counts, probs):
+    for count in counts:
         if count < 0:
             raise LabelingError(f"counts must be non-negative, got {count}")
-        n += count
-        weighted += count * count / p
-    if n == 0:
-        return 0.0
-    return weighted / n - n
+    n = sum(counts)
+    return weighted_square_sum(counts, probs) / n - n if n else 0.0
 
 
 class CountVector:
-    """A label count vector with O(1) incremental chi-square maintenance.
+    """A label count vector and its Eq. 2 statistic.
 
     Parameters
     ----------
@@ -83,15 +94,9 @@ class CountVector:
         The null model ``P``; validated once and shared by derived vectors.
     counts:
         Optional initial counts (defaults to all zeros).
-
-    Notes
-    -----
-    The cached quantity is ``S = sum_i Y_i^2 / p_i``; then
-    ``X^2 = S / n - n``.  Adding one vertex of label ``r`` changes ``S`` by
-    ``(2 Y_r + 1)/p_r`` and ``n`` by one, so updates are constant time.
     """
 
-    __slots__ = ("_probs", "_counts", "_size", "_weighted_square_sum")
+    __slots__ = ("_probs", "_counts", "_size")
 
     def __init__(
         self,
@@ -112,9 +117,6 @@ class CountVector:
                     raise LabelingError(f"counts must be non-negative, got {c}")
             self._counts = [int(c) for c in counts]
         self._size = sum(self._counts)
-        self._weighted_square_sum = math.fsum(
-            c * c / p for c, p in zip(self._counts, self._probs)
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -145,10 +147,9 @@ class CountVector:
         return self._counts[label]
 
     def chi_square(self) -> float:
-        """The chi-square statistic of the current counts (Eq. 2)."""
-        if self._size == 0:
-            return 0.0
-        return self._weighted_square_sum / self._size - self._size
+        """The chi-square statistic of the current counts (Eq. 2, O(l))."""
+        n = self._size
+        return weighted_square_sum(self._counts, self._probs) / n - n if n else 0.0
 
     def expected_counts(self) -> tuple[float, ...]:
         """The null-model expectations ``E_i = n p_i``."""
@@ -168,11 +169,8 @@ class CountVector:
         self._check_label(label)
         if multiplicity < 0:
             raise LabelingError(f"multiplicity must be >= 0, got {multiplicity}")
-        old = self._counts[label]
-        new = old + multiplicity
-        self._counts[label] = new
+        self._counts[label] += multiplicity
         self._size += multiplicity
-        self._weighted_square_sum += (new * new - old * old) / self._probs[label]
 
     def remove(self, label: int, multiplicity: int = 1) -> None:
         """Remove ``multiplicity`` vertices of ``label`` (O(1))."""
@@ -184,10 +182,8 @@ class CountVector:
             raise LabelingError(
                 f"cannot remove {multiplicity} of label {label}: only {old} present"
             )
-        new = old - multiplicity
-        self._counts[label] = new
+        self._counts[label] = old - multiplicity
         self._size -= multiplicity
-        self._weighted_square_sum += (new * new - old * old) / self._probs[label]
 
     # ------------------------------------------------------------------
     # Combination (used when merging super-vertices)
@@ -212,7 +208,7 @@ class CountVector:
                 self.add(label, count)
 
     def copy(self) -> "CountVector":
-        """An independent copy, equal to this vector in every cached value.
+        """An independent copy of this vector.
 
         The null model was validated when this vector was made, so the
         copy skips validation, which makes copying a zero vector the cheap
@@ -222,7 +218,6 @@ class CountVector:
         clone._probs = self._probs
         clone._counts = list(self._counts)
         clone._size = self._size
-        clone._weighted_square_sum = self._weighted_square_sum
         return clone
 
     @classmethod

@@ -3,8 +3,12 @@
 Each case mines an int-named Barabási–Albert instance with ``top_t=4``
 and compares the sha256 of its canonical
 :func:`~repro.service.protocol.result_to_payload` document (timings
-stripped) with a digest recorded before TSSS rounds stopped copying and
-shrinking the input graph.  The payload holds every region's vertices,
+stripped) with a recorded digest.  The digests were recorded before TSSS
+rounds stopped copying and shrinking the input graph.  17 of them were
+re-recorded when every reported chi-square and p-value became the
+labeling's statistic of the region's vertices: the vertex sets stayed
+the same, while last-bit statistics, two ``explored_subgraphs`` counts and
+one polished component breakdown moved.  The payload holds every region's vertices,
 chi-square, p-values and component breakdown, plus the report's
 super-graph sizes, contractions and explored-state count, so a change in
 any round's construction, search or polish shows here.
@@ -89,21 +93,21 @@ MATRIX = _matrix()
 
 PINNED = {
     "continuous-11-bounds-polish0":
-        "7afe917449c8e1cd6b65d4c7f488133d89316d5dc169bd8f317c63e999c87168",
+        "cf17d17de697fb9acf5ab646010530c6060cc6626c725fb2d9f211ee5cc25c21",
     "continuous-11-bounds-polish1":
-        "bf9fda299388447f23c3882343a710338cd73ddcab5e9129c627a88dbf39f82c",
+        "a63ddbe0dad088f4ef17aa3140b4d8e4934f0ef097a540ecf588c63505f015e0",
     "continuous-11-none-polish0":
-        "6fed1fde0fa9d353ca43251bc0d5d7ec90be0c290369bb5f731677016ea2ba8e",
+        "de9f9f7bba8bc1099aa8c8383fd7101edda4a85a75c8c5b7ed4da911568e3ef3",
     "continuous-11-none-polish1":
-        "c0b3b6ba577d3ad433ae9a58f539c9b122c7e4ae19d468ac1f817eae2931f717",
+        "5e6ff05162f287ec96484738a622fa4d38db88c2c028f4fd37561f5192fade7a",
     "continuous-12-bounds-polish0":
-        "a85b1f04e4f2ae3fcb8f496ef333dd53aa93d783d54540725f6f442d354669b5",
+        "f9ef812ed23f8c737bf0ed68995fdeda59ab6243a163f43d60fb0511df1d9454",
     "continuous-12-bounds-polish1":
-        "7a681976e66fa6700a231a3af7c080d50a94bbbd92abbbc69a00bade5bb99f20",
+        "9ad1adc7bf30228d2bd4142897fe6aa1176282fe178a8be3c11c10844ecdd07a",
     "continuous-12-none-polish0":
-        "3922787a4a3defb153ca0fcea93445d9f3e0dbb8be3219978c58155929d326c4",
+        "29cc0cf121a8e09b802a1c8ffc2433d044e90413b0af706ff9956fa772e7fcfb",
     "continuous-12-none-polish1":
-        "1a673e7ab3ec6fba19ae361a8a0e55ac1815919d379206c396328f3715cb06f9",
+        "94d7c25bd6a78aa8dc9c562c33f3066196dd4e47360b6c99f299315d5dbafa5e",
     "discrete-11-bounds-polish0":
         "7baa960e94e13f474489c7d157d9d0af05b84f1d5de6f318d30c80e034f668aa",
     "discrete-11-bounds-polish1":
@@ -113,17 +117,17 @@ PINNED = {
     "discrete-11-none-polish1":
         "3b95512155e9ba859545d01b8742c174c423457fe306a86b290b8db0b37bdac8",
     "discrete-12-bounds-polish0":
-        "82537a0c2050217f00384b3d30e5785a55074264f67c9fe95982215be338909e",
+        "1f34ddf65f621f0f98e52d4d03971b5dc98a2e0f43e9dd6070034d4abeed11bc",
     "discrete-12-bounds-polish1":
-        "ceae4846ae7b69fa9e84d654958090bd56c88fa0de62271daca104c0a947e1c5",
+        "8ae202747d59aa80d9fbc7b7f65d5290f011879d25996a69bd2638243bc73d06",
     "discrete-12-none-polish0":
         "8d764727efe552a8848d84584d6f33d3dde17007b1ed279591bfed0a15d3d87d",
     "discrete-12-none-polish1":
-        "5c45944ab2579c752cf33641b33271540c45418662d1f038fef942bad6bb3e04",
+        "5517d592aedc4a9614b0ec29ac5fdc26b99ea319daee9bd47901d9347c6a6ae0",
     "fwer-11-bounds-polish0":
-        "33a02089008610298ac8e6d53b239ed180676054ebfcc3391611a111de398772",
+        "4cfc6cb44cb39748181513e181029f026e8a79111fa50ce9d5744a3530bd4996",
     "fwer-11-bounds-polish1":
-        "05ef1b6766bb2b42d3d189b3686ca438a217c6bc11f68aeb421a089adbe8a445",
+        "8bb8557ed0a2445956ac48645c08cefa386b4e02ec55a2c522943ff7b4252264",
     "fwer-11-none-polish0":
         "70a3803cf5ad8a6ef44696f1b9ace4f49975fcaa3ec504113845e03f05198f7a",
     "fwer-11-none-polish1":
@@ -137,14 +141,14 @@ PINNED = {
     "fwer-12-none-polish1":
         "2dce7309cfee06e8179f31d16d72e6a900065a8ae98acbc3c99b6e591571b6cb",
 }
-"""sha256 of each case's canonical payload, recorded at the commit before
-TSSS rounds stopped copying and shrinking the input graph."""
+"""sha256 of each case's canonical payload (see the module docstring for
+when each was recorded)."""
 
 NAIVE_PINNED = {
     "discrete-polish0":
         "0d5c3854e40a2b1425df3191e5b7a8377054fa1fecc4926c614e35ae0b170394",
     "discrete-polish1":
-        "cbd98fc1f52d6f909771cca0245fab28540254cf8cc4a8085d526651b581e7bc",
+        "0d5c3854e40a2b1425df3191e5b7a8377054fa1fecc4926c614e35ae0b170394",
     "continuous-polish0":
         "f42e81c9769f8ea1828843c67caea50f1629aacb85f665ea686979d94fcf437f",
     "continuous-polish1":
@@ -158,16 +162,16 @@ CACHED_PINNED = {
         "b3efb799a058c5c206c6a9a7e66b57eba7e17657b21cf95e7c606149219088a5",
     ),
     "discrete-bounds": (
-        "1582f9c3d5cadd42411b9fdd49499e562579c207fd4df090e2ae7416705d108a",
-        "1582f9c3d5cadd42411b9fdd49499e562579c207fd4df090e2ae7416705d108a",
+        "3712ab684e3aa3ccce06a4d50d894e8655a613365aeb358eccf9d1c456740b8f",
+        "3712ab684e3aa3ccce06a4d50d894e8655a613365aeb358eccf9d1c456740b8f",
     ),
     "continuous-none": (
-        "21f1df0303487ea4f6780bab9ca41b22dac4246673f6f985bfb8c5fe6a88f779",
-        "21f1df0303487ea4f6780bab9ca41b22dac4246673f6f985bfb8c5fe6a88f779",
+        "b186b8b7c4236ea825291c70ac036916f279a5a4a29b8274ef54c869b81fa193",
+        "b186b8b7c4236ea825291c70ac036916f279a5a4a29b8274ef54c869b81fa193",
     ),
     "continuous-bounds": (
-        "690d2024a591abceb8a8ebc79a27bc9a1878ce0344b03bc8b0a4eac2581c256f",
-        "690d2024a591abceb8a8ebc79a27bc9a1878ce0344b03bc8b0a4eac2581c256f",
+        "d57555871be4438fafb5107403ba4e08c991e6a2acaafa3574a51babf9b0a38f",
+        "d57555871be4438fafb5107403ba4e08c991e6a2acaafa3574a51babf9b0a38f",
     ),
 }
 """The same for a cold and then a warm :class:`SuperGraphCache` run."""

@@ -81,7 +81,7 @@ class TestDiscreteAdmissibility:
         # covered, not just the endpoints.
         probs = (0.5, 0.5)
         bound = discrete_upper_bound(
-            weighted=2.0, size=1, probabilities=probs,
+            size=1, probabilities=probs,
             counts=(1, 0), candidate_counts=(0, 10),
         )
         rho = (2 * 0 + 10) / 0.5

@@ -28,6 +28,19 @@ from repro.graph.graph import Graph
 from repro.labels.discrete import DiscreteLabeling
 
 DYADIC_PROBS = (0.5, 0.25, 0.25)
+NON_DYADIC_PROBS = (0.37, 0.29, 0.21, 0.13)
+
+
+def _seeds(seeds):
+    """Each seed under the dyadic probabilities (id: the seed) and under
+    the non-dyadic ones (id: ``<seed>-nondyadic``)."""
+    return [
+        *(pytest.param(seed, DYADIC_PROBS, id=str(seed)) for seed in seeds),
+        *(
+            pytest.param(seed, NON_DYADIC_PROBS, id=f"{seed}-nondyadic")
+            for seed in seeds
+        ),
+    ]
 
 
 class TestArticulationPoints:
@@ -136,15 +149,15 @@ class TestArticulationBruteForce:
         assert articulation_points(g) == self._brute_force(g)
 
 
-def _dyadic_accumulator(graph, seed):
+def _accumulator(graph, seed, probs):
     bitset = BitsetGraph(graph)
-    lab = DiscreteLabeling.random(graph, DYADIC_PROBS, seed=seed)
+    lab = DiscreteLabeling.random(graph, probs, seed=seed)
     payloads = []
     for v in bitset.vertices:
-        counts = [0] * len(DYADIC_PROBS)
+        counts = [0] * len(probs)
         counts[lab.label_of(v)] = 1
         payloads.append(tuple(counts))
-    return bitset, DiscreteAccumulator(DYADIC_PROBS, payloads)
+    return bitset, DiscreteAccumulator(probs, payloads)
 
 
 def _articulated_graph(seed):
@@ -172,18 +185,18 @@ def _articulated_graph(seed):
 class TestDecompositionSearchEquivalence:
     """Kernel search == python walk on articulated graphs, counters included."""
 
-    @pytest.mark.parametrize("seed", range(15))
-    def test_kernel_decomposition_matches_python_walk(self, seed):
+    @pytest.mark.parametrize(("seed", "probs"), _seeds(range(15)))
+    def test_kernel_decomposition_matches_python_walk(self, seed, probs):
         graph = _articulated_graph(seed)
-        bitset, acc = _dyadic_accumulator(graph, seed)
+        bitset, acc = _accumulator(graph, seed, probs)
         python = exhaustive_best_mask(bitset.adjacency, acc, backend="python")
         split = exhaustive_best_mask(bitset.adjacency, acc, backend="numpy")
         assert split == python
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_decomposition_with_size_window_and_bounds(self, seed):
+    @pytest.mark.parametrize(("seed", "probs"), _seeds(range(8)))
+    def test_decomposition_with_size_window_and_bounds(self, seed, probs):
         graph = _articulated_graph(seed + 100)
-        bitset, acc = _dyadic_accumulator(graph, seed + 100)
+        bitset, acc = _accumulator(graph, seed + 100, probs)
         python = exhaustive_best_mask(
             bitset.adjacency, acc, min_mass=4,
             prune="bounds", backend="python",

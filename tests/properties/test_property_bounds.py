@@ -20,15 +20,11 @@ hold different incumbents at corresponding decisions), so the assertions
 narrow to the optimum (mask + statistic) and sanity bounds on the
 counters.
 
-Discrete instances use dyadic label probabilities (0.5, 0.25, 0.25) so
-every accumulator operation is exact in binary floating point and the
-equality can be ``==`` rather than approximate: with non-dyadic
-probabilities the two modes can differ by a few ulps purely because
-pruning skips push/pop pairs (each of which perturbs the running sum),
-while the selected vertex set stays identical.  Continuous statistics are
-approximate across backends for the same reason — the python accumulator
-sums incrementally along the DFS path, the kernel in one matmul — so the
-masks and counters are asserted exactly and the scores to 1e-9.
+Discrete instances run under dyadic label probabilities (0.5, 0.25, 0.25)
+and again under non-dyadic ones (0.37, 0.29, 0.21, 0.13).  Statistics are
+compared with ``==`` throughout: the discrete statistic is evaluated from
+integer counts, and every reported statistic is recomputed from the
+winning payloads, so neither the prune mode nor the backend can move it.
 """
 
 from __future__ import annotations
@@ -46,23 +42,36 @@ from repro.labels.discrete import DiscreteLabeling
 pytestmark = [pytest.mark.properties, pytest.mark.bounds]
 
 DYADIC_PROBS = (0.5, 0.25, 0.25)
+NON_DYADIC_PROBS = (0.37, 0.29, 0.21, 0.13)
 
 
-def _discrete_instance(seed, *, super_vertices=False):
+def _seeds(seeds):
+    """Each seed under the dyadic probabilities (id: the seed) and under
+    the non-dyadic ones (id: ``<seed>-nondyadic``)."""
+    return [
+        *(pytest.param(seed, DYADIC_PROBS, id=str(seed)) for seed in seeds),
+        *(
+            pytest.param(seed, NON_DYADIC_PROBS, id=f"{seed}-nondyadic")
+            for seed in seeds
+        ),
+    ]
+
+
+def _discrete_instance(seed, probs=DYADIC_PROBS, *, super_vertices=False):
     g = gnp_random_graph(10, 0.32, seed=seed)
-    lab = DiscreteLabeling.random(g, DYADIC_PROBS, seed=seed + 1000)
+    lab = DiscreteLabeling.random(g, probs, seed=seed + 1000)
     bitset = BitsetGraph(g)
     rng = random.Random(seed + 2000)
     payloads = []
     for v in bitset.vertices:
-        counts = [0] * len(DYADIC_PROBS)
+        counts = [0] * len(probs)
         counts[lab.label_of(v)] = 1
         if super_vertices:
             # Pretend the vertex is a merged group: inflate its count
             # vector so payload mass differs from the vertex count.
-            counts[rng.randrange(len(DYADIC_PROBS))] += rng.randrange(3)
+            counts[rng.randrange(len(probs))] += rng.randrange(3)
         payloads.append(tuple(counts))
-    return bitset.adjacency, DiscreteAccumulator(DYADIC_PROBS, payloads)
+    return bitset.adjacency, DiscreteAccumulator(probs, payloads)
 
 
 def _continuous_instance(seed):
@@ -85,9 +94,9 @@ def _mass_floor(seed):
 
 
 class TestDiscreteEquivalence:
-    @pytest.mark.parametrize("seed", range(120))
-    def test_identical_optimum(self, seed):
-        adjacency, acc = _discrete_instance(seed)
+    @pytest.mark.parametrize(("seed", "probs"), _seeds(range(120)))
+    def test_identical_optimum(self, seed, probs):
+        adjacency, acc = _discrete_instance(seed, probs)
         min_mass = _mass_floor(seed)
         plain = exhaustive_best_mask(
             adjacency, acc, min_mass=min_mass, prune="none"
@@ -98,14 +107,14 @@ class TestDiscreteEquivalence:
             adjacency, acc, min_mass=min_mass, prune="bounds"
         )
         assert bounded.mask == plain.mask
-        assert bounded.chi_square == plain.chi_square  # exact: dyadic probs
+        assert bounded.chi_square == plain.chi_square
         assert bounded.explored <= plain.explored
 
 
 class TestDiscreteSuperVertexEquivalence:
-    @pytest.mark.parametrize("seed", range(200, 230))
-    def test_identical_optimum_with_merged_payloads(self, seed):
-        adjacency, acc = _discrete_instance(seed, super_vertices=True)
+    @pytest.mark.parametrize(("seed", "probs"), _seeds(range(200, 230)))
+    def test_identical_optimum_with_merged_payloads(self, seed, probs):
+        adjacency, acc = _discrete_instance(seed, probs, super_vertices=True)
         min_mass = _mass_floor(seed)
         plain = exhaustive_best_mask(adjacency, acc, min_mass=min_mass, prune="none")
         bounded = exhaustive_best_mask(
@@ -128,18 +137,16 @@ class TestContinuousEquivalence:
             adjacency, acc, min_mass=min_mass, prune="bounds"
         )
         assert bounded.mask == plain.mask
-        assert bounded.chi_square == pytest.approx(
-            plain.chi_square, rel=1e-9, abs=1e-12
-        )
+        assert bounded.chi_square == plain.chi_square
         assert bounded.explored <= plain.explored
 
 
 class TestBackendEquivalenceDiscrete:
     """python vs numpy over 120 discrete instances x both prune modes."""
 
-    @pytest.mark.parametrize("seed", range(120))
-    def test_prune_none_bit_identical_outcome(self, seed):
-        adjacency, acc = _discrete_instance(seed)
+    @pytest.mark.parametrize(("seed", "probs"), _seeds(range(120)))
+    def test_prune_none_bit_identical_outcome(self, seed, probs):
+        adjacency, acc = _discrete_instance(seed, probs)
         min_mass = _mass_floor(seed)
         python = exhaustive_best_mask(
             adjacency, acc, min_mass=min_mass,
@@ -149,13 +156,13 @@ class TestBackendEquivalenceDiscrete:
             adjacency, acc, min_mass=min_mass,
             prune="none", backend="numpy",
         )
-        # Full dataclass equality: mask, statistic (exact — dyadic probs),
-        # and every accounting field.
+        # Full dataclass equality: mask, statistic and every accounting
+        # field.
         assert numpy_ == python
 
-    @pytest.mark.parametrize("seed", range(120))
-    def test_prune_bounds_identical_optimum(self, seed):
-        adjacency, acc = _discrete_instance(seed)
+    @pytest.mark.parametrize(("seed", "probs"), _seeds(range(120)))
+    def test_prune_bounds_identical_optimum(self, seed, probs):
+        adjacency, acc = _discrete_instance(seed, probs)
         min_mass = _mass_floor(seed)
         python = exhaustive_best_mask(
             adjacency, acc, min_mass=min_mass,
@@ -166,7 +173,7 @@ class TestBackendEquivalenceDiscrete:
             prune="bounds", backend="numpy",
         )
         assert numpy_.mask == python.mask
-        assert numpy_.chi_square == python.chi_square  # exact: dyadic probs
+        assert numpy_.chi_square == python.chi_square
         # Cut accounting is order-dependent under bounds, but the kernel
         # must still prune: never more states than the unpruned family.
         unpruned = exhaustive_best_mask(
@@ -175,9 +182,9 @@ class TestBackendEquivalenceDiscrete:
         )
         assert numpy_.explored <= unpruned.explored
 
-    @pytest.mark.parametrize("seed", range(200, 230))
-    def test_super_vertex_payloads(self, seed):
-        adjacency, acc = _discrete_instance(seed, super_vertices=True)
+    @pytest.mark.parametrize(("seed", "probs"), _seeds(range(200, 230)))
+    def test_super_vertex_payloads(self, seed, probs):
+        adjacency, acc = _discrete_instance(seed, probs, super_vertices=True)
         min_mass = _mass_floor(seed)
         for prune in ("none", "bounds"):
             python = exhaustive_best_mask(
@@ -209,11 +216,7 @@ class TestBackendEquivalenceContinuous:
             prune="none", backend="numpy",
         )
         assert numpy_.mask == python.mask
-        # The statistic is path-dependent in floating point (incremental
-        # push/pop vs one matmul), so scores agree to ulps, not bits.
-        assert numpy_.chi_square == pytest.approx(
-            python.chi_square, rel=1e-9, abs=1e-12
-        )
+        assert numpy_.chi_square == python.chi_square
         # Counters are integers over the same set family: exact.
         assert numpy_.explored == python.explored
         assert numpy_.evaluated == python.evaluated
@@ -231,9 +234,7 @@ class TestBackendEquivalenceContinuous:
             prune="bounds", backend="numpy",
         )
         assert numpy_.mask == python.mask
-        assert numpy_.chi_square == pytest.approx(
-            python.chi_square, rel=1e-9, abs=1e-12
-        )
+        assert numpy_.chi_square == python.chi_square
 
 
 class TestPruningActuallyHappens:

@@ -3,9 +3,9 @@
 Besides the enumeration-vs-oracle checks, this module runs the search
 *differentially across backends* on hypothesis-generated graphs: the
 vectorized numpy kernel must return the bit-identical
-:class:`SearchOutcome` as the reference python DFS.  Labelings use dyadic
-probabilities so the statistics are exact in floating point and the
-equality can be ``==``.
+:class:`SearchOutcome` as the reference python DFS.  Labelings draw
+dyadic or non-dyadic probabilities; the discrete statistic is evaluated
+from integer counts either way, so the equality is ``==``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ pytestmark = pytest.mark.properties
 
 
 DYADIC_PROBS = (0.5, 0.25, 0.25)
+NON_DYADIC_PROBS = (0.37, 0.29, 0.21, 0.13)
 
 
 @st.composite
@@ -69,8 +70,8 @@ class TestEnumerationProperties:
         # The search's mass floor against the enumeration filtered by
         # size: on unit payloads the winner is the best connected set of
         # at least min_mass vertices, ties to the smallest bitmask.
-        graph, labels = data.draw(labeled_graphs())
-        adjacency, acc = _dyadic_instance(graph, labels)
+        graph, labels, probs = data.draw(labeled_graphs())
+        adjacency, acc = _instance(graph, labels, probs)
         bitset = BitsetGraph(graph)
         best_mask, best_value = 0, float("-inf")
         for subset in enumerate_connected_subsets(graph):
@@ -100,25 +101,26 @@ class TestEnumerationProperties:
             assert frozenset({v}) in subsets
 
 
-def _dyadic_instance(graph, labels):
-    """Adjacency + a fresh dyadic accumulator for a labeled graph."""
+def _instance(graph, labels, probs):
+    """Adjacency + a fresh accumulator for a labeled graph."""
     bitset = BitsetGraph(graph)
     payloads = []
     for v in bitset.vertices:
-        counts = [0] * len(DYADIC_PROBS)
+        counts = [0] * len(probs)
         counts[labels[v]] = 1
         payloads.append(tuple(counts))
-    return bitset.adjacency, DiscreteAccumulator(DYADIC_PROBS, payloads)
+    return bitset.adjacency, DiscreteAccumulator(probs, payloads)
 
 
 @st.composite
 def labeled_graphs(draw, max_vertices=8):
     graph = draw(small_graphs(max_vertices=max_vertices))
+    probs = draw(st.sampled_from([DYADIC_PROBS, NON_DYADIC_PROBS]))
     labels = {
-        v: draw(st.integers(0, len(DYADIC_PROBS) - 1))
+        v: draw(st.integers(0, len(probs) - 1))
         for v in graph.vertices()
     }
-    return graph, labels
+    return graph, labels, probs
 
 
 class TestBackendDifferentialProperties:
@@ -127,8 +129,8 @@ class TestBackendDifferentialProperties:
     @settings(max_examples=60, deadline=None)
     @given(labeled_graphs(), st.integers(1, 6))
     def test_bit_identical_outcome(self, instance, min_mass):
-        graph, labels = instance
-        adjacency, acc = _dyadic_instance(graph, labels)
+        graph, labels, probs = instance
+        adjacency, acc = _instance(graph, labels, probs)
         python = exhaustive_best_mask(
             adjacency, acc, min_mass=min_mass, backend="python"
         )
@@ -142,8 +144,8 @@ class TestBackendDifferentialProperties:
     def test_explored_matches_connected_set_count(self, instance):
         # Under prune="none" both backends must visit every connected set
         # exactly once; the standalone enumerator is the oracle count.
-        graph, labels = instance
-        adjacency, acc = _dyadic_instance(graph, labels)
+        graph, labels, probs = instance
+        adjacency, acc = _instance(graph, labels, probs)
         expected = count_connected_subgraphs(graph, limit=None)
         python = exhaustive_best_mask(adjacency, acc, backend="python")
         numpy_ = exhaustive_best_mask(adjacency, acc, backend="numpy")

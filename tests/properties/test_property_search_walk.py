@@ -11,8 +11,10 @@ it.  Over random instances — discrete and continuous accumulators with
 merged payloads, both prune modes, a Tarone statistic floor on and off
 (bounds only), ``min_mass > 1`` and ``limit`` budgets that fire —
 ``exhaustive_best_mask(backend="python")`` must match the oracle in the
-full :class:`SearchOutcome`, the telemetry it flushes, and the sequence
-of :class:`SearchProgress` snapshots it emits.
+full :class:`SearchOutcome` (its statistic recomputed from the winning
+payloads, as the search reports it), the telemetry it flushes, and the
+sequence of :class:`SearchProgress` snapshots it emits.  Discrete
+payloads are drawn under dyadic and non-dyadic probabilities.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.telemetry.progress import ProgressCallback, SearchProgress
 pytestmark = pytest.mark.properties
 
 DYADIC_PROBS = (0.5, 0.25, 0.25)
+NON_DYADIC_PROBS = (0.37, 0.29, 0.21, 0.13)
 
 
 # ----------------------------------------------------------------------
@@ -353,14 +356,17 @@ def instances(draw):
             adjacency[u] |= 1 << v
             adjacency[v] |= 1 << u
     if draw(st.booleans()):
+        probs = draw(st.sampled_from([DYADIC_PROBS, NON_DYADIC_PROBS]))
         counts = draw(st.lists(
-            st.lists(st.integers(0, 2), min_size=3, max_size=3).filter(any),
+            st.lists(
+                st.integers(0, 2), min_size=len(probs), max_size=len(probs)
+            ).filter(any),
             min_size=n, max_size=n,
         ))
         payloads = [tuple(c) for c in counts]
 
         def make() -> ChiSquareAccumulator:
-            return DiscreteAccumulator(DYADIC_PROBS, payloads)
+            return DiscreteAccumulator(probs, payloads)
     else:
         z = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
         payloads = draw(st.lists(
@@ -404,20 +410,25 @@ def _observe(run):
 
 
 def _oracle(case, progress):
+    accumulator = case["make"]()
     if case["prune"] == "bounds":
-        return _search_bounded(
-            case["adjacency"], case["make"](),
+        outcome = _search_bounded(
+            case["adjacency"], accumulator,
             min_mass=case["min_mass"],
             limit=case["limit"],
             progress=progress,
             statistic_floor=case["statistic_floor"],
         )
-    return _search_unbounded(
-        case["adjacency"], case["make"](),
-        min_mass=case["min_mass"],
-        limit=case["limit"],
-        progress=progress,
-    )
+    else:
+        outcome = _search_unbounded(
+            case["adjacency"], accumulator,
+            min_mass=case["min_mass"],
+            limit=case["limit"],
+            progress=progress,
+        )
+    # The search reports the winner's statistic computed from its
+    # payloads; the oracle walks report their running value.
+    return replace(outcome, chi_square=accumulator.statistic_of(outcome.mask))
 
 
 def _merged(case, progress):

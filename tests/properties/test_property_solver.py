@@ -63,9 +63,7 @@ class TestSolverProperties:
     def test_reported_chi_square_matches_vertices(self, instance, t):
         g, lab = instance
         for sub in mine(g, lab, top_t=t):
-            assert sub.chi_square == pytest.approx(
-                lab.chi_square(sub.vertices), rel=1e-8, abs=1e-8
-            )
+            assert sub.chi_square == lab.chi_square(sub.vertices)
             assert is_connected_subset(g, sub.vertices)
 
     @settings(max_examples=30, deadline=None)
@@ -73,9 +71,7 @@ class TestSolverProperties:
     def test_continuous_result_consistent(self, instance):
         g, lab = instance
         best = mine(g, lab, n_theta=10**9).best
-        assert best.chi_square == pytest.approx(
-            lab.chi_square(best.vertices), rel=1e-8, abs=1e-8
-        )
+        assert best.chi_square == lab.chi_square(best.vertices)
         assert is_connected_subset(g, best.vertices)
 
     @settings(max_examples=25, deadline=None)
