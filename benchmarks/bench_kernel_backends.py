@@ -102,7 +102,6 @@ def test_raw_search_backends():
                     "python": python_s, "numpy": numpy_s, "auto": auto_s,
                 },
                 "states": {"python": python.explored, "numpy": numpy_.explored},
-                "shards": 0,
             })
     emit(
         "kernel_backends_raw",
@@ -173,7 +172,6 @@ def test_pipeline_backends():
             "prune": prune,
             "wall_seconds": dict(timings),
             "states": dict(states),
-            "shards": 0,
         })
     emit(
         "kernel_backends_pipeline",

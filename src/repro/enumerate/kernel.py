@@ -18,6 +18,14 @@ evaluation while *provably* returning the identical
    not depend on enumeration order — which is what licenses batching in
    the first place.
 
+Every state carries its summed payload next to its ``subsets``/``ext``/
+``forbidden`` masks: a child is its parent plus the payload row of the
+vertex it adds.  Discrete payloads are integer label counts, so the
+statistic, bound and cut counts are bit-identical to the python walk's;
+continuous payloads are z-sums plus mass, whose rounding only ranks
+states.  The only membership matrix left is the reachable closure's, in
+the bounds pass.
+
 Under ``prune="bounds"`` the kernel batch-evaluates the same admissible
 upper bounds as :mod:`repro.enumerate.bounds` against the incumbent at
 batch time.  Cut accounting is then inherently order-dependent (a DFS and
@@ -55,8 +63,8 @@ MAX_KERNEL_VERTICES = 64
 """Hard vertex cap: states are single ``uint64`` machine words."""
 
 KERNEL_CHUNK = 1 << 15
-"""Maximum states per batch: bounds both peak memory for the bit-matrix
-scratch (``KERNEL_CHUNK x 64`` bytes) and ``check_abort`` latency."""
+"""Maximum states per batch: bounds the ``KERNEL_CHUNK x n x 8``-byte bit
+scratch of each expansion step and the ``check_abort`` latency."""
 
 
 # ----------------------------------------------------------------------
@@ -103,14 +111,15 @@ def _batch_closure(adj: "object", frontier: "object", blocked: "object") -> "obj
 
 
 # ----------------------------------------------------------------------
-# Batch scorers: vectorized accumulators + bounds
+# Batch scorers over carried payload sums
 # ----------------------------------------------------------------------
 class _DiscreteScorer:
-    """Batch Eq. 2 chi-square and chord-relaxation bound over count payloads.
+    """Batch Eq. 2 chi-square and chord-relaxation bound over count sums.
 
-    Counts are exact integers (bit-plane popcounts for the statistic,
-    matmuls for the bound); the statistic and bound use the same
-    expression trees, and the same ``W`` summation order, as the scalar
+    A state's payload is its ``(l,)`` int64 label-count vector and its
+    mass is that vector's sum, so every count is an exact integer.  The
+    statistic and bound use the same expression trees, and the same ``W``
+    summation order, as the scalar
     :class:`~repro.enumerate.accumulators.DiscreteAccumulator` /
     :func:`~repro.enumerate.bounds.discrete_upper_bound`, so every value
     is bit-identical to the python walk's.
@@ -122,42 +131,14 @@ class _DiscreteScorer:
         payloads: Sequence[Sequence[int]],
     ) -> None:
         self.probs = _np.asarray(probabilities, dtype=_np.float64)
-        self.payload_matrix = _np.array(
+        self.rows = _np.array(
             [list(p) for p in payloads], dtype=_np.int64
         ).reshape(len(payloads), len(probabilities))
-        self.mass = self.payload_matrix.sum(axis=1)
-        self.planes = self._build_planes()
 
-    def _build_planes(self) -> "object":
-        """Bit-plane masks enabling popcount-only count extraction.
-
-        Writing payload counts in binary, ``counts[:, l]`` over a batch of
-        vertex-set masks is ``sum_k 2**k * popcount(mask & planes[l, k])``
-        where ``planes[l, k]`` collects the vertices whose label-``l``
-        count has bit ``k`` set.  That replaces the (B, n) membership
-        matrix + matmul with a few popcount ufunc passes over the raw
-        uint64 masks — same integers, so the statistic stays
-        bit-identical.
-        """
-        n, n_labels = self.payload_matrix.shape
-        depth = max(1, int(self.payload_matrix.max(initial=0)).bit_length())
-        planes = _np.zeros((n_labels, depth), dtype=_np.uint64)
-        for label in range(n_labels):
-            for k in range(depth):
-                mask = 0
-                for v in range(n):
-                    if (int(self.payload_matrix[v, label]) >> k) & 1:
-                        mask |= 1 << v
-                planes[label, k] = mask
-        return planes
-
-    def counts_for_masks(self, masks: "object") -> "object":
-        """Per-row label counts, ``(B, n_labels)`` int64, from raw masks."""
-        hits = _np.bitwise_count(masks[:, None, None] & self.planes[None, :, :])
-        weights = _np.int64(1) << _np.arange(
-            self.planes.shape[1], dtype=_np.int64
-        )
-        return (hits.astype(_np.int64) * weights[None, None, :]).sum(axis=2)
+    @staticmethod
+    def mass(counts: "object") -> "object":
+        """Original-vertex mass per row of carried counts."""
+        return counts.sum(axis=1)
 
     def _weighted(self, counts: "object") -> "object":
         """``W`` per row, columns added in the scalar sum's order."""
@@ -166,23 +147,18 @@ class _DiscreteScorer:
             weighted += counts[:, label] * counts[:, label] / p
         return weighted
 
-    def chi_masks(self, masks: "object") -> "object":
-        """Eq. 2 statistic per row of ``(B,)`` uint64 vertex-set masks."""
-        counts = self.counts_for_masks(masks)
-        mass = counts.sum(axis=1).astype(_np.float64)
-        with _np.errstate(divide="ignore", invalid="ignore"):
-            return _np.where(mass > 0, self._weighted(counts) / mass - mass, 0.0)
+    def chi(self, counts: "object") -> "object":
+        """Eq. 2 statistic per row of carried counts."""
+        mass = self.mass(counts).astype(_np.float64)
+        return self._weighted(counts) / mass - mass
 
-    def bound(self, bits: "object", closure_bits: "object") -> "object":
+    def bound(self, counts: "object", closure_bits: "object") -> "object":
         """Admissible Eq. 2 bound per row; mirrors the scalar formula."""
-        counts = bits @ self.payload_matrix
-        mass = (bits @ self.mass).astype(_np.float64)
+        mass = self.mass(counts).astype(_np.float64)
         weighted = self._weighted(counts)
-        with _np.errstate(divide="ignore", invalid="ignore"):
-            current = weighted / mass - mass
-
-        candidate_counts = closure_bits @ self.payload_matrix
-        m_cap = closure_bits @ self.mass
+        current = weighted / mass - mass
+        candidate_counts = closure_bits @ self.rows
+        m_cap = self.mass(candidate_counts)
 
         with _np.errstate(divide="ignore", invalid="ignore"):
             gain = (2 * counts + candidate_counts) / self.probs[None, :]
@@ -205,40 +181,37 @@ class _DiscreteScorer:
 
 
 class _ContinuousScorer:
-    """Batch Eq. 8 chi-square and triangle-inequality bound over z payloads.
+    """Batch Eq. 8 chi-square and triangle-inequality bound over z-sums.
 
-    Raw-sum matrices are float matmuls; their values only rank states
-    (the winner's statistic is recomputed, see ``statistic_of``).
+    A state's payload is its ``(k + 1,)`` float64 row: the per-dimension
+    raw z-sums, then the mass (an integer, so exact in float64).  The
+    float sums follow the state's expansion path, so their values only
+    rank states (the winner's statistic is recomputed, see
+    ``statistic_of``).
     """
 
     def __init__(
         self, payloads: Sequence[tuple[Sequence[float], int]]
     ) -> None:
-        self.z_matrix = _np.array(
-            [list(sums) for sums, _ in payloads], dtype=_np.float64
+        self.rows = _np.array(
+            [[*sums, size] for sums, size in payloads], dtype=_np.float64
         ).reshape(len(payloads), -1)
-        self.abs_z = _np.abs(self.z_matrix)
-        self.mass = _np.array([size for _, size in payloads], dtype=_np.int64)
+        self.abs_z = _np.abs(self.rows[:, :-1])
 
-    def chi_masks(self, masks: "object") -> "object":
-        """Eq. 8 statistic per row of ``(B,)`` uint64 vertex-set masks.
+    @staticmethod
+    def mass(payload: "object") -> "object":
+        """Original-vertex mass per row of carried payloads."""
+        return payload[:, -1]
 
-        z sums are floats, so no popcount shortcut exists: this expands
-        the membership matrix and multiplies.
-        """
-        bits = _bit_matrix(masks, self.z_matrix.shape[0])
-        sums = bits @ self.z_matrix
-        mass = (bits @ self.mass).astype(_np.float64)
-        with _np.errstate(divide="ignore", invalid="ignore"):
-            return _np.where(mass > 0, (sums * sums).sum(axis=1) / mass, 0.0)
+    def chi(self, payload: "object") -> "object":
+        """Eq. 8 statistic per row of carried payloads."""
+        sums = payload[:, :-1]
+        return (sums * sums).sum(axis=1) / payload[:, -1]
 
-    def bound(self, bits: "object", closure_bits: "object") -> "object":
+    def bound(self, payload: "object", closure_bits: "object") -> "object":
         """Admissible Eq. 8 bound per row; mirrors the scalar formula."""
-        sums = bits @ self.z_matrix
-        mass = (bits @ self.mass).astype(_np.float64)
-        frontier = closure_bits @ self.abs_z
-        reach = _np.abs(sums) + frontier
-        return (reach * reach).sum(axis=1) / mass
+        reach = _np.abs(payload[:, :-1]) + closure_bits @ self.abs_z
+        return (reach * reach).sum(axis=1) / payload[:, -1]
 
 
 def _scorer_for(accumulator: DiscreteAccumulator | ContinuousAccumulator):
@@ -284,12 +257,8 @@ class _KernelRun:
         self.statistic_floor = statistic_floor
         self.seed_value = float("-inf")
 
-    def _masses(self, masks: "object") -> "object":
-        """Original-vertex mass per row of ``(B,)`` uint64 vertex-set masks."""
-        return _bit_matrix(masks, self.n) @ self.scorer.mass
-
     # -- visiting -------------------------------------------------------
-    def _visit_chunk(self, subsets: "object") -> None:
+    def _visit_chunk(self, subsets: "object", payload: "object") -> None:
         """Count, score, and fold one batch of newly created states."""
         tally = self.tally
         batch = int(subsets.shape[0])
@@ -303,11 +272,12 @@ class _KernelRun:
         if self.progress is not None:
             self.progress(tally.snapshot())
         if self.gated:
-            subsets = subsets[self._masses(subsets) >= self.min_mass]
+            eligible = self.scorer.mass(payload) >= self.min_mass
+            subsets, payload = subsets[eligible], payload[eligible]
             if not subsets.shape[0]:
                 return
         tally.evaluated += int(subsets.shape[0])
-        chi = self.scorer.chi_masks(subsets)
+        chi = self.scorer.chi(payload)
         top = float(chi.max())
         if top < tally.best_value:
             return
@@ -323,6 +293,7 @@ class _KernelRun:
         subsets: "object",
         ext: "object",
         forbidden: "object",
+        payload: "object",
     ) -> "object":
         """Per-level bounds cuts: reachable mass vs ``min_mass``, then the
         admissible bound vs the incumbent.
@@ -334,10 +305,14 @@ class _KernelRun:
         pruning is strict and the bound never underestimates.
         """
         tally = self.tally
-        closure = _batch_closure(self.adj, ext, subsets | forbidden)
+        scorer = self.scorer
+        closure_bits = _bit_matrix(
+            _batch_closure(self.adj, ext, subsets | forbidden), self.n
+        )
         keep = _np.ones(subsets.shape[0], dtype=bool)
         if self.mass_cut:
-            reachable_mass = self._masses(subsets) + self._masses(closure)
+            row_mass = scorer.mass(scorer.rows)
+            reachable_mass = scorer.mass(payload) + closure_bits @ row_mass
             keep = reachable_mass >= self.min_mass
             tally.bound_cuts += int((~keep).sum())
         threshold = max(tally.best_value, self.seed_value)
@@ -345,10 +320,7 @@ class _KernelRun:
             return keep
         rows = _np.flatnonzero(keep)
         tally.bound_evaluations += int(rows.shape[0])
-        bound = self.scorer.bound(
-            _bit_matrix(subsets[rows], self.n),
-            _bit_matrix(closure[rows], self.n),
-        )
+        bound = scorer.bound(payload[rows], closure_bits[rows])
         cut = bound < threshold
         tally.bound_cuts += int(cut.sum())
         if self.statistic_floor is not None:
@@ -363,17 +335,18 @@ class _KernelRun:
         subsets: "object",
         ext: "object",
         forbidden: "object",
-    ) -> tuple["object", "object", "object"]:
+        payload: "object",
+    ) -> tuple["object", "object", "object", "object"]:
         """All children of the given states, one per extension candidate.
 
         Vectorizes the python walk's binary branching: expanding candidate
         ``u`` of a state forbids every smaller candidate of the same
-        state, keeps the larger ones, and adds ``u``'s unseen neighbours
-        to the frontier — identical successor semantics, whole level at
-        once.
+        state, keeps the larger ones, adds ``u``'s unseen neighbours to
+        the frontier and ``u``'s payload row to the parent's — identical
+        successor semantics, whole level at once.
         """
         one = _np.uint64(1)
-        out_sub, out_ext, out_fb = [], [], []
+        out = ([], [], [], [])
         for lo in range(0, subsets.shape[0], KERNEL_CHUNK):
             sub_c = subsets[lo : lo + KERNEL_CHUNK]
             ext_c = ext[lo : lo + KERNEL_CHUNK]
@@ -384,48 +357,64 @@ class _KernelRun:
             parent_sub = sub_c[rows]
             parent_ext = ext_c[rows]
             parent_fb = fb_c[rows]
-            out_sub.append(parent_sub | u_bit)
-            out_fb.append(parent_fb | (parent_ext & below))
-            out_ext.append(
+            out[0].append(parent_sub | u_bit)
+            out[1].append(
                 (parent_ext & ~(u_bit | below))
                 | (self.adj[cols] & ~(parent_sub | parent_fb | parent_ext))
             )
-        return (
-            _np.concatenate(out_sub),
-            _np.concatenate(out_ext),
-            _np.concatenate(out_fb),
-        )
+            out[2].append(parent_fb | (parent_ext & below))
+            out[3].append(payload[lo + rows] + self.scorer.rows[cols])
+        # Each output is joined and its chunks dropped before the next,
+        # so the chunks and the whole child level overlap by one array.
+        level = []
+        for parts in out:
+            level.append(_np.concatenate(parts))
+            parts.clear()
+        return tuple(level)
 
     # -- the walk -------------------------------------------------------
     def run(self) -> None:
         """Level-synchronous search of the whole graph.
 
-        Level 1 holds every singleton ``{v}``, with its larger neighbours
-        as the extension frontier and every smaller vertex forbidden, so
-        each connected set is created exactly once, from its smallest
-        member.
+        Level 1 holds every singleton ``{v}``, carrying payload row ``v``,
+        with its larger neighbours as the extension frontier and every
+        smaller vertex forbidden, so each connected set is created
+        exactly once, from its smallest member.
         """
+        scorer = self.scorer
         singles = _np.uint64(1) << _np.arange(self.n, dtype=_np.uint64)
         below = singles - _np.uint64(1)
         if self.bounded:
-            chi = self.scorer.chi_masks(singles)[self.scorer.mass >= self.min_mass]
+            eligible = scorer.mass(scorer.rows) >= self.min_mass
+            chi = scorer.chi(scorer.rows)[eligible]
             self.seed_value = _incumbent_seed(
                 float(chi.max()) if chi.shape[0] else float("-inf"),
                 self.statistic_floor,
             )
-        subsets, ext, forbidden = singles, self.adj & ~(singles | below), below
+        subsets, ext, forbidden, payload = (
+            singles, self.adj & ~(singles | below), below, scorer.rows
+        )
         while subsets.shape[0]:
             for lo in range(0, subsets.shape[0], KERNEL_CHUNK):
-                self._visit_chunk(subsets[lo : lo + KERNEL_CHUNK])
+                self._visit_chunk(
+                    subsets[lo : lo + KERNEL_CHUNK],
+                    payload[lo : lo + KERNEL_CHUNK],
+                )
             live = ext != _np.uint64(0)
             if self.bounded and live.any():
                 rows = _np.flatnonzero(live)
-                keep = self._prune_level(subsets[rows], ext[rows], forbidden[rows])
+                keep = self._prune_level(
+                    subsets[rows], ext[rows], forbidden[rows], payload[rows]
+                )
                 live[rows[~keep]] = False
             if not live.any():
                 break
-            subsets, ext, forbidden = self._expand_level(
-                subsets[live], ext[live], forbidden[live]
+            # Rebinding drops the parent level before its children exist.
+            subsets, ext, forbidden, payload = (
+                subsets[live], ext[live], forbidden[live], payload[live]
+            )
+            subsets, ext, forbidden, payload = self._expand_level(
+                subsets, ext, forbidden, payload
             )
 
 

@@ -75,8 +75,8 @@ at most this many vertices run the python walk.
 
 Admissible bounds typically cut >99% of states on reduced super-graphs
 (n around ``n_theta`` ~ 20), leaving so few survivors that the kernel's
-per-level batch setup dominates — measured at 0.6x the scalar walk on
-the pipeline regimes of ``bench_kernel_backends.py``.  Above this size
+per-level batch setup dominates — measured at 0.9x the scalar walk's
+speed on the pipeline regime of ``bench_kernel_backends.py``.  Above this size
 the state counts grow enough for batching to win even under bounds."""
 
 ABORT_CHECK_MASK = 0xFF

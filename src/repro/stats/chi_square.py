@@ -15,7 +15,7 @@ vector alone, whichever path computed it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.exceptions import LabelingError, ProbabilityError
 
@@ -151,10 +151,6 @@ class CountVector:
         n = self._size
         return weighted_square_sum(self._counts, self._probs) / n - n if n else 0.0
 
-    def expected_counts(self) -> tuple[float, ...]:
-        """The null-model expectations ``E_i = n p_i``."""
-        return tuple(self._size * p for p in self._probs)
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -200,13 +196,6 @@ class CountVector:
         summed = [a + b for a, b in zip(self._counts, other._counts)]
         return CountVector(self._probs, summed)
 
-    def merge_in_place(self, other: "CountVector") -> None:
-        """Fold ``other``'s counts into this vector (O(l))."""
-        self._check_compatible(other)
-        for label, count in enumerate(other._counts):
-            if count:
-                self.add(label, count)
-
     def copy(self) -> "CountVector":
         """An independent copy of this vector.
 
@@ -219,16 +208,6 @@ class CountVector:
         clone._counts = list(self._counts)
         clone._size = self._size
         return clone
-
-    @classmethod
-    def from_labels(
-        cls, probabilities: Sequence[float], labels: Iterable[int]
-    ) -> "CountVector":
-        """Build a vector by counting an iterable of label indices."""
-        vector = cls(probabilities)
-        for label in labels:
-            vector.add(label)
-        return vector
 
     @classmethod
     def singleton(cls, probabilities: Sequence[float], label: int) -> "CountVector":

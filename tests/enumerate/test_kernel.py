@@ -19,6 +19,7 @@ from repro.enumerate.accumulators import (
     ContinuousAccumulator,
     DiscreteAccumulator,
 )
+from repro.enumerate import kernel
 from repro.enumerate.bitset import BitsetGraph, iter_bits
 from repro.enumerate.kernel import (
     MAX_KERNEL_VERTICES,
@@ -26,11 +27,14 @@ from repro.enumerate.kernel import (
     _bit_matrix,
     _ContinuousScorer,
     _DiscreteScorer,
+    _KernelRun,
     _neighborhood_masks,
+    _scorer_for,
 )
 from repro.enumerate.search import (
     SearchOutcome,
     _reachable_closure,
+    _Tally,
     exhaustive_best_mask,
 )
 from repro.exceptions import EnumerationLimitError, SearchAbortedError
@@ -129,8 +133,27 @@ class TestBatchClosure:
             )
 
 
+def _carried(scorer, masks):
+    """The payload the kernel carries for each mask: the scorer's payload
+    rows added one vertex at a time, in ascending index order (the order
+    these tests push vertices into the scalar accumulator)."""
+    carried = []
+    for mask in masks:
+        members = list(iter_bits(mask))
+        payload = scorer.rows[members[0]]
+        for i in members[1:]:
+            payload = payload + scorer.rows[i]
+        carried.append(payload)
+    return np.array(carried)
+
+
+def _closure_bits(closures, n):
+    return _bit_matrix(np.array(closures, dtype=np.uint64), n)
+
+
 class TestBatchScorersMatchScalar:
-    """Batch chi/bound == scalar accumulator values, elementwise."""
+    """Batch chi/bound over carried payloads == scalar accumulator values,
+    elementwise."""
 
     @pytest.mark.parametrize(("seed", "probs"), _seeds(range(15)))
     @pytest.mark.parametrize("merged", [False, True])
@@ -143,7 +166,7 @@ class TestBatchScorersMatchScalar:
         acc = DiscreteAccumulator(probs, payloads)
         scorer = _DiscreteScorer(acc.probabilities, acc.payloads)
         masks = _random_connected_masks(bitset, seed + 500)
-        chi = scorer.chi_masks(np.array(masks, dtype=np.uint64))
+        chi = scorer.chi(_carried(scorer, masks))
         for mask, got in zip(masks, chi):
             for i in iter_bits(mask):
                 acc.push(i)
@@ -158,10 +181,12 @@ class TestBatchScorersMatchScalar:
         acc = ContinuousAccumulator(_continuous_payloads(seed, n))
         scorer = _ContinuousScorer(acc.payloads)
         masks = _random_connected_masks(bitset, seed + 500)
-        chi = scorer.chi_masks(np.array(masks, dtype=np.uint64))
+        chi = scorer.chi(_carried(scorer, masks))
         for mask, got in zip(masks, chi):
             for i in iter_bits(mask):
                 acc.push(i)
+            # The carried sums were added in push order, so even the
+            # float statistic matches.
             assert float(got) == acc.chi_square()
             for i in reversed(list(iter_bits(mask))):
                 acc.pop(i)
@@ -170,7 +195,7 @@ class TestBatchScorersMatchScalar:
     @pytest.mark.parametrize("spread", [1, 3, 64])
     def test_discrete_bound_bit_identical(self, seed, probs, spread):
         # spread=1 keeps unit payloads; 64 adds counts up to 63, which
-        # reach deeper count bit planes and larger closure masses.
+        # give larger carried counts and closure masses.
         bitset = _random_adjacency(seed)
         n = len(bitset.adjacency)
         payloads = _discrete_payloads(
@@ -187,10 +212,7 @@ class TestBatchScorersMatchScalar:
                 closures.append(closure)
         if not rows:
             pytest.skip("degenerate draw: no expandable sets")
-        bound = scorer.bound(
-            _bit_matrix(np.array(rows, dtype=np.uint64), n),
-            _bit_matrix(np.array(closures, dtype=np.uint64), n),
-        )
+        bound = scorer.bound(_carried(scorer, rows), _closure_bits(closures, n))
         for mask, closure, got in zip(rows, closures, bound):
             for i in iter_bits(mask):
                 acc.push(i)
@@ -213,10 +235,7 @@ class TestBatchScorersMatchScalar:
                 closures.append(closure)
         if not rows:
             pytest.skip("degenerate draw: no expandable sets")
-        bound = scorer.bound(
-            _bit_matrix(np.array(rows, dtype=np.uint64), n),
-            _bit_matrix(np.array(closures, dtype=np.uint64), n),
-        )
+        bound = scorer.bound(_carried(scorer, rows), _closure_bits(closures, n))
         for mask, closure, got in zip(rows, closures, bound):
             for i in iter_bits(mask):
                 acc.push(i)
@@ -233,14 +252,12 @@ class TestBatchScorersMatchScalar:
         # must equal the scalar bound bit-for-bit or the strict cut
         # (bound < incumbent) could disagree between backends.
         payloads = [(1, 0, 0)] * 4
-        adjacency = [0b1110, 0b1101, 0b1011, 0b0111]  # K4
-        acc = DiscreteAccumulator(DYADIC_PROBS, payloads)
+        acc = DiscreteAccumulator(DYADIC_PROBS, payloads)  # on K4
         scorer = _DiscreteScorer(acc.probabilities, acc.payloads)
         for mask in (0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100):
             closure = 0b1111 ^ mask
             batch = scorer.bound(
-                _bit_matrix(np.array([mask], dtype=np.uint64), 4),
-                _bit_matrix(np.array([closure], dtype=np.uint64), 4),
+                _carried(scorer, [mask]), _closure_bits([closure], 4)
             )
             for i in iter_bits(mask):
                 acc.push(i)
@@ -387,3 +404,118 @@ class TestKernelMatchesPythonWalk:
         )
         assert outcome == reference
         assert outcome.evaluated < outcome.explored
+
+
+def _path_adjacency(n):
+    """The path 0 - 1 - ... - (n - 1) as bitmask adjacency."""
+    return [
+        (1 << (v - 1) if v else 0) | (1 << (v + 1) if v + 1 < n else 0)
+        for v in range(n)
+    ]
+
+
+def _top_heavy_discrete(n, probs):
+    """Merged count payloads of the common labels, but the last six
+    vertices carry only the rarest label, four times over, so the winner
+    ends at vertex n - 1."""
+    rng = random.Random(63)
+    rare = len(probs) - 1
+    payloads = []
+    for _ in range(n - 6):
+        counts = [rng.randrange(3) for _ in range(rare)] + [0]
+        counts[rng.randrange(rare)] += 1
+        payloads.append(tuple(counts))
+    payloads += [(0,) * rare + (4,)] * 6
+    return payloads
+
+
+def _top_heavy_continuous(n):
+    """Small z-sums everywhere but on the last six vertices."""
+    rng = random.Random(63)
+    return [
+        (
+            (rng.gauss(3.0, 0.2), rng.gauss(-2.0, 0.2)) if v >= n - 6
+            else (rng.gauss(0.0, 0.3), rng.gauss(0.0, 0.3)),
+            rng.randint(1, 3),
+        )
+        for v in range(n)
+    ]
+
+
+def _top_heavy_accumulator(kind):
+    n = MAX_KERNEL_VERTICES
+    if kind == "discrete":
+        return DiscreteAccumulator(
+            NON_DYADIC_PROBS, _top_heavy_discrete(n, NON_DYADIC_PROBS)
+        )
+    return ContinuousAccumulator(_top_heavy_continuous(n))
+
+
+class TestSixtyFourVertices:
+    """A whole kernel search at the machine-word limit: states that hold
+    vertex 63 set the top bit of their uint64 masks."""
+
+    TOP = 1 << (MAX_KERNEL_VERTICES - 1)
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    # A floor of 30 is above the best unfloored region's mass, so it
+    # moves the winner.
+    @pytest.mark.parametrize("min_mass", [1, 30])
+    @pytest.mark.parametrize("prune", ["none", "bounds"])
+    def test_path_search_matches_python_walk(
+        self, kind, min_mass, prune, monkeypatch
+    ):
+        # Small batches, so every level of the path spans several.
+        monkeypatch.setattr(kernel, "KERNEL_CHUNK", 16)
+        adjacency = _path_adjacency(MAX_KERNEL_VERTICES)
+        acc = _top_heavy_accumulator(kind)
+        outcome = _numpy_search(
+            adjacency, acc, min_mass=min_mass, prune=prune
+        )
+        reference = exhaustive_best_mask(
+            adjacency, acc, min_mass=min_mass, prune=prune, backend="python"
+        )
+        assert outcome.mask & self.TOP
+        if prune == "none":
+            assert outcome == reference
+            assert outcome.explored == 64 * 65 // 2
+        else:
+            assert outcome.mask == reference.mask
+            assert outcome.chi_square == reference.chi_square
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_expanded_states_carry_their_payload_sums(self, kind, monkeypatch):
+        # Small batches, so every level of the path spans several.
+        monkeypatch.setattr(kernel, "KERNEL_CHUNK", 16)
+        n = MAX_KERNEL_VERTICES
+        adjacency = _path_adjacency(n)
+        acc = _top_heavy_accumulator(kind)
+        scorer = _scorer_for(acc)
+        run = _KernelRun(
+            scorer, adjacency, _Tally(started=0.0), min_mass=1, limit=None,
+            bounded=False, check_abort=None, progress=None,
+            statistic_floor=None,
+        )
+        singles = np.uint64(1) << np.arange(n, dtype=np.uint64)
+        below = singles - np.uint64(1)
+        level = (singles, run.adj & ~(singles | below), below, scorer.rows)
+        seen = 0
+        while True:
+            live = level[1] != np.uint64(0)
+            if not live.any():
+                break
+            level = run._expand_level(*(part[live] for part in level))
+            subsets, payload = level[0], level[3]
+            for mask, carried in zip(subsets.tolist(), payload):
+                members = list(iter_bits(mask))
+                expected = scorer.rows[members].sum(axis=0)
+                if kind == "discrete":
+                    assert carried.tolist() == expected.tolist()
+                else:
+                    np.testing.assert_allclose(carried, expected, rtol=1e-12)
+                mass = sum(acc.payload_sizes[i] for i in members)
+                assert scorer.mass(carried[None, :])[0] == mass
+            seen += subsets.shape[0]
+        # Every connected set of the path but the 64 singletons.
+        assert seen == 64 * 65 // 2 - 64
+        assert any(int(mask) & self.TOP for mask in subsets)

@@ -139,21 +139,11 @@ class TestCountVector:
         assert merged.counts == (2, 3, 1)
         assert a.counts == (2, 0, 0)  # operands untouched
 
-    def test_merge_in_place(self):
-        a = CountVector(UNIFORM3, [1, 1, 0])
-        b = CountVector(UNIFORM3, [0, 1, 2])
-        a.merge_in_place(b)
-        assert a.counts == (1, 2, 2)
-
     def test_incompatible_models_rejected(self):
         a = CountVector((0.5, 0.5))
         b = CountVector((0.4, 0.6))
         with pytest.raises(LabelingError):
             a.merged(b)
-
-    def test_from_labels(self):
-        cv = CountVector.from_labels(UNIFORM3, [0, 1, 1, 2])
-        assert cv.counts == (1, 2, 1)
 
     def test_singleton(self):
         cv = CountVector.singleton((0.2, 0.8), 0)
@@ -161,10 +151,6 @@ class TestCountVector:
         assert cv.chi_square() == pytest.approx(
             chi_square_statistic([1, 0], (0.2, 0.8))
         )
-
-    def test_expected_counts(self):
-        cv = CountVector((0.25, 0.75), [4, 4])
-        assert cv.expected_counts() == (2.0, 6.0)
 
     def test_copy_independent(self):
         cv = CountVector((0.5, 0.5), [1, 1])
