@@ -74,13 +74,8 @@ def test_raw_search_backends():
             numpy_, numpy_s = _timed_search(
                 adjacency, acc, prune=prune, backend="numpy"
             )
-            auto, auto_s = _timed_search(
-                adjacency, acc, prune=prune, backend="auto"
-            )
             assert numpy_.mask == python.mask
             assert numpy_.chi_square == python.chi_square  # dyadic probs
-            assert auto.mask == python.mask
-            assert auto.chi_square == python.chi_square
             if prune == "none":
                 assert numpy_ == python  # full outcome, counters included
             rows.append(
@@ -89,7 +84,6 @@ def test_raw_search_backends():
                     prune,
                     round(python_s * 1000, 2),
                     round(numpy_s * 1000, 2),
-                    round(auto_s * 1000, 2),
                     python.explored,
                     numpy_.explored,
                     round(python_s / numpy_s, 1),
@@ -98,9 +92,7 @@ def test_raw_search_backends():
             records.append({
                 "regime": f"gnm({n},{m})",
                 "prune": prune,
-                "wall_seconds": {
-                    "python": python_s, "numpy": numpy_s, "auto": auto_s,
-                },
+                "wall_seconds": {"python": python_s, "numpy": numpy_s},
                 "states": {"python": python.explored, "numpy": numpy_.explored},
             })
     emit(
@@ -111,7 +103,6 @@ def test_raw_search_backends():
             "prune",
             "python ms",
             "numpy ms",
-            "auto ms",
             "python states",
             "numpy states",
             "speedup",
@@ -134,7 +125,7 @@ def test_pipeline_backends():
         timings = {}
         states = {}
         best = {}
-        for backend in ("python", "numpy", "auto"):
+        for backend in ("python", "numpy"):
             wall = float("inf")
             for _ in range(REPEATS):
                 with telemetry_session() as (_, metrics):
@@ -149,19 +140,17 @@ def test_pipeline_backends():
             timings[backend] = wall
             best[backend] = result.best
         assert best["numpy"].vertices == best["python"].vertices
-        assert best["auto"].vertices == best["python"].vertices
         if prune == "bounds":
-            # The regression backend="auto" exists to kill: on the small
-            # bounds-pruned reduced super-graph the kernel's batch setup
-            # used to cost ~0.6x of python's total; auto must pick the
-            # python walk there and stay within timing noise of it.
-            assert timings["auto"] <= timings["python"] * 1.5
+            # backend="auto" runs the kernel on this reduced super-graph
+            # under bounds too, where the bounds leave only a few dozen
+            # states and the kernel's per-level batch setup is most of
+            # its cost: it must stay within timing noise of the walk.
+            assert timings["numpy"] <= timings["python"] * 1.5
         rows.append(
             [
                 prune,
                 round(timings["python"] * 1000, 2),
                 round(timings["numpy"] * 1000, 2),
-                round(timings["auto"] * 1000, 2),
                 states["python"],
                 states["numpy"],
                 round(timings["python"] / timings["numpy"], 1),
@@ -178,7 +167,7 @@ def test_pipeline_backends():
         f"mine() backends on the reduced super-graph "
         f"(n={SUPER_N}, m={SUPER_M}, N_theta={N_THETA}, "
         f"min of {REPEATS} runs)",
-        ["prune", "python ms", "numpy ms", "auto ms",
+        ["prune", "python ms", "numpy ms",
          "python states", "numpy states", "speedup"],
         rows,
     )

@@ -442,12 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     mine_cmd.add_argument(
         "--backend", choices=PARAM_CHOICES["backend"],
         default=PARAM_DEFAULTS["backend"],
-        help="search backend: the reference python DFS, the vectorized "
-        "numpy batch kernel (much faster), or per-instance auto-selection "
-        "(default: the kernel except on small bounds-pruned instances "
-        "where batching overhead wins; always falls back to python above "
-        "64 vertices).  All pick the same regions and report the same "
-        "chi-square and p-values",
+        help="search backend: the reference python DFS, or the vectorized "
+        "numpy batch kernel (numpy and the default auto are the same: the "
+        "kernel on every search of at most 64 vertices, python above).  "
+        "All pick the same regions and report the same chi-square and "
+        "p-values",
     )
     mine_cmd.add_argument(
         "--correct", choices=PARAM_CHOICES["correction"],

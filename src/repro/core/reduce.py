@@ -18,12 +18,16 @@ from repro.core.supergraph import SuperGraph
 from repro.telemetry import TELEMETRY as _TELEMETRY
 from repro.telemetry import names as _metric
 
-__all__ = ["DEFAULT_COMPACTION_FACTOR", "reduce_supergraph"]
+__all__ = ["COMPACTION_FACTOR", "reduce_supergraph"]
 
-DEFAULT_COMPACTION_FACTOR = 2
+COMPACTION_FACTOR = 2
 """Compact the lazy-deletion heap once stale entries exceed twice the live
 edges — bounding heap size at 3x the live edge count without measurably
-changing the amortised O(log m_s) pop cost."""
+changing the amortised O(log m_s) pop cost.
+
+Compaction never changes which edge is contracted next: priorities are
+recomputed on pop regardless, and the rebuilt heap holds exactly the live
+edges."""
 
 
 def reduce_supergraph(
@@ -31,7 +35,6 @@ def reduce_supergraph(
     n_theta: int,
     *,
     use_heap: bool = True,
-    compaction_factor: int | None = DEFAULT_COMPACTION_FACTOR,
 ) -> int:
     """Contract minimum chi-square-sum edges until ``n_theta`` vertices remain.
 
@@ -48,26 +51,15 @@ def reduce_supergraph(
     use_heap:
         When False, each round scans all edges for the minimum instead of
         using the heap — the quadratic baseline kept for the ablation
-        benchmark.
-    compaction_factor:
-        Rebuild the heap from the live topology whenever stale entries
-        exceed ``compaction_factor`` times the live edge count, bounding
-        heap growth on sparse graphs where contractions re-push many
-        neighbour entries.  ``None`` disables compaction (the pre-compaction
-        behaviour, kept for ablation).  Compaction never changes which edge
-        is contracted next: priorities are recomputed on pop regardless,
-        and the rebuilt heap contains exactly the live edges.
+        benchmark.  The heap is compacted as :data:`COMPACTION_FACTOR`
+        describes.
     """
     if n_theta < 1:
         raise GraphError(f"n_theta must be >= 1, got {n_theta}")
-    if compaction_factor is not None and compaction_factor < 1:
-        raise GraphError(
-            f"compaction_factor must be >= 1 or None, got {compaction_factor}"
-        )
     vertices_before = supergraph.num_super_vertices
     if use_heap:
         contractions, stale, reprioritised, compactions = _reduce_with_heap(
-            supergraph, n_theta, compaction_factor
+            supergraph, n_theta
         )
     else:
         contractions, stale, reprioritised, compactions = _reduce_with_scan(
@@ -94,7 +86,7 @@ def _edge_priority(supergraph: SuperGraph, u_id: int, v_id: int) -> float:
 
 
 def _reduce_with_heap(
-    supergraph: SuperGraph, n_theta: int, compaction_factor: int | None
+    supergraph: SuperGraph, n_theta: int
 ) -> tuple[int, int, int, int]:
     # Heap entries are (priority, u_id, v_id).  Entries go stale two ways:
     # an endpoint was absorbed away (vertex/edge check below), or an
@@ -112,20 +104,19 @@ def _reduce_with_heap(
     reprioritised = 0
     compactions = 0
     while supergraph.num_super_vertices > n_theta and heap:
-        if compaction_factor is not None:
-            live = supergraph.num_super_edges
-            if len(heap) - live > compaction_factor * live:
-                # Rebuild from the live topology: drops every dead entry at
-                # once and refreshes drifted priorities, so the dominant
-                # stale-pop churn on sparse graphs disappears.
-                heap = [
-                    (_edge_priority(supergraph, u, v), u, v)
-                    for u, v in supergraph.topology.edges()
-                ]
-                heapq.heapify(heap)
-                compactions += 1
-                if not heap:
-                    break
+        live = supergraph.num_super_edges
+        if len(heap) - live > COMPACTION_FACTOR * live:
+            # Rebuild from the live topology: drops every dead entry at
+            # once and refreshes drifted priorities, so the dominant
+            # stale-pop churn on sparse graphs disappears.
+            heap = [
+                (_edge_priority(supergraph, u, v), u, v)
+                for u, v in supergraph.topology.edges()
+            ]
+            heapq.heapify(heap)
+            compactions += 1
+            if not heap:
+                break
         priority, u_id, v_id = heapq.heappop(heap)
         if not supergraph.topology.has_vertex(u_id):
             stale += 1

@@ -124,7 +124,6 @@ class _CorrectionContext:
 
     tarone: TaroneResult
     statistic_floor: float | None
-    counts_mode: str
     regions_filtered: int = 0
 
 
@@ -238,17 +237,14 @@ def mine(
         bound with admissible chi-square upper bounds (identical optima,
         fewer states visited; see :mod:`repro.enumerate.bounds`).
     backend:
-        Search backend: ``"auto"`` (default) — pick per search instance
-        (the python walk for small bounds-pruned instances where kernel
-        batching overhead dominates, the kernel otherwise);
-        ``"python"`` — the reference DFS; ``"numpy"`` — the vectorized
-        level-synchronous batch kernel
-        (:mod:`repro.enumerate.kernel`), much faster on reduced
-        super-graphs.  The backends pick the same regions, and every
-        reported chi-square and p-value is the labeling's statistic of
-        the region's vertices, so neither the backend nor ``prune``
-        changes them.  Graphs above the kernel's 64-vertex limit fall
-        back to the python walk automatically.
+        Search backend: ``"auto"`` (default) and ``"numpy"`` — the
+        vectorized level-synchronous batch kernel
+        (:mod:`repro.enumerate.kernel`) on every search of at most 64
+        vertices, in both prune modes, and the python walk on larger
+        graphs; ``"python"`` — the reference DFS everywhere.  The
+        backends pick the same regions, and every reported chi-square
+        and p-value is the labeling's statistic of the region's
+        vertices, so neither the backend nor ``prune`` changes them.
     correction:
         ``"none"`` — report raw per-region p-values (the paper's
         behaviour); ``"fwer"`` — apply the Tarone multiple-testing
@@ -407,7 +403,7 @@ def mine(
             delta_star=ctx.tarone.delta_star,
             num_testable=ctx.tarone.num_testable,
             testable_min_size=ctx.tarone.testable_min_size,
-            counts_mode=ctx.counts_mode,
+            counts_mode="envelope",
             regions_filtered=ctx.regions_filtered,
         )
     if _TELEMETRY.enabled:
@@ -519,9 +515,7 @@ def _correction_context(
         floor = conservative_statistic_floor(
             tarone.delta_star, labeling.num_labels - 1
         )
-    return _CorrectionContext(
-        tarone=tarone, statistic_floor=floor, counts_mode="envelope"
-    )
+    return _CorrectionContext(tarone=tarone, statistic_floor=floor)
 
 
 class _Survivors:

@@ -7,7 +7,6 @@ reduced super-graphs.
 """
 
 from repro.enumerate.accumulators import (
-    ChiSquareAccumulator,
     ContinuousAccumulator,
     DiscreteAccumulator,
 )
@@ -35,7 +34,6 @@ from repro.enumerate.search import (
 __all__ = [
     "ABORT_CHECK_MASK",
     "BitsetGraph",
-    "ChiSquareAccumulator",
     "ContinuousAccumulator",
     "DEFAULT_LIMIT",
     "DiscreteAccumulator",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Protocol
 
 from repro.exceptions import LabelingError
 from repro.enumerate.bounds import continuous_upper_bound, discrete_upper_bound
@@ -25,29 +24,9 @@ from repro.stats.chi_square import (
 )
 
 __all__ = [
-    "ChiSquareAccumulator",
     "ContinuousAccumulator",
     "DiscreteAccumulator",
 ]
-
-
-class ChiSquareAccumulator(Protocol):
-    """Protocol for incremental statistics over an evolving vertex set."""
-
-    def push(self, index: int) -> None:
-        """Include vertex ``index`` in the current set."""
-
-    def pop(self, index: int) -> None:
-        """Remove vertex ``index`` from the current set (LIFO discipline)."""
-
-    def chi_square(self) -> float:
-        """The statistic of the current set (0.0 when empty)."""
-
-    def upper_bound(self, candidate_mask: int) -> float:
-        """Admissible bound on the statistic of any superset reachable by
-        adding vertices from ``candidate_mask``.  Required for
-        ``prune="bounds"``; see :mod:`repro.enumerate.bounds`."""
-
 
 
 class DiscreteAccumulator:
@@ -269,10 +248,3 @@ class ContinuousAccumulator:
     def payload_sizes(self) -> tuple[int, ...]:
         """Original-vertex mass each vertex contributes, in index order."""
         return tuple(size for _, size in self._payloads)
-
-    def z_vector(self) -> tuple[float, ...]:
-        """Combined z-score of the current set (Eq. 5 per dimension)."""
-        if self._size == 0:
-            raise LabelingError("the empty region has no combined z-score")
-        scale = 1.0 / math.sqrt(self._size)
-        return tuple(s * scale for s in self._sums)

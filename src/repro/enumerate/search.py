@@ -22,7 +22,7 @@ fewer states.
 Statistic ties break toward the numerically smallest winning bitmask.
 That makes the optimum a function of the visited *set family* rather than
 of the visit order, which is what lets the vectorized numpy backend
-(:mod:`repro.enumerate.kernel`, selected with ``backend="numpy"``) batch
+(:mod:`repro.enumerate.kernel`, run by ``backend="numpy"``/``"auto"``) batch
 the walk while returning the same winner, whose statistic is then
 recomputed from its payloads alone.
 """
@@ -35,7 +35,6 @@ from collections.abc import Callable, Sequence
 
 from repro.exceptions import EnumerationLimitError, SearchAbortedError
 from repro.enumerate.accumulators import (
-    ChiSquareAccumulator,
     ContinuousAccumulator,
     DiscreteAccumulator,
 )
@@ -46,12 +45,10 @@ from repro.telemetry.progress import ProgressCallback, SearchProgress
 
 __all__ = [
     "ABORT_CHECK_MASK",
-    "AUTO_BOUNDS_PYTHON_MAX_VERTICES",
     "PRUNE_MODES",
     "SEARCH_BACKENDS",
     "SearchOutcome",
     "exhaustive_best_mask",
-    "resolve_backend",
 ]
 
 PRUNE_MODES = ("none", "bounds")
@@ -60,24 +57,12 @@ PRUNE_MODES = ("none", "bounds")
 SEARCH_BACKENDS = ("python", "numpy", "auto")
 """Valid values of the ``backend`` search argument.
 
-``"python"`` is the reference DFS in this module; ``"numpy"`` is the
-vectorized batch kernel in :mod:`repro.enumerate.kernel`, which falls
-back to the python walk for graphs above the kernel's 64-vertex
-machine-word limit.  The two pick the same winning regions and report
-the same statistic for them.  ``"auto"`` picks per call via
-:func:`resolve_backend`: the kernel wherever it is eligible, except on
-small bounds-pruned instances where batch setup costs more than the
-handful of surviving states (the scalar walk wins there)."""
-
-AUTO_BOUNDS_PYTHON_MAX_VERTICES = 24
-"""``backend="auto"`` crossover: under ``prune="bounds"`` instances with
-at most this many vertices run the python walk.
-
-Admissible bounds typically cut >99% of states on reduced super-graphs
-(n around ``n_theta`` ~ 20), leaving so few survivors that the kernel's
-per-level batch setup dominates — measured at 0.9x the scalar walk's
-speed on the pipeline regime of ``bench_kernel_backends.py``.  Above this size
-the state counts grow enough for batching to win even under bounds."""
+``"python"`` is the reference DFS in this module; ``"numpy"`` and
+``"auto"`` run the vectorized level kernel in
+:mod:`repro.enumerate.kernel` on every search of 1 to 64 vertices, in
+both prune modes, and the python walk above the kernel's 64-vertex
+machine-word limit.  The two backends pick the same winning regions and
+report the same statistic for them."""
 
 ABORT_CHECK_MASK = 0xFF
 """``check_abort`` polling cadence: every ``ABORT_CHECK_MASK + 1`` states.
@@ -85,28 +70,6 @@ ABORT_CHECK_MASK = 0xFF
 Polling a Python callable per state would roughly double the cost of the
 inner loop; every 256 states the abort latency stays far below any
 realistic serving deadline while the overhead disappears into noise."""
-
-
-def resolve_backend(backend: str, *, n: int, prune: str = "none") -> str:
-    """Resolve ``"auto"`` to a concrete backend for one search instance.
-
-    Explicit ``"python"``/``"numpy"`` pass through untouched (the numpy
-    path keeps its own transparent >64-vertex fallback).  ``"auto"``
-    picks ``"numpy"`` whenever ``n`` is within the kernel's machine-word
-    limit, except under ``prune="bounds"`` on instances of at most
-    :data:`AUTO_BOUNDS_PYTHON_MAX_VERTICES` vertices, where the bounds
-    cut the state count so far down that the scalar walk is faster than
-    batch setup.
-    """
-    if backend != "auto":
-        return backend
-    from repro.enumerate.kernel import MAX_KERNEL_VERTICES
-
-    if n > MAX_KERNEL_VERTICES:
-        return "python"
-    if prune == "bounds" and n <= AUTO_BOUNDS_PYTHON_MAX_VERTICES:
-        return "python"
-    return "numpy"
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,14 +221,14 @@ def exhaustive_best_mask(
     short of ``min_mass``; the optimum — including tie-breaks — is
     provably identical to ``prune="none"``.
 
-    ``backend="numpy"`` routes the walk through the vectorized batch
-    kernel (:mod:`repro.enumerate.kernel`), which returns the identical
-    outcome — bit-identical under ``prune="none"``, identical optimum
-    under ``prune="bounds"`` (cut accounting is enumeration-order
-    dependent there).  Graphs above the kernel's 64-vertex machine-word
-    limit fall back to the python walk transparently, so callers can
-    request ``"numpy"`` unconditionally.  ``backend="auto"`` picks per
-    instance via :func:`resolve_backend`.
+    ``backend="numpy"`` and ``backend="auto"`` route the walk through
+    the vectorized batch kernel (:mod:`repro.enumerate.kernel`), which
+    returns the identical outcome — bit-identical under
+    ``prune="none"``, identical optimum under ``prune="bounds"`` (cut
+    accounting is enumeration-order dependent there).  Graphs above the
+    kernel's 64-vertex machine-word limit run the python walk, so
+    callers can request ``"numpy"`` unconditionally; only
+    ``backend="python"`` runs the walk on smaller graphs.
 
     ``check_abort`` is polled every ``ABORT_CHECK_MASK + 1`` visited states
     (python walk) or between state batches (numpy kernel) — cooperative
@@ -309,10 +272,9 @@ def exhaustive_best_mask(
             f"payloads, got {type(accumulator).__name__}"
         )
     n = len(adjacency)
-    backend = resolve_backend(backend, n=n, prune=prune)
     from repro.enumerate.kernel import MAX_KERNEL_VERTICES, _kernel_search
 
-    kernel = backend == "numpy" and 0 < n <= MAX_KERNEL_VERTICES
+    kernel = backend != "python" and 0 < n <= MAX_KERNEL_VERTICES
     if check_abort is not None and check_abort():
         raise SearchAbortedError()
     search = _kernel_search if kernel else _python_walk
@@ -356,7 +318,7 @@ def _reachable_closure(
 
 def _python_walk(
     adjacency: Sequence[int],
-    accumulator: ChiSquareAccumulator,
+    accumulator: DiscreteAccumulator | ContinuousAccumulator,
     tally: _Tally,
     *,
     min_mass: int,

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.core import reduce as reduce_module
 from repro.exceptions import GraphError
 from repro.graph.generators import gnm_random_graph
 from repro.graph.graph import Graph
@@ -96,11 +99,6 @@ class TestReduction:
         assert sg.total_original_vertices() == 40
         sg.validate_against(g)
 
-    def test_invalid_compaction_factor(self):
-        sg = SuperGraph()
-        with pytest.raises(GraphError):
-            reduce_supergraph(sg, 1, compaction_factor=0)
-
     def test_lemma8_bound_holds_during_reduction(self):
         """Lemma 8: merged X^2 <= X^2_1 + X^2_2 for every contraction."""
         sg, ids = chain_supergraph([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -136,19 +134,25 @@ class TestHeapCompaction:
         return g, lab
 
     @staticmethod
-    def reduce_with_metrics(compaction_factor):
+    def reduce_with_metrics(compact):
         from repro.telemetry import telemetry_session
 
         g, lab = TestHeapCompaction.sparse_1k_instance()
         sg = build_continuous_supergraph(g, lab)
-        with telemetry_session() as (_, metrics):
-            reduce_supergraph(sg, 15, compaction_factor=compaction_factor)
-            snapshot = metrics.snapshot()
+        with pytest.MonkeyPatch.context() as patch:
+            if not compact:
+                # No stale count exceeds inf * live, and inf * 0 is NaN,
+                # which compares false, so this baseline never compacts,
+                # not even once no live edge is left.
+                patch.setattr(reduce_module, "COMPACTION_FACTOR", math.inf)
+            with telemetry_session() as (_, metrics):
+                reduce_supergraph(sg, 15)
+                snapshot = metrics.snapshot()
         return sg, snapshot
 
     def test_compaction_bounds_stale_entries_on_sparse_graph(self):
-        compacted_sg, compacted = self.reduce_with_metrics(2)
-        baseline_sg, baseline = self.reduce_with_metrics(None)
+        compacted_sg, compacted = self.reduce_with_metrics(True)
+        baseline_sg, baseline = self.reduce_with_metrics(False)
 
         assert compacted["reduce.heap_compactions"] >= 1
         assert baseline.get("reduce.heap_compactions", 0) == 0
@@ -162,8 +166,8 @@ class TestHeapCompaction:
         # Priorities are recomputed on pop either way, so rebuilding the
         # heap cannot change which edge is contracted next: the final
         # partitions must coincide block for block.
-        compacted_sg, _ = self.reduce_with_metrics(2)
-        baseline_sg, _ = self.reduce_with_metrics(None)
+        compacted_sg, _ = self.reduce_with_metrics(True)
+        baseline_sg, _ = self.reduce_with_metrics(False)
         assert compacted_sg.num_super_vertices == baseline_sg.num_super_vertices
         assert {
             frozenset(m) for m in compacted_sg.partition()

@@ -81,17 +81,6 @@ class TestContinuousAccumulator:
         assert acc.chi_square() == pytest.approx(expected.chi_square())
         assert acc.size == 3
 
-    def test_z_vector(self):
-        acc = ContinuousAccumulator([((3.0,), 1), ((1.0,), 3)])
-        acc.push(0)
-        acc.push(1)
-        assert acc.z_vector()[0] == pytest.approx(4.0 / 2.0)
-
-    def test_z_vector_empty_rejected(self):
-        acc = ContinuousAccumulator([((1.0,), 1)])
-        with pytest.raises(LabelingError):
-            acc.z_vector()
-
     def test_pop_restores(self):
         acc = ContinuousAccumulator([((1.5,), 1), ((-2.0,), 1)])
         acc.push(0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.exceptions import EnumerationLimitError, SearchAbortedError
@@ -323,3 +325,64 @@ class TestPruneModes:
         assert first.mask == second.mask == third.mask
         assert first.chi_square == third.chi_square
         assert acc.size == 0 and acc.chi_square() == 0.0
+
+
+class TestAutoBackend:
+    """``backend="auto"`` is the kernel on 1-64 vertices, the walk above."""
+
+    @staticmethod
+    def merged_instance(n, seed):
+        # Super-vertex-like payloads (mass 1-3), so min_mass > 1 bites.
+        g = gnp_random_graph(n, 3.0 / n, seed=seed)
+        bitset = BitsetGraph(g)
+        rng = random.Random(seed + 1)
+        payloads = []
+        for _ in bitset.vertices:
+            counts = [0, 0, 0]
+            for _ in range(rng.randint(1, 3)):
+                counts[rng.randrange(3)] += 1
+            payloads.append(tuple(counts))
+        return bitset, DiscreteAccumulator((0.5, 0.3, 0.2), payloads)
+
+    @staticmethod
+    def search_with_batches(adjacency, acc, **kwargs):
+        from repro.telemetry import names as metric
+        from repro.telemetry import telemetry_session
+
+        with telemetry_session() as (_, registry):
+            outcome = exhaustive_best_mask(adjacency, acc, **kwargs)
+        return outcome, registry.snapshot().get(metric.SEARCH_KERNEL_BATCHES, 0)
+
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("min_mass", [1, 4])
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_bounds_searches_run_the_kernel(self, n, min_mass, floored):
+        bitset, acc = self.merged_instance(n, seed=n)
+        floor = None
+        if floored:
+            plain = exhaustive_best_mask(
+                bitset.adjacency, acc, min_mass=min_mass, prune="bounds",
+                backend="python",
+            )
+            floor = plain.chi_square / 2
+        kwargs = dict(min_mass=min_mass, prune="bounds", statistic_floor=floor)
+        auto, batches = self.search_with_batches(
+            bitset.adjacency, acc, backend="auto", **kwargs
+        )
+        numpy_ = exhaustive_best_mask(bitset.adjacency, acc, backend="numpy", **kwargs)
+        assert auto == numpy_
+        assert batches > 0
+
+    @pytest.mark.parametrize("prune", PRUNE_MODES)
+    def test_above_64_vertices_runs_the_walk(self, prune):
+        g = Graph.path(65)
+        lab = DiscreteLabeling((0.5, 0.5), {v: int(v % 3 == 0) for v in range(65)})
+        bitset, acc = discrete_accumulator_for(g, lab)
+        auto, batches = self.search_with_batches(
+            bitset.adjacency, acc, backend="auto", prune=prune
+        )
+        python = exhaustive_best_mask(
+            bitset.adjacency, acc, backend="python", prune=prune
+        )
+        assert auto == python
+        assert batches == 0

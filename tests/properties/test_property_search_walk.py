@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.enumerate.accumulators import (
-    ChiSquareAccumulator,
     ContinuousAccumulator,
     DiscreteAccumulator,
 )
@@ -55,7 +54,7 @@ NON_DYADIC_PROBS = (0.37, 0.29, 0.21, 0.13)
 # ----------------------------------------------------------------------
 def _search_unbounded(
     adjacency: Sequence[int],
-    accumulator: ChiSquareAccumulator,
+    accumulator: DiscreteAccumulator | ContinuousAccumulator,
     *,
     min_mass: int,
     limit: int | None,
@@ -177,7 +176,7 @@ def _reachable_closure(
 
 def _search_bounded(
     adjacency: Sequence[int],
-    accumulator: ChiSquareAccumulator,
+    accumulator: DiscreteAccumulator | ContinuousAccumulator,
     *,
     min_mass: int,
     limit: int | None,
@@ -365,7 +364,7 @@ def instances(draw):
         ))
         payloads = [tuple(c) for c in counts]
 
-        def make() -> ChiSquareAccumulator:
+        def make() -> DiscreteAccumulator | ContinuousAccumulator:
             return DiscreteAccumulator(probs, payloads)
     else:
         z = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -374,7 +373,7 @@ def instances(draw):
             min_size=n, max_size=n,
         ))
 
-        def make() -> ChiSquareAccumulator:
+        def make() -> DiscreteAccumulator | ContinuousAccumulator:
             return ContinuousAccumulator(payloads)
 
     min_mass = draw(st.integers(1, 2 * n + 2))

@@ -18,7 +18,7 @@ SUBPACKAGES = [
 ]
 
 # Each entry is (module, name): a deleted module when name is None,
-# otherwise a name deleted from that module.
+# otherwise a name deleted from that module (dotted for a class member).
 REMOVED = [
     ("repro.community", None),
     ("repro.core.directed", None),
@@ -39,6 +39,12 @@ REMOVED = [
     ("repro.enumerate.bounds", "budget_limited_size"),
     ("repro.telemetry.names", "SEARCH_PRUNED_SIZE_CAP"),
     ("repro.telemetry.names", "SEARCH_FRONTIER_EXHAUSTED"),
+    ("repro.enumerate.search", "resolve_backend"),
+    ("repro.enumerate.search", "AUTO_BOUNDS_PYTHON_MAX_VERTICES"),
+    ("repro.enumerate", "ChiSquareAccumulator"),
+    ("repro.enumerate.accumulators", "ChiSquareAccumulator"),
+    ("repro.enumerate.accumulators", "ContinuousAccumulator.z_vector"),
+    ("repro.core.reduce", "DEFAULT_COMPACTION_FACTOR"),
 ]
 
 # Each entry is (module, callable, parameter): a parameter (or, for a
@@ -62,6 +68,8 @@ REMOVED_PARAMETERS = [
     ("repro.enumerate.connected", "enumerate_connected_subsets", "max_size"),
     ("repro.enumerate.connected", "count_connected_subgraphs", "min_size"),
     ("repro.enumerate.connected", "count_connected_subgraphs", "max_size"),
+    ("repro.core.reduce", "reduce_supergraph", "compaction_factor"),
+    ("repro.core.solver", "_CorrectionContext", "counts_mode"),
 ]
 
 
@@ -99,12 +107,17 @@ class TestTopLevelExports:
     )
     def test_removed_name_is_gone(self, module, name):
         """Deleted modules and names (the §6 extensions, uncalled graph
-        helpers, the super-vertex budget and its counters) stay deleted."""
+        helpers, the super-vertex budget and its counters, the backend
+        crossover, uncalled search surface) stay deleted."""
         if name is None:
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
         else:
-            assert not hasattr(importlib.import_module(module), name)
+            owner = importlib.import_module(module)
+            *path, last = name.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            assert not hasattr(owner, last)
 
     @pytest.mark.parametrize(
         ("module", "qualname", "parameter"),
